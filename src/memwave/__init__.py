@@ -63,9 +63,7 @@ from .solver import (
     Profile,
     SimulationResult,
     SystemConfig,
-    convolve_history,
     dalembert_reference,
-    mgt_step,
     picard_iterate,
     run_simulation,
 )

@@ -14,7 +14,6 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import datetime
 import json
@@ -56,10 +55,10 @@ SNAPSHOT_VERSION = 1
 
 _KERNEL_FAMILIES = {
     "riemann_liouville": (RiemannLiouville, {"gamma": True, "scale": False}),
-    "polynomial_shifted": (PolynomialShifted, {"gamma": True, "scale": False}),
-    "exponential": (Exponential, {"beta": True, "scale": False}),
+    "polynomial_shifted": (PolynomialShifted, {"gamma": True}),
+    "exponential": (Exponential, {"beta": True}),
     "iterated_exponential": (IteratedExponential, {"c": True, "depth": True}),
-    "oscillating_polynomial": (OscillatingPolynomial, {"gamma": True, "scale": False}),
+    "oscillating_polynomial": (OscillatingPolynomial, {"gamma": True}),
     "constant": (Constant, {"value": True}),
     "custom": (None, {"samples": True}),
 }
@@ -157,7 +156,7 @@ def _build_profile(block, path: str, report: ValidationReport) -> Profile | None
         report.error(path, f"unknown profile keys {sorted(extra)}")
         return None
     try:
-        prof = Profile(
+        return Profile(
             block["kind"],
             float(block.get("amplitude", 0.0)),
             float(block.get("radius", 1.0)),
@@ -165,10 +164,6 @@ def _build_profile(block, path: str, report: ValidationReport) -> Profile | None
     except ConfigError as exc:
         report.error(path, str(exc))
         return None
-    if prof.radius <= 0.0:
-        report.error(f"{path}.radius", "support radius must be positive")
-        return None
-    return prof
 
 
 def load_config(path: Path) -> dict:
@@ -418,7 +413,7 @@ def cmd_simulate(args, raw, resolved, outdir: OutputDir) -> int:
         for t_snap, fields in sorted(result.snapshots.items()):
             name = f"snapshot{suffix}_{FLOAT_FMT % t_snap}.bin"
             write_snapshot(outdir.path(name), cfg.params.n, cfg.dr, t_snap, fields)
-        if result.trigger == "nonfinite" and not verdict.blew_up:
+        if result.trace.stop_trigger == "nonfinite" and not verdict.blew_up:
             return 3
     if ladder > 1:
         rows = []
@@ -479,11 +474,6 @@ def cmd_classify(args, raw, resolved, outdir: OutputDir) -> int:
     return 0
 
 
-def _sweep_block(task):
-    n, gamma1, gamma2, ps, qs = task
-    return region_from_grids(n, gamma1, gamma2, ps, qs)
-
-
 def cmd_sweep(args, raw, resolved, outdir: OutputDir) -> int:
     block = resolved.get("sweep")
     if block is None:
@@ -496,24 +486,11 @@ def cmd_sweep(args, raw, resolved, outdir: OutputDir) -> int:
     if p_range[0] <= 1.0 or q_range[0] <= 1.0 or resolution < 1:
         print("sweep ranges must exceed 1 with resolution >= 1", file=sys.stderr)
         return 2
-    # split the master p-grid into contiguous chunks; the chunks carry the
-    # exact same float values as a serial run, so reassembly is byte-stable
-    workers = max(1, args.parallel)
     ps = np.linspace(p_range[0], p_range[1], resolution)
     qs = np.linspace(q_range[0], q_range[1], resolution)
-    bounds = np.linspace(0, resolution, min(workers, resolution) + 1).astype(int)
-    tasks = [
-        (params.n, params.gamma1, params.gamma2, ps[lo:hi], qs)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    if workers == 1 or len(tasks) == 1:
-        maps = [_sweep_block(t) for t in tasks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            maps = list(pool.map(_sweep_block, tasks))
-    rows = [row for m in maps for row in m.rows()]
-    _write_csv(outdir.path("region.csv"), ["p", "q", "branch", "satisfied", "margin"], rows)
+    region = region_from_grids(params.n, params.gamma1, params.gamma2, ps, qs)
+    _write_csv(outdir.path("region.csv"), ["p", "q", "branch", "satisfied", "margin"],
+               region.rows())
     return 0
 
 
@@ -647,7 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=Path, default=None, help="YAML config file")
         sp.add_argument("--out", type=Path, required=True, help="output directory")
-        sp.add_argument("--parallel", type=int, default=1, help="worker pool size")
         sp.add_argument(
             "--resolution-ladder",
             type=int,

@@ -275,24 +275,24 @@ class OscillatingPolynomial(MemoryKernel):
 
 
 class Constant(MemoryKernel):
-    """g(t) = c > 0."""
+    """g(t) = value > 0."""
 
-    def __init__(self, c: float):
-        if c <= 0.0:
-            raise ConfigError(f"Constant requires c > 0, got {c}")
-        self.c = c
+    def __init__(self, value: float):
+        if value <= 0.0:
+            raise ConfigError(f"Constant requires value > 0, got {value}")
+        self.value = value
 
     def _eval(self, t):
-        return np.full_like(np.asarray(t, dtype=float), self.c) if np.ndim(t) else self.c
+        return np.full_like(np.asarray(t, dtype=float), self.value) if np.ndim(t) else self.value
 
     def _antiderivative(self, t):
-        return self.c * t
+        return self.value * t
 
     def second_antiderivative(self, t):
-        return 0.5 * self.c * t * t
+        return 0.5 * self.value * t * t
 
     def value_at_zero(self):
-        return self.c
+        return self.value
 
     def derivative_at_zero(self):
         return 0.0

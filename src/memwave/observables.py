@@ -33,9 +33,6 @@ __all__ = [
 #: surface area of the unit sphere in R^n, n = 1, 2, 3
 _SPHERE_AREA = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}
 
-#: field max-norm beyond which a run counts as blown up
-MAXNORM_THRESHOLD = 1e6
-
 TRACE_COLUMNS = ("t", "U", "V", "U0", "V0", "Lp_v", "Lq_u", "maxnorm_u", "maxnorm_v")
 
 

@@ -14,7 +14,7 @@ first-order system with RK4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate as _sci_integrate
@@ -29,17 +29,13 @@ __all__ = [
     "Profile",
     "SystemConfig",
     "WaveState",
-    "MgtState",
     "HistoryWeights",
     "SimulationResult",
     "initial_state",
     "step",
-    "convolve_history",
     "run_simulation",
     "dalembert_reference",
     "picard_iterate",
-    "initial_mgt_state",
-    "mgt_step",
     "conv_derivative_identity",
     "discrete_energy",
 ]
@@ -128,6 +124,10 @@ class SystemConfig:
         return self.cfl * self.dr
 
     @property
+    def n_steps(self) -> int:
+        return int(round(self.t_max / self.dt))
+
+    @property
     def n_cells(self) -> int:
         return int(math.ceil((self.R + self.t_max) / self.dr)) + SUPPORT_HALO + 1
 
@@ -185,140 +185,156 @@ class HistoryWeights:
         return w
 
 
-def convolve_history(weights: np.ndarray, samples) -> float:
-    """Weighted history sum; exact for piecewise-linear samples."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape[0] != weights.shape[0]:
-        raise ValueError(
-            f"history length {samples.shape[0]} does not match weights {weights.shape[0]}"
-        )
-    return weights @ samples
-
-
 @dataclass
 class WaveState:
-    """Fields, previous-step copies, and the nonlinearity history."""
+    """Stacked fields, their previous time level, and the forcing history.
+
+    The rows of ``fields`` are (u,) in single mode, (u, v) in coupled mode and
+    (u, u_t, u_tt) in mgt mode; the first ``n_wave`` rows are the wave fields.
+    Entry i of ``forcing`` is ``(src, power)``: row i is driven by the
+    convolution of ``weights[i]`` with ``history[i]``, the recorded profiles
+    of ``|fields[src]|**power``.  The forcing is empty and the history None
+    for linear runs and in mgt mode, whose right-hand side forces locally.
+    """
 
     r: np.ndarray
-    u: np.ndarray
-    v: np.ndarray | None
-    u_prev: np.ndarray | None
-    v_prev: np.ndarray | None
+    fields: np.ndarray
+    prev: np.ndarray | None  # the previous time level; None before the first step
+    velocity: np.ndarray | None  # initial velocities of the leapfrog rows
     t: float
     step: int
-    hist_vp: np.ndarray  # |v|^p profiles, rows 0..step (forcing for u)
-    hist_uq: np.ndarray | None  # |u|^q profiles (forcing for v); None in single mode
-    weights_1: HistoryWeights
-    weights_2: HistoryWeights | None
+    n_wave: int
+    forcing: tuple
+    weights: tuple
+    history: np.ndarray | None  # (len(forcing), n_steps + 1, M + 1)
+
+    @property
+    def waves(self) -> np.ndarray:
+        return self.fields[: self.n_wave]
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.fields[0]
+
+    @property
+    def v(self) -> np.ndarray | None:
+        return self.fields[1] if self.n_wave == 2 else None
+
+    @property
+    def u_prev(self) -> np.ndarray | None:
+        return None if self.prev is None else self.prev[0]
 
     def support_violation(self, config: SystemConfig) -> float:
-        """Largest field magnitude outside the allowed light cone."""
-        edge = config.R + self.t + SUPPORT_HALO * config.dr
-        outside = self.r > edge
+        """Largest wave-field magnitude outside the allowed light cone."""
+        outside = _outside_cone(self.r, self.t, config)
         if not np.any(outside):
             return 0.0
-        worst = float(np.max(np.abs(self.u[outside])))
-        if self.v is not None:
-            worst = max(worst, float(np.max(np.abs(self.v[outside]))))
-        return worst
+        return float(np.max(np.abs(self.waves[:, outside])))
 
 
 def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
+    """Radial Laplacian along the last axis of one field or a stack of them."""
     lap = np.zeros_like(u)
-    lap[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dr**2
+    lap[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr**2
     if n > 1:
-        lap[1:-1] += (n - 1) / r[1:-1] * (u[2:] - u[:-2]) / (2.0 * dr)
+        lap[..., 1:-1] += (n - 1) / r[1:-1] * (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
     # origin: symmetry gives u_r(0) = 0 and the limit n * u_rr
-    lap[0] = n * 2.0 * (u[1] - u[0]) / dr**2
-    lap[-1] = 0.0  # homogeneous Dirichlet, never reached by the cone
+    lap[..., 0] = n * 2.0 * (u[..., 1] - u[..., 0]) / dr**2
+    lap[..., -1] = 0.0  # homogeneous Dirichlet, never reached by the cone
     return lap
 
 
-def _apply_support_mask(fields, r, t, config: SystemConfig) -> None:
-    edge = config.R + t + SUPPORT_HALO * config.dr
-    outside = r > edge
-    for f in fields:
-        if f is not None:
-            f[outside] = 0.0
+def _outside_cone(r, t, config: SystemConfig) -> np.ndarray:
+    return r > config.R + t + SUPPORT_HALO * config.dr
+
+
+def _initial_layout(config: SystemConfig, r: np.ndarray):
+    """Initial fields, leapfrog velocities, wave-row count and forcing map.
+
+    One of the two places that read the mode; the other is the choice of
+    update in ``step``.
+    """
+    p, q = config.params.p, config.params.q
+    u0 = config.u0(r)
+    if config.mode == "mgt":
+        utt = _laplacian(u0, r, config.dr, config.params.n)
+        return np.stack((u0, config.u1(r), utt)), None, 1, ()
+    if config.mode == "coupled":
+        fields = np.stack((u0, config.v0(r)))
+        return fields, np.stack((config.u1(r), config.v1(r))), 2, ((1, p), (0, q))
+    return u0[None], config.u1(r)[None], 1, ((0, p),)
+
+
+def _record_history(state: WaveState) -> None:
+    for i, (src, power) in enumerate(state.forcing):
+        state.history[i, state.step] = np.abs(state.fields[src]) ** power
 
 
 def initial_state(config: SystemConfig) -> WaveState:
-    if config.mode == "mgt":
-        raise ConfigError("use initial_mgt_state for mgt mode")
-    params = config.params
+    """Initial fields and forcing history at t = 0, for any mode."""
     r = config.radii()
-    u = config.u0(r)
-    n_steps = int(round(config.t_max / config.dt))
-    hist_vp = np.zeros((n_steps + 1, r.size))
-    if config.mode == "coupled":
-        v = config.v0(r)
-        hist_uq = np.zeros_like(hist_vp)
-        hist_vp[0] = np.abs(v) ** params.p
-        hist_uq[0] = np.abs(u) ** params.q
-        weights_2 = HistoryWeights(config.kernels[1], config.dt, config.tail_truncation)
-    else:
-        v = None
-        hist_uq = None
-        hist_vp[0] = np.abs(u) ** params.p
-        weights_2 = None
-    weights_1 = HistoryWeights(config.kernels[0], config.dt, config.tail_truncation)
-    return WaveState(r, u, v, None, None, 0.0, 0, hist_vp, hist_uq, weights_1, weights_2)
+    fields, velocity, n_wave, forcing = _initial_layout(config, r)
+    if config.linear:
+        forcing = ()
+    weights = tuple(
+        HistoryWeights(g, config.dt, config.tail_truncation)
+        for g in config.kernels[: len(forcing)]
+    )
+    history = np.zeros((len(forcing), config.n_steps + 1, r.size)) if forcing else None
+    state = WaveState(r, fields, None, velocity, 0.0, 0, n_wave, forcing, weights, history)
+    _record_history(state)
+    return state
+
+
+def _leapfrog(state: WaveState, config: SystemConfig) -> np.ndarray:
+    dt, m = config.dt, state.step
+    f = 0.0
+    if state.forcing:
+        # one matvec per row: a product batched over rows may sum in another order
+        f = np.stack([w.weights(m) @ state.history[i, : m + 1]
+                      for i, w in enumerate(state.weights)])
+    lap = _laplacian(state.fields, state.r, config.dr, config.params.n)
+    if m == 0:
+        return state.fields + dt * state.velocity + 0.5 * dt**2 * (lap + f)
+    return 2.0 * state.fields - state.prev + dt**2 * (lap + f)
+
+
+def _rk4(state: WaveState, config: SystemConfig) -> np.ndarray:
+    """One RK4 step of the first-order system (u, u_t, u_tt)."""
+    beta = config.kernels[0].beta
+    n, dr, dt, p = config.params.n, config.dr, config.dt, config.params.p
+    r = state.r
+
+    def rhs(y):
+        lap = _laplacian(y[:2], r, dr, n)
+        return np.stack((y[1], y[2], lap[0] / beta + lap[1] - y[2] / beta + np.abs(y[0]) ** p))
+
+    y = state.fields
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * dt * k1)
+    k3 = rhs(y + 0.5 * dt * k2)
+    k4 = rhs(y + dt * k3)
+    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(state: WaveState, config: SystemConfig) -> WaveState:
-    """Advance one time level with leapfrog plus memory forcing.
+    """Advance one time level, in place.
 
-    The forcing at the current level is the product-integration convolution of
-    the stored nonlinearity history; the first level uses a Taylor start.
-    Fields outside the light cone (plus halo) are clamped to zero, which is
-    consistent with finite propagation speed and keeps the scheme second
-    order.
+    The wave modes use leapfrog with a Taylor start; their forcing at the
+    current level is the product-integration convolution of the stored
+    nonlinearity history.  Mgt mode takes one RK4 step of the third-order
+    reformulation of the exponential-kernel equation.  Fields outside the
+    light cone (plus halo) are clamped to zero, which is consistent with
+    finite propagation speed and keeps the scheme second order.
     """
-    params, dr, dt = config.params, config.dr, config.dt
-    n = params.n
-    m = state.step
-    r = state.r
-    coupled = config.mode == "coupled"
-    if config.linear:
-        f_u = 0.0
-        f_v = 0.0
-    else:
-        w1 = state.weights_1.weights(m)
-        f_u = w1 @ state.hist_vp[: m + 1]
-        if coupled:
-            w2 = state.weights_2.weights(m)
-            f_v = w2 @ state.hist_uq[: m + 1]
-    lap_u = _laplacian(state.u, r, dr, n)
-    if coupled:
-        lap_v = _laplacian(state.v, r, dr, n)
-    if m == 0:
-        u1 = config.u1(r)
-        u_new = state.u + dt * u1 + 0.5 * dt**2 * (lap_u + f_u)
-        if coupled:
-            v1 = config.v1(r)
-            v_new = state.v + dt * v1 + 0.5 * dt**2 * (lap_v + f_v)
-    else:
-        u_new = 2.0 * state.u - state.u_prev + dt**2 * (lap_u + f_u)
-        if coupled:
-            v_new = 2.0 * state.v - state.v_prev + dt**2 * (lap_v + f_v)
-    t_new = state.t + dt
-    if not coupled:
-        v_new = None
-    _apply_support_mask((u_new, v_new), r, t_new, config)
-    state.u_prev = state.u
-    state.u = u_new
-    if coupled:
-        state.v_prev = state.v
-        state.v = v_new
-    state.t = t_new
-    state.step = m + 1
-    if state.step < state.hist_vp.shape[0]:
+    new = _rk4(state, config) if config.mode == "mgt" else _leapfrog(state, config)
+    state.t += config.dt
+    new[..., _outside_cone(state.r, state.t, config)] = 0.0
+    state.prev, state.fields = state.fields, new
+    state.step += 1
+    if state.history is not None and state.step < state.history.shape[1]:
         with np.errstate(over="ignore", invalid="ignore"):
-            if coupled:
-                state.hist_vp[state.step] = np.abs(state.v) ** params.p
-                state.hist_uq[state.step] = np.abs(state.u) ** params.q
-            else:
-                state.hist_vp[state.step] = np.abs(state.u) ** params.p
+            _record_history(state)
     return state
 
 
@@ -337,33 +353,27 @@ def discrete_energy(state: WaveState, config: SystemConfig) -> float:
 
 @dataclass
 class SimulationResult:
+    """A finished run; ``trace.stop_trigger`` and ``trace.t_stop`` say why
+    and when it stopped."""
+
     config: SystemConfig
     trace: FunctionalTrace
-    trigger: str
-    t_stop: float
     snapshots: dict = field(default_factory=dict)
 
 
 def run_simulation(config: SystemConfig) -> SimulationResult:
     """Integrate to t_max or until the fields blow up; record the trace."""
-    if config.mode == "mgt":
-        return _run_mgt(config)
     state = initial_state(config)
     trace = FunctionalTrace()
     trace.append(observables.compute_functionals(state, config))
-    n_steps = int(round(config.t_max / config.dt))
     snapshot_steps = {
         int(round(ts / config.dt)): ts for ts in config.snapshot_times
     }
     snapshots = {}
-    trigger = "reached_tmax"
-    for m in range(n_steps):
+    for _ in range(config.n_steps):
         step(state, config)
-        finite = np.all(np.isfinite(state.u)) and (
-            state.v is None or np.all(np.isfinite(state.v))
-        )
-        if not finite:
-            trigger = "nonfinite"
+        if not np.all(np.isfinite(state.waves)):
+            trace.stop_trigger = "nonfinite"
             break
         if state.step % config.record_every == 0:
             trace.append(observables.compute_functionals(state, config))
@@ -372,15 +382,11 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
                 state.u.copy(),
                 None if state.v is None else state.v.copy(),
             )
-        peak = np.max(np.abs(state.u))
-        if state.v is not None:
-            peak = max(peak, np.max(np.abs(state.v)))
-        if peak > config.maxnorm_threshold:
-            trigger = "maxnorm"
+        if np.max(np.abs(state.waves)) > config.maxnorm_threshold:
+            trace.stop_trigger = "maxnorm"
             break
-    trace.stop_trigger = trigger
     trace.t_stop = state.t
-    return SimulationResult(config, trace, trigger, state.t, snapshots)
+    return SimulationResult(config, trace, snapshots)
 
 
 # ---------------------------------------------------------------------------
@@ -512,78 +518,6 @@ def picard_iterate(config: SystemConfig, T_small: float, iterations: int, dx: fl
 # ---------------------------------------------------------------------------
 # Third-order-in-time reformulation for exponential kernels
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MgtState:
-    r: np.ndarray
-    u: np.ndarray
-    ut: np.ndarray
-    utt: np.ndarray
-    t: float
-    step: int
-
-
-def initial_mgt_state(config: SystemConfig) -> MgtState:
-    r = config.radii()
-    u = config.u0(r)
-    ut = config.u1(r)
-    utt = _laplacian(u, r, config.dr, config.params.n)
-    return MgtState(r, u, ut, utt, 0.0, 0)
-
-
-def mgt_step(state: MgtState, config: SystemConfig) -> MgtState:
-    """One RK4 step of the first-order system (u, u_t, u_tt)."""
-    if not isinstance(config.kernels[0], Exponential):
-        raise ConfigError("mgt stepping requires an Exponential kernel")
-    beta = config.kernels[0].beta
-    n, dr, dt = config.params.n, config.dr, config.dt
-    p = config.params.p
-    r = state.r
-
-    def rhs(y):
-        u, w, z = y
-        lap_u = _laplacian(u, r, dr, n)
-        lap_w = _laplacian(w, r, dr, n)
-        return (w, z, lap_u / beta + lap_w - z / beta + np.abs(u) ** p)
-
-    y0 = (state.u, state.ut, state.utt)
-    k1 = rhs(y0)
-    k2 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y0, k1)))
-    k3 = rhs(tuple(a + 0.5 * dt * b for a, b in zip(y0, k2)))
-    k4 = rhs(tuple(a + dt * b for a, b in zip(y0, k3)))
-    u, ut, utt = (
-        a + dt / 6.0 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-        for a, b1, b2, b3, b4 in zip(y0, k1, k2, k3, k4)
-    )
-    state.t += dt
-    state.step += 1
-    _apply_support_mask((u, ut, utt), r, state.t, config)
-    state.u, state.ut, state.utt = u, ut, utt
-    return state
-
-
-def _run_mgt(config: SystemConfig) -> SimulationResult:
-    state = initial_mgt_state(config)
-    state.v = None  # duck-typed for the functional computation
-    trace = FunctionalTrace()
-    trace.append(observables.compute_functionals(state, config))
-    n_steps = int(round(config.t_max / config.dt))
-    trigger = "reached_tmax"
-    for _ in range(n_steps):
-        mgt_step(state, config)
-        state.v = None
-        if not np.all(np.isfinite(state.u)):
-            trigger = "nonfinite"
-            break
-        if state.step % config.record_every == 0:
-            trace.append(observables.compute_functionals(state, config))
-        if np.max(np.abs(state.u)) > config.maxnorm_threshold:
-            trigger = "maxnorm"
-            break
-    trace.stop_trigger = trigger
-    trace.t_stop = state.t
-    return SimulationResult(config, trace, trigger, state.t, {})
 
 
 def conv_derivative_identity(kernel: Exponential, samples, t_grid) -> float:

@@ -43,6 +43,26 @@ def test_validate_rejects_bad_gamma(tmp_path):
     assert any("kernels.g1.gamma" in e and "(0, 1)" in e for e in report.errors)
 
 
+def test_validate_builds_constant_kernel(tmp_path):
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["kernels"]["g1"] = {"family": "constant", "value": 1.0}
+    resolved, report = validate_config(cfg, tmp_path)
+    assert not report.errors
+    assert resolved["kernels"][0].value == 1.0
+
+
+@pytest.mark.parametrize("family, params", [
+    ("exponential", {"beta": 1.0}),
+    ("polynomial_shifted", {"gamma": 0.5}),
+    ("oscillating_polynomial", {"gamma": 0.5}),
+])
+def test_validate_rejects_scale_where_unsupported(tmp_path, family, params):
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["kernels"]["g1"] = {"family": family, "scale": 2.0, **params}
+    _, report = validate_config(cfg, tmp_path)
+    assert report.errors == ["kernels.g1: unknown kernel parameters ['scale']"]
+
+
 def test_validate_reports_unknown_key(tmp_path):
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["simulation"]["timestep"] = 0.1
@@ -103,17 +123,14 @@ def test_simulate_resolution_ladder(tmp_path):
     assert (out / "ladder.csv").exists()
 
 
-def test_sweep_grid_and_parallel(tmp_path):
+def test_sweep_grid(tmp_path):
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["sweep"] = {"p_range": [1.5, 2.5], "q_range": [1.5, 2.5], "resolution": 2}
     path = _write(tmp_path, cfg)
-    serial, parallel = tmp_path / "s", tmp_path / "p"
-    assert main(["sweep", "--config", str(path), "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", str(path), "--out", str(parallel),
-                 "--parallel", "8"]) == 0
-    rows = (serial / "region.csv").read_text().strip().splitlines()
+    out = tmp_path / "s"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = (out / "region.csv").read_text().strip().splitlines()
     assert len(rows) == 5  # header + 2x2 grid
-    assert (serial / "region.csv").read_bytes() == (parallel / "region.csv").read_bytes()
 
 
 def test_classify_slow_fast_pair(tmp_path):

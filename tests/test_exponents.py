@@ -127,7 +127,12 @@ def test_log_iterate_depth_cap():
 @settings(max_examples=300, deadline=None)
 def test_log_iterate_monotone(t, r):
     lo, hi = sorted(t)
-    assert log_iterate(lo, r) < log_iterate(hi, r)
+    assert log_iterate(lo, r) <= log_iterate(hi, r)
+    # strict once the true increase (>= ~1e-12 for r <= 2 on [0, 1e6]) is far
+    # above one ulp of the result; adjacent inputs may round to equal values,
+    # and near zero a subnormal step underflows inside the nested log1p
+    if hi - lo > 1e-9 * max(lo, 1.0):
+        assert log_iterate(lo, r) < log_iterate(hi, r)
 
 
 def test_problem_params_validation():

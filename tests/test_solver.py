@@ -16,17 +16,15 @@ from memwave.kernels import (
     PolynomialShifted,
     RiemannLiouville,
 )
+from memwave.observables import TRACE_COLUMNS
 from memwave.solver import (
     HistoryWeights,
     Profile,
     SystemConfig,
-    convolve_history,
     dalembert_reference,
     discrete_energy,
-    initial_mgt_state,
     initial_state,
     conv_derivative_identity,
-    mgt_step,
     picard_iterate,
     run_simulation,
     step,
@@ -125,7 +123,7 @@ def test_weights_exact_for_linear_samples():
     for kernel in (Exponential(1.5), Constant(0.7), PolynomialShifted(0.5)):
         want, _ = integrate.quad(lambda s: kernel(t_m - s) * (2.0 + 3.0 * s), 0.0, t_m,
                                  epsrel=1e-12, limit=200)
-        got = convolve_history(HistoryWeights(kernel, dt).weights(m), samples)
+        got = HistoryWeights(kernel, dt).weights(m) @ samples
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -142,14 +140,14 @@ def test_weights_exact_for_singular_kernel_linear_samples():
         weight="alg", wvar=(0.0, -0.5), epsrel=1e-12, limit=200,
     )
     want = want / math.gamma(0.5)
-    got = convolve_history(HistoryWeights(kernel, dt).weights(m), samples)
+    got = HistoryWeights(kernel, dt).weights(m) @ samples
     assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_convolve_history_length_mismatch():
     hw = HistoryWeights(Constant(1.0), 0.1)
     with pytest.raises(ValueError):
-        convolve_history(hw.weights(5), np.ones(4))
+        hw.weights(5) @ np.ones(4)
 
 
 def test_tail_truncation_matches_full():
@@ -222,9 +220,51 @@ def test_energy_drift_linear():
 def test_run_simulation_linear_reaches_tmax():
     cfg = _config(t_max=0.5, linear=True)
     res = run_simulation(cfg)
-    assert res.trigger == "reached_tmax"
-    assert res.t_stop == pytest.approx(0.5, abs=cfg.dt)
+    assert res.trace.stop_trigger == "reached_tmax"
+    assert res.trace.t_stop == pytest.approx(0.5, abs=cfg.dt)
     assert len(res.trace) > 10
+
+
+# trace end points recorded from the per-mode drivers that preceded the
+# shared stepping loop; any change to the floating-point operations shows here
+PINNED_RUNS = {
+    "single_n3": (
+        dict(params=ProblemParams(3, 2.0, 3.0), mode="single", cfl=0.5,
+             kernels=(RiemannLiouville(0.5), RiemannLiouville(0.5))),
+        21,
+        (0.5000000000000001, 0.29368624421042644, 0.29368624421042644,
+         2.488464849296245, 2.488464849296245, 0.026708245140007955,
+         0.002782862567079033, 0.1331618413808649, 0.1331618413808649),
+    ),
+    "coupled_n2": (
+        dict(params=ProblemParams(2, 2.0, 3.0), mode="coupled", record_every=3,
+             kernels=(RiemannLiouville(0.5), Exponential(1.0)),
+             v0=Profile("smoothed_indicator", 0.8, 1.0)),
+        4,
+        (0.40499999999999997, 0.41738442175175305, 1.6280064229804687,
+         1.913177822325771, 8.037166164459306, 0.6117402983265022,
+         0.023927265325577693, 0.32162163060759263, 0.8018211401995272),
+    ),
+    "mgt_n1": (
+        dict(params=ProblemParams(1, 2.0, 3.0), mode="mgt",
+             kernels=(Exponential(1.0), Exponential(1.0))),
+        12,
+        (0.49499999999999994, 0.6960615706163895, 0.6960615706163895,
+         0.9594936461143369, 0.9594936461143369, 0.30703437135596945,
+         0.15376086080000684, 0.6252464746564075, 0.6252464746564075),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_run_simulation_pinned_trace(name):
+    kw, rows, last = PINNED_RUNS[name]
+    cfg = _config(u1=Profile("cosine_bump", 0.5, 1.0), t_max=0.5, dr=0.05, **kw)
+    trace = run_simulation(cfg).trace
+    assert len(trace) == rows
+    assert trace.stop_trigger == "reached_tmax"
+    got = tuple(getattr(trace, col)[-1] for col in TRACE_COLUMNS)
+    assert got == pytest.approx(last, rel=1e-12)
 
 
 def test_run_simulation_snapshot_capture():
@@ -306,10 +346,19 @@ def test_mgt_requires_exponential_kernel():
 def test_mgt_zero_data_stays_zero():
     cfg = _config(mode="mgt", kernels=(Exponential(1.0), Exponential(1.0)),
                   u0=Profile("zero"), u1=Profile("zero"), t_max=0.5)
-    state = initial_mgt_state(cfg)
+    state = initial_state(cfg)
     for _ in range(10):
-        mgt_step(state, cfg)
+        step(state, cfg)
     assert np.all(state.u == 0.0)
+
+
+def test_mgt_run_keeps_snapshots():
+    cfg = _config(mode="mgt", kernels=(Exponential(1.0), Exponential(1.0)),
+                  t_max=0.5, snapshot_times=(0.25,))
+    res = run_simulation(cfg)
+    (u, v), = res.snapshots.values()
+    assert u.shape == cfg.radii().shape and v is None
+    assert np.max(np.abs(u)) > 0.0
 
 
 def test_conv_derivative_identity_zero():
