@@ -74,7 +74,6 @@ _SCHEMA = {
         "mode",
         "record_every",
         "maxnorm_threshold",
-        "tail_truncation",
         "linear",
         "snapshot_times",
     },
@@ -125,9 +124,6 @@ def _build_kernel(block: dict, path: str, report: ValidationReport, base: Path):
             report.error(f"{path}.{name}", "required kernel parameter missing")
             return None
     kwargs = {k: v for k, v in block.items() if k != "family"}
-    if "gamma" in kwargs and not 0.0 < float(kwargs["gamma"]) < 1.0:
-        report.error(f"{path}.gamma", "fractional order must lie in the open interval (0, 1)")
-        return None
     if family == "custom":
         sample_path = base / str(kwargs.pop("samples"))
         if not sample_path.exists():
@@ -140,9 +136,11 @@ def _build_kernel(block: dict, path: str, report: ValidationReport, base: Path):
         return Custom(table[:, 0], table[:, 1])
     try:
         return cls(**kwargs)
-    except (ConfigError, ValueError, TypeError) as exc:
+    except ConfigError as exc:
+        report.error(f"{path}.{exc.param}" if exc.param else path, str(exc))
+    except (ValueError, TypeError) as exc:
         report.error(path, str(exc))
-        return None
+    return None
 
 
 def _build_profile(block, path: str, report: ValidationReport) -> Profile | None:
@@ -261,7 +259,6 @@ def validate_config(raw: dict, base: Path) -> tuple[dict, ValidationReport]:
                         cfl=float(sblock.get("cfl", 0.9)),
                         mode=sblock.get("mode", "coupled"),
                         maxnorm_threshold=float(sblock.get("maxnorm_threshold", 1e6)),
-                        tail_truncation=bool(sblock.get("tail_truncation", False)),
                         linear=bool(sblock.get("linear", False)),
                         record_every=int(sblock.get("record_every", 1)),
                         snapshot_times=tuple(sblock.get("snapshot_times", ())),
@@ -322,7 +319,6 @@ def _describe_config(raw: dict, resolved: dict) -> dict:
             "grid_cells": system.n_cells,
             "record_every": system.record_every,
             "maxnorm_threshold": system.maxnorm_threshold,
-            "tail_truncation": system.tail_truncation,
             "linear": system.linear,
         }
     return desc

@@ -2,7 +2,12 @@
 
 
 class ConfigError(ValueError):
-    """Invalid parameter or configuration value."""
+    """Invalid parameter or configuration value; ``param`` names the offending
+    parameter when there is one."""
+
+    def __init__(self, message: str, param: str | None = None):
+        super().__init__(message)
+        self.param = param
 
 
 class DomainError(ValueError):

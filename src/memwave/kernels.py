@@ -115,9 +115,11 @@ class RiemannLiouville(MemoryKernel):
 
     def __init__(self, gamma: float, scale: float = 1.0):
         if not 0.0 < gamma < 1.0:
-            raise ConfigError(f"RiemannLiouville requires gamma in (0, 1), got {gamma}")
+            raise ConfigError(
+                f"RiemannLiouville requires gamma in (0, 1), got {gamma}", param="gamma"
+            )
         if scale <= 0.0:
-            raise ConfigError("scale must be positive")
+            raise ConfigError("scale must be positive", param="scale")
         self.gamma = gamma
         self.scale = scale
         self.singularity_order = gamma
@@ -139,7 +141,7 @@ class PolynomialShifted(MemoryKernel):
 
     def __init__(self, gamma: float):
         if gamma < 0.0:
-            raise ConfigError(f"PolynomialShifted requires gamma >= 0, got {gamma}")
+            raise ConfigError(f"PolynomialShifted requires gamma >= 0, got {gamma}", param="gamma")
         self.gamma = gamma
 
     def _eval(self, t):
@@ -171,7 +173,7 @@ class Exponential(MemoryKernel):
 
     def __init__(self, beta: float):
         if beta <= 0.0:
-            raise ConfigError(f"Exponential requires beta > 0, got {beta}")
+            raise ConfigError(f"Exponential requires beta > 0, got {beta}", param="beta")
         self.beta = beta
 
     def _eval(self, t):
@@ -202,9 +204,9 @@ class IteratedExponential(MemoryKernel):
 
     def __init__(self, depth: int, c: float):
         if not 1 <= depth <= self.MAX_DEPTH:
-            raise ConfigError(f"depth must be in 1..{self.MAX_DEPTH}, got {depth}")
+            raise ConfigError(f"depth must be in 1..{self.MAX_DEPTH}, got {depth}", param="depth")
         if c <= 0.0:
-            raise ConfigError(f"IteratedExponential requires c > 0, got {c}")
+            raise ConfigError(f"IteratedExponential requires c > 0, got {c}", param="c")
         self.depth = depth
         self.c = c
 
@@ -249,7 +251,9 @@ class OscillatingPolynomial(MemoryKernel):
 
     def __init__(self, gamma: float):
         if not 0.0 <= gamma < 1.0:
-            raise ConfigError(f"OscillatingPolynomial requires gamma in [0, 1), got {gamma}")
+            raise ConfigError(
+                f"OscillatingPolynomial requires gamma in [0, 1), got {gamma}", param="gamma"
+            )
         self.gamma = gamma
         self.singularity_order = gamma
 
@@ -279,7 +283,7 @@ class Constant(MemoryKernel):
 
     def __init__(self, value: float):
         if value <= 0.0:
-            raise ConfigError(f"Constant requires value > 0, got {value}")
+            raise ConfigError(f"Constant requires value > 0, got {value}", param="value")
         self.value = value
 
     def _eval(self, t):

@@ -4,11 +4,16 @@ The single equation and the coupled system are integrated with an explicit
 second-order leapfrog scheme on a uniform radial grid; the memory term is a
 time convolution against the full nonlinearity history, discretized by product
 integration so that weakly singular kernels are integrated exactly against
-piecewise-linear histories.  A d'Alembert evaluator provides an independent
-reference in one dimension, both for convergence ladders and as the exact
-propagator inside the fixed-point iteration.  The third-order-in-time
-reformulation of the exponential-kernel equation is integrated as a
-first-order system with RK4.
+piecewise-linear histories.  The product-integration weights are Toeplitz in
+the lag and are built once per run.  A row forced through an exponential
+kernel follows the exact one-term recursion of its convolution, O(M) per step
+for M cells, and stores no history; every other forced row keeps its
+(n_steps + 1, M + 1) history and costs O(m c(t)) at step m, where c(t) is the
+number of cells inside the light cone, since the history is zero outside it.
+A d'Alembert evaluator provides an independent reference in one dimension,
+both for convergence ladders and as the exact propagator inside the
+fixed-point iteration.  The third-order-in-time reformulation of the
+exponential-kernel equation is integrated as a first-order system with RK4.
 """
 
 from __future__ import annotations
@@ -96,7 +101,6 @@ class SystemConfig:
     cfl: float = 0.9
     mode: str = "coupled"  # "single" | "coupled" | "mgt"
     maxnorm_threshold: float = 1e6
-    tail_truncation: bool = False
     linear: bool = False  # drop the memory forcing (free wave propagation)
     record_every: int = 1
     snapshot_times: tuple = ()
@@ -141,60 +145,86 @@ class HistoryWeights:
     For step m the weights w satisfy sum_k w_k f(t_k) = integral of
     g(t_m - tau) f(tau) over [0, t_m], exactly whenever f is piecewise linear
     on the step grid.  Built from the kernel antiderivative G and its own
-    antiderivative, so singular kernels lose no accuracy; values of G at grid
-    multiples are cached incrementally.
+    antiderivative, so singular kernels lose no accuracy.
+
+    The weights are Toeplitz in the lag.  The interval whose kernel arguments
+    are (l - 1) dt and l dt contributes X(l) to its left node and Y(l) to its
+    right node, so with the lag weights L[0] = Y(1), L[l] = X(l) + Y(l + 1),
+    ``weights(m)`` is [X(m), L[m - 1], ..., L[0]].  X and L are extended
+    lazily, one pair of antiderivative values per new grid multiple, so a run
+    of N steps builds its weights in O(N) and each call copies m + 1 values.
+    An exponential kernel needs only X(1) and Y(1): its convolution follows
+    the exact one-term recursion in ``advance``, O(M) per step for M cells,
+    with no stored history.
     """
 
-    def __init__(self, kernel: MemoryKernel, dt: float, tail_truncation: bool = False):
+    def __init__(self, kernel: MemoryKernel, dt: float):
         if dt <= 0.0:
             raise ConfigError("dt must be positive")
         self.kernel = kernel
         self.dt = dt
-        self.tail_truncation = tail_truncation
-        self._G = [0.0]
-        self._G2 = [0.0]
+        #: exp(-dt / beta), the factor of the recursion in ``advance``, for an
+        #: exponential kernel; None for every other kernel
+        self.decay = math.exp(-dt / kernel.beta) if isinstance(kernel, Exponential) else None
+        self._X = [0.0]  # X(l) at index l; index 0 is unused
+        self._lag = np.zeros(64)  # L[l], filled for l < len(self._X) - 1
+        self._G = self._G2 = 0.0  # G and its antiderivative at the last grid multiple
 
     def _extend(self, m: int) -> None:
-        while len(self._G) <= m:
-            j = len(self._G)
-            t = j * self.dt
-            self._G.append(self.kernel.antiderivative(t))
-            self._G2.append(self.kernel.second_antiderivative(t))
+        dt = self.dt
+        while len(self._X) <= m:
+            l = len(self._X)
+            t = l * dt
+            G = self.kernel.antiderivative(t)
+            G2 = self.kernel.second_antiderivative(t)
+            # zeroth and first moments of g(s) over s in [(l - 1) dt, l dt]
+            s, s_prev = dt * l, dt * (l - 1)
+            m0 = G - self._G
+            m1 = s * G - s_prev * self._G - (G2 - self._G2)
+            x = (m1 - s_prev * m0) / dt
+            y = (s * m0 - m1) / dt
+            if l > self._lag.size:
+                self._lag = np.concatenate((self._lag, np.zeros(self._lag.size)))
+            self._lag[l - 1] = y if l == 1 else self._X[l - 1] + y
+            self._X.append(x)
+            self._G, self._G2 = G, G2
 
     def weights(self, m: int) -> np.ndarray:
         """Weight vector of length m+1 for the convolution at t = m*dt."""
         self._extend(m)
-        w = np.zeros(m + 1)
-        if m == 0:
-            return w
-        dt = self.dt
-        # s_j = (m - j) dt is the kernel argument at node j
-        s = dt * np.arange(m, -1, -1.0)
-        G = np.array(self._G[m::-1])
-        G2 = np.array(self._G2[m::-1])
-        m0 = G[:-1] - G[1:]
-        m1 = s[:-1] * G[:-1] - s[1:] * G[1:] - (G2[:-1] - G2[1:])
-        w[:-1] += (m1 - s[1:] * m0) / dt
-        w[1:] += (s[:-1] * m0 - m1) / dt
-        if self.tail_truncation and isinstance(self.kernel, Exponential):
-            beta = self.kernel.beta
-            total = self._G[m]
-            # drop history nodes whose kernel weight is below 1e-12 of G(t_m)
-            cutoff = beta * math.log(max(beta / (1e-12 * total), 1.0)) if total > 0 else math.inf
-            w[s > cutoff] = 0.0
+        w = np.empty(m + 1)
+        w[0] = self._X[m]
+        w[1:] = self._lag[:m][::-1]
         return w
+
+    def advance(self, conv, previous, current):
+        """Exponential kernels only: the convolution at t_m from the one at
+        t_(m-1) and the samples at t_(m-1) and t_m.
+
+        Since g(t + dt) = decay * g(t), the convolution over [0, t_(m-1)]
+        shifted to t_m is decay times the previous one, and the last interval
+        adds X(1) and Y(1) times its two samples; in exact arithmetic this
+        equals ``weights(m) @ samples``.
+        """
+        self._extend(1)
+        return self.decay * conv + self._X[1] * previous + self._lag[0] * current
 
 
 @dataclass
 class WaveState:
-    """Stacked fields, their previous time level, and the forcing history.
+    """Stacked fields, their previous time level, and the memory forcing.
 
     The rows of ``fields`` are (u,) in single mode, (u, v) in coupled mode and
     (u, u_t, u_tt) in mgt mode; the first ``n_wave`` rows are the wave fields.
-    Entry i of ``forcing`` is ``(src, power)``: row i is driven by the
-    convolution of ``weights[i]`` with ``history[i]``, the recorded profiles
-    of ``|fields[src]|**power``.  The forcing is empty and the history None
-    for linear runs and in mgt mode, whose right-hand side forces locally.
+    Entry i of ``forcing`` is ``(src, power)``: row i is driven by
+    ``memory[i]``, the convolution of ``weights[i]`` with the profiles of
+    ``|fields[src]|**power``, brought up to the current level when a step
+    starts from it.  ``history[i]`` holds those profiles for every level a
+    step started from, shape (n_steps, M + 1), or, when ``weights[i]`` has an
+    exponential kernel and ``memory[i]`` follows its recursion, only the
+    latest one, shape (1, M + 1).  The forcing and history are empty and the
+    memory None for linear runs and in mgt mode, whose right-hand side forces
+    locally.
     """
 
     r: np.ndarray
@@ -206,7 +236,8 @@ class WaveState:
     n_wave: int
     forcing: tuple
     weights: tuple
-    history: np.ndarray | None  # (len(forcing), n_steps + 1, M + 1)
+    history: tuple
+    memory: np.ndarray | None  # (len(forcing), M + 1)
 
     @property
     def waves(self) -> np.ndarray:
@@ -265,34 +296,47 @@ def _initial_layout(config: SystemConfig, r: np.ndarray):
     return u0[None], config.u1(r)[None], 1, ((0, p),)
 
 
-def _record_history(state: WaveState) -> None:
+def _update_memory(state: WaveState, config: SystemConfig) -> None:
+    """Record the nonlinearities at the current level and bring the memory
+    terms up to it.  A stored history is zero outside the light cone, so only
+    its first c columns enter the product; ``memory`` keeps zeros beyond
+    them."""
+    m = state.step
+    c = state.r.size - np.count_nonzero(_outside_cone(state.r, state.t, config))
     for i, (src, power) in enumerate(state.forcing):
-        state.history[i, state.step] = np.abs(state.fields[src]) ** power
+        f = np.abs(state.fields[src]) ** power
+        w, history = state.weights[i], state.history[i]
+        if w.decay is not None:
+            if m > 0:
+                state.memory[i] = w.advance(state.memory[i], history[0], f)
+            history[0] = f
+        else:
+            history[m] = f
+            state.memory[i, :c] = w.weights(m) @ history[: m + 1, :c]
 
 
 def initial_state(config: SystemConfig) -> WaveState:
-    """Initial fields and forcing history at t = 0, for any mode."""
+    """Initial fields and an empty forcing history at t = 0, for any mode."""
     r = config.radii()
     fields, velocity, n_wave, forcing = _initial_layout(config, r)
     if config.linear:
         forcing = ()
-    weights = tuple(
-        HistoryWeights(g, config.dt, config.tail_truncation)
-        for g in config.kernels[: len(forcing)]
+    weights = tuple(HistoryWeights(g, config.dt) for g in config.kernels[: len(forcing)])
+    history = tuple(
+        np.zeros((1 if w.decay is not None else config.n_steps, r.size)) for w in weights
     )
-    history = np.zeros((len(forcing), config.n_steps + 1, r.size)) if forcing else None
-    state = WaveState(r, fields, None, velocity, 0.0, 0, n_wave, forcing, weights, history)
-    _record_history(state)
-    return state
+    memory = np.zeros((len(forcing), r.size)) if forcing else None
+    return WaveState(r, fields, None, velocity, 0.0, 0, n_wave, forcing, weights, history,
+                     memory)
 
 
 def _leapfrog(state: WaveState, config: SystemConfig) -> np.ndarray:
     dt, m = config.dt, state.step
     f = 0.0
     if state.forcing:
-        # one matvec per row: a product batched over rows may sum in another order
-        f = np.stack([w.weights(m) @ state.history[i, : m + 1]
-                      for i, w in enumerate(state.weights)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _update_memory(state, config)
+        f = state.memory
     lap = _laplacian(state.fields, state.r, config.dr, config.params.n)
     if m == 0:
         return state.fields + dt * state.velocity + 0.5 * dt**2 * (lap + f)
@@ -321,20 +365,18 @@ def step(state: WaveState, config: SystemConfig) -> WaveState:
     """Advance one time level, in place.
 
     The wave modes use leapfrog with a Taylor start; their forcing at the
-    current level is the product-integration convolution of the stored
-    nonlinearity history.  Mgt mode takes one RK4 step of the third-order
-    reformulation of the exponential-kernel equation.  Fields outside the
-    light cone (plus halo) are clamped to zero, which is consistent with
-    finite propagation speed and keeps the scheme second order.
+    current level is the product-integration convolution of the nonlinearity
+    history, brought up to this level first.  Mgt mode takes one RK4 step of
+    the third-order reformulation of the exponential-kernel equation.  Fields
+    outside the light cone (plus halo) are clamped to zero, which is
+    consistent with finite propagation speed and keeps the scheme second
+    order.
     """
     new = _rk4(state, config) if config.mode == "mgt" else _leapfrog(state, config)
     state.t += config.dt
     new[..., _outside_cone(state.r, state.t, config)] = 0.0
     state.prev, state.fields = state.fields, new
     state.step += 1
-    if state.history is not None and state.step < state.history.shape[1]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _record_history(state)
     return state
 
 

@@ -1,6 +1,7 @@
 """Command-line front end: validation, artifacts, determinism, snapshots."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,57 @@ def test_validate_rejects_scale_where_unsupported(tmp_path, family, params):
     cfg["kernels"]["g1"] = {"family": family, "scale": 2.0, **params}
     _, report = validate_config(cfg, tmp_path)
     assert report.errors == ["kernels.g1: unknown kernel parameters ['scale']"]
+
+
+# one block per family in the README config comment, with the edge values the
+# kernel constructors accept: the constructors are the only parameter check
+DOCUMENTED_KERNELS = [
+    {"family": "riemann_liouville", "gamma": 0.5},
+    {"family": "riemann_liouville", "gamma": 0.5, "scale": 2.0},
+    {"family": "exponential", "beta": 1.0},
+    {"family": "polynomial_shifted", "gamma": 0.5},
+    {"family": "polynomial_shifted", "gamma": 1.0},
+    {"family": "polynomial_shifted", "gamma": 2.5},
+    {"family": "iterated_exponential", "c": 1.0, "depth": 2},
+    {"family": "oscillating_polynomial", "gamma": 0.0},
+    {"family": "oscillating_polynomial", "gamma": 0.5},
+    {"family": "constant", "value": 1.0},
+    {"family": "custom", "samples": "kernel.csv"},
+]
+
+
+def test_documented_kernels_cover_readme():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme[readme.index("kernels:\n  g1:"):readme.index("\ninitial:")]
+    documented = set(re.findall(r"family: (\w+)", block))
+    documented |= set(re.findall(r"^  #   (\w+):", block, re.M))
+    assert documented == {b["family"] for b in DOCUMENTED_KERNELS}
+
+
+@pytest.mark.parametrize("block", DOCUMENTED_KERNELS,
+                         ids=lambda b: "-".join(str(v) for v in b.values()))
+def test_validate_builds_documented_kernel(tmp_path, block):
+    np.savetxt(tmp_path / "kernel.csv", [[0.5, 2.0], [1.0, 1.0], [2.0, 0.5]], delimiter=",")
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["kernels"]["g1"] = block
+    resolved, report = validate_config(cfg, tmp_path)
+    assert report.errors == []
+    assert "system" in resolved
+
+
+@pytest.mark.parametrize("block, param", [
+    ({"family": "polynomial_shifted", "gamma": -1.0}, "gamma"),
+    ({"family": "oscillating_polynomial", "gamma": 1.0}, "gamma"),
+    ({"family": "exponential", "beta": 0.0}, "beta"),
+    ({"family": "iterated_exponential", "c": 1.0, "depth": 9}, "depth"),
+    ({"family": "riemann_liouville", "gamma": 0.5, "scale": -1.0}, "scale"),
+], ids=lambda x: x["family"] if isinstance(x, dict) else x)
+def test_validate_tags_kernel_error_with_parameter(tmp_path, block, param):
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["kernels"]["g1"] = block
+    _, report = validate_config(cfg, tmp_path)
+    assert len(report.errors) == 1
+    assert report.errors[0].startswith(f"kernels.g1.{param}: ")
 
 
 def test_validate_reports_unknown_key(tmp_path):

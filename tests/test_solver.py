@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from memwave import solver
 from memwave.errors import ConfigError, UnsupportedError
 from memwave.exponents import ProblemParams
 from memwave.kernels import (
@@ -150,14 +151,48 @@ def test_convolve_history_length_mismatch():
         hw.weights(5) @ np.ones(4)
 
 
-def test_tail_truncation_matches_full():
-    kernel = Exponential(0.5)
-    full = HistoryWeights(kernel, 0.01)
-    trunc = HistoryWeights(kernel, 0.01, tail_truncation=True)
-    samples = np.sin(0.01 * np.arange(1001)) ** 2
-    a = full.weights(1000) @ samples
-    b = trunc.weights(1000) @ samples
-    assert b == pytest.approx(a, rel=1e-9)
+def _vectorised_weights(kernel, dt, m):
+    """The one-pass construction that the Toeplitz lag form replaced, kept as
+    the oracle: the lag form must reproduce it bit for bit."""
+    w = np.zeros(m + 1)
+    if m == 0:
+        return w
+    # s_j = (m - j) dt is the kernel argument at node j
+    s = dt * np.arange(m, -1, -1.0)
+    G = np.array([kernel.antiderivative(j * dt) for j in range(m, -1, -1)])
+    G2 = np.array([kernel.second_antiderivative(j * dt) for j in range(m, -1, -1)])
+    m0 = G[:-1] - G[1:]
+    m1 = s[:-1] * G[:-1] - s[1:] * G[1:] - (G2[:-1] - G2[1:])
+    w[:-1] += (m1 - s[1:] * m0) / dt
+    w[1:] += (s[:-1] * m0 - m1) / dt
+    return w
+
+
+@pytest.mark.parametrize("kernel", [
+    RiemannLiouville(0.5),
+    PolynomialShifted(0.5),
+    PolynomialShifted(2.0),
+    Exponential(1.0),
+    OscillatingPolynomial(0.0),
+], ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 17, 500), (500, 3, 17, 0, 2, 1)],
+                         ids=["sequential", "shuffled"])
+def test_weights_match_vectorised_formula(kernel, order):
+    dt = 0.01
+    hw = HistoryWeights(kernel, dt)
+    for m in order:
+        assert np.array_equal(hw.weights(m), _vectorised_weights(kernel, dt, m))
+
+
+@pytest.mark.parametrize("beta", [0.05, 1.0, 20.0])
+def test_exponential_recursion_matches_weights(beta):
+    dt = 0.01
+    hw = HistoryWeights(Exponential(beta), dt)
+    samples = 1.0 + np.sin(3.0 * dt * np.arange(2001)) ** 2
+    conv = 0.0
+    for m in range(1, samples.size):
+        conv = hw.advance(conv, samples[m - 1], samples[m])
+        assert conv == pytest.approx(hw.weights(m) @ samples[: m + 1], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +300,62 @@ def test_run_simulation_pinned_trace(name):
     assert trace.stop_trigger == "reached_tmax"
     got = tuple(getattr(trace, col)[-1] for col in TRACE_COLUMNS)
     assert got == pytest.approx(last, rel=1e-12)
+
+
+MEMORY_RUN = dict(mode="coupled", kernels=(RiemannLiouville(0.5), Exponential(1.0)),
+                  u0=Profile("gaussian", 2.0, 1.0), v0=Profile("gaussian", 1.0, 1.0),
+                  v1=Profile("zero"), t_max=1.0)
+
+
+def test_memory_run_keeps_light_cone_exact():
+    # the clipped history product and the recursion must leave every cell
+    # outside the cone exactly zero, in the fields and in the memory terms
+    cfg = _config(**MEMORY_RUN)
+    state = initial_state(cfg)
+    for _ in range(cfg.n_steps):
+        step(state, cfg)
+        outside = state.r > cfg.R + state.t + 2 * cfg.dr
+        assert np.any(outside)
+        assert np.all(state.waves[:, outside] == 0.0)
+        assert np.all(state.memory[:, outside] == 0.0)
+    assert np.max(np.abs(state.memory)) > 0.0
+
+
+def _direct_update(cfg):
+    """Oracle for the solver's memory update: every forced row stores its full
+    history and convolves all of it over all cells with weights(m), as the
+    solver did before the exponential recursion and the light-cone clip."""
+    weights = [HistoryWeights(g, cfg.dt) for g in cfg.kernels]
+    history = np.zeros((2, cfg.n_steps, cfg.radii().size))
+
+    def update(state, config):
+        m = state.step
+        for i, (src, power) in enumerate(state.forcing):
+            history[i, m] = np.abs(state.fields[src]) ** power
+            state.memory[i] = weights[i].weights(m) @ history[i, : m + 1]
+
+    return update
+
+
+def test_memory_run_matches_direct_convolution(monkeypatch):
+    # the memory terms that drive each step must agree cell by cell, and the
+    # traces to rounding
+    cfg = _config(**MEMORY_RUN)
+    runs = []
+    for update in (solver._update_memory, _direct_update(cfg)):
+        memory = []
+
+        def record(state, config, update=update, memory=memory):
+            update(state, config)
+            memory.append(state.memory.copy())
+
+        monkeypatch.setattr(solver, "_update_memory", record)
+        runs.append((run_simulation(cfg).trace, np.array(memory)))
+    (trace, memory), (want, want_memory) = runs
+    assert memory.shape == (cfg.n_steps, 2, cfg.radii().size)
+    np.testing.assert_allclose(memory, want_memory, rtol=1e-12, atol=0.0)
+    for col in TRACE_COLUMNS:
+        np.testing.assert_allclose(getattr(trace, col), getattr(want, col), rtol=1e-12, atol=0.0)
 
 
 def test_run_simulation_snapshot_capture():
