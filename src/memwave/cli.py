@@ -4,8 +4,11 @@ Subcommands: simulate, classify, sweep, sequences, verify.  Configuration is
 a single YAML file validated against the documented schema; every run writes
 a manifest (resolved config, no timestamp), a timestamp file (the only
 timestamped artifact), the data files, and an index listing all outputs.
-Numeric CSV output carries 17 significant digits so repeated runs are
-byte-identical.
+Every CSV goes through one block writer, ``_write_csv``: a table is a header
+plus blocks of columns, each block formatted by one ``%`` template and written
+in one call (``sweep`` streams one block per p value).  Floats carry 17
+significant digits (``%.17g``), rows end in ``\r\n`` and str cells are
+quoted as ``csv.writer`` quotes them, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure
 (non-finite values outside a blow-up trigger, or failed verification).
@@ -14,11 +17,11 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
-import csv
 import datetime
 import json
 import struct
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -124,18 +127,18 @@ def _build_kernel(block: dict, path: str, report: ValidationReport, base: Path):
             report.error(f"{path}.{name}", "required kernel parameter missing")
             return None
     kwargs = {k: v for k, v in block.items() if k != "family"}
-    if family == "custom":
-        sample_path = base / str(kwargs.pop("samples"))
+    try:
+        if family != "custom":
+            return cls(**kwargs)
+        # every fault of a custom kernel lies in its sample table
+        path = f"{path}.samples"
+        sample_path = base / str(kwargs["samples"])
         if not sample_path.exists():
-            report.error(f"{path}.samples", f"sample table not found: {sample_path}")
-            return None
+            raise ConfigError(f"sample table not found: {sample_path}")
         table = np.loadtxt(sample_path, delimiter=",", ndmin=2)
         if table.shape[1] != 2:
-            report.error(f"{path}.samples", "sample table must have exactly two columns (t, g)")
-            return None
+            raise ConfigError("sample table must have exactly two columns (t, g)")
         return Custom(table[:, 0], table[:, 1])
-    try:
-        return cls(**kwargs)
     except ConfigError as exc:
         report.error(f"{path}.{exc.param}" if exc.param else path, str(exc))
     except (ValueError, TypeError) as exc:
@@ -278,20 +281,59 @@ def validate_config(raw: dict, base: Path) -> tuple[dict, ValidationReport]:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x).lower()
-    if isinstance(x, float):
-        return FLOAT_FMT % x
-    return str(x)
+_BOOL_TEXT = ("false", "true")
+_QUOTE_CHARS = ',"\r\n'
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _needs_quote(text: str) -> bool:
+    return any(c in text for c in _QUOTE_CHARS)
+
+
+def _quote(cell: str) -> str:
+    """csv.writer's QUOTE_MINIMAL: quote a cell holding a comma, a quote or a
+    line break, doubling its quotes."""
+    return '"' + cell.replace('"', '""') + '"' if _needs_quote(cell) else cell
+
+
+def _column(col):
+    """One block column as (``%`` conversion, cell values), or as (literal
+    text, None) for a scalar that repeats over the block."""
+    if not isinstance(col, (list, tuple, np.ndarray)):
+        conversion, cells = _column([col])
+        return (conversion % tuple(cells)).replace("%", "%%"), None
+    cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
+    first = cells[0] if cells else 0.0
+    if isinstance(first, bool):
+        return "%s", list(map(_BOOL_TEXT.__getitem__, cells))
+    if isinstance(first, float):
+        return FLOAT_FMT, cells
+    if not isinstance(first, str):
+        cells = list(map(str, cells))
+    if _needs_quote("".join(cells)):
+        cells = list(map(_quote, cells))
+    return "%s", cells
+
+
+def _write_csv(path: Path, header, blocks) -> None:
+    """Write a CSV table given as blocks of equal-length columns.
+
+    A column is a sequence of floats (written with ``FLOAT_FMT``), of bools
+    (``true``/``false``) or of anything else (``str``), its kind read from its
+    first cell, or one scalar repeated over the block.  Each block becomes one
+    ``%`` template with the scalars baked in, so its rows are formatted and
+    written in one call; the bytes are those of ``csv.writer`` over
+    ``FLOAT_FMT``-formatted cells.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+        for block in chain([header], blocks):
+            parts, columns = zip(*map(_column, block))
+            varying = [c for c in columns if c is not None]
+            rows = len(varying[0]) if varying else 1
+            # row-major cell values: column k fills every len(varying)-th slot
+            cells = [None] * (rows * len(varying))
+            for k, column in enumerate(varying):
+                cells[k :: len(varying)] = column
+            fh.write(((",".join(parts) + "\r\n") * rows) % tuple(cells))
 
 
 def _describe_config(raw: dict, resolved: dict) -> dict:
@@ -378,11 +420,6 @@ def read_snapshot(path: Path):
 # ---------------------------------------------------------------------------
 
 
-def _trace_rows(trace):
-    for i in range(len(trace)):
-        yield [getattr(trace, c)[i] for c in TRACE_COLUMNS]
-
-
 def cmd_simulate(args, raw, resolved, outdir: OutputDir) -> int:
     system = resolved.get("system")
     if system is None:
@@ -399,9 +436,8 @@ def cmd_simulate(args, raw, resolved, outdir: OutputDir) -> int:
         result = run_simulation(cfg)
         results.append(result)
         suffix = "" if ladder == 1 else f"_level{level}"
-        _write_csv(
-            outdir.path(f"trace{suffix}.csv"), TRACE_COLUMNS, _trace_rows(result.trace)
-        )
+        trace = tuple(getattr(result.trace, c) for c in TRACE_COLUMNS)
+        _write_csv(outdir.path(f"trace{suffix}.csv"), TRACE_COLUMNS, [trace])
         verdict = detect_blowup(result.trace, cfg)
         with open(outdir.path(f"verdict{suffix}.json"), "w") as fh:
             json.dump(verdict.as_dict(), fh, indent=2, sort_keys=True)
@@ -412,14 +448,15 @@ def cmd_simulate(args, raw, resolved, outdir: OutputDir) -> int:
         if result.trace.stop_trigger == "nonfinite" and not verdict.blew_up:
             return 3
     if ladder > 1:
-        rows = []
-        for level in range(1, ladder):
-            coarse, fine = results[level - 1], results[level]
+        gaps = []
+        for coarse, fine in zip(results, results[1:]):
             k = min(len(coarse.trace), len(fine.trace))
             a = coarse.trace.column("maxnorm_u")[:k]
             b = fine.trace.column("maxnorm_u")[:k]
-            rows.append([level - 1, level, float(np.max(np.abs(a - b)))])
-        _write_csv(outdir.path("ladder.csv"), ["coarse_level", "fine_level", "trace_gap"], rows)
+            gaps.append(float(np.max(np.abs(a - b))))
+        levels = list(range(ladder))
+        _write_csv(outdir.path("ladder.csv"), ["coarse_level", "fine_level", "trace_gap"],
+                   [(levels[:-1], levels[1:], gaps)])
     return 0
 
 
@@ -429,16 +466,13 @@ def cmd_classify(args, raw, resolved, outdir: OutputDir) -> int:
         print("classify requires kernel blocks g1 (and optionally g2)", file=sys.stderr)
         return 2
     params = resolved["params"]
-    rows = []
-    classes = []
-    for name, k in zip(("g1", "g2"), kernels):
-        cls = classify_decay(k)
-        classes.append(cls.tag.value)
-        rows.append([name, type(k).__name__, cls.tag.value, cls.t0])
+    decay = [classify_decay(k) for k in kernels]
+    classes = [cls.tag.value for cls in decay]
     _write_csv(
         outdir.path("classification.csv"),
         ["kernel", "family", "decay_class", "onset_time"],
-        rows,
+        [(["g1", "g2"], [type(k).__name__ for k in kernels], classes,
+          [cls.t0 for cls in decay])],
     )
     verdict = None
     extra: dict = {"decay_classes": classes}
@@ -454,7 +488,7 @@ def cmd_classify(args, raw, resolved, outdir: OutputDir) -> int:
         _write_csv(
             outdir.path("mixed_condition_experimental.csv"),
             ["t", "log_lhs", "log_rhs"],
-            zip(times, lhs, rhs),
+            [(times, lhs, rhs)],
         )
         extra["note"] = "mixed slow/fast regime is conjectural; raw curves emitted"
     if verdict is not None:
@@ -479,67 +513,67 @@ def cmd_sweep(args, raw, resolved, outdir: OutputDir) -> int:
     p_range = tuple(map(float, block.get("p_range", (1.1, 3.0))))
     q_range = tuple(map(float, block.get("q_range", (1.1, 3.0))))
     resolution = int(block.get("resolution", 50))
-    if p_range[0] <= 1.0 or q_range[0] <= 1.0 or resolution < 1:
-        print("sweep ranges must exceed 1 with resolution >= 1", file=sys.stderr)
+    if resolution < 1:
+        print("sweep.resolution must be >= 1", file=sys.stderr)
         return 2
     ps = np.linspace(p_range[0], p_range[1], resolution)
     qs = np.linspace(q_range[0], q_range[1], resolution)
     region = region_from_grids(params.n, params.gamma1, params.gamma2, ps, qs)
-    _write_csv(outdir.path("region.csv"), ["p", "q", "branch", "satisfied", "margin"],
-               region.rows())
+    # one block per p value; the q cells are formatted once for the whole run
+    q_text = [FLOAT_FMT % q for q in qs.tolist()]
+    branch = region.branch.value
+    _write_csv(
+        outdir.path("region.csv"),
+        ["p", "q", "branch", "satisfied", "margin"],
+        ((p, q_text, branch, region.satisfied[i], region.margin[i])
+         for i, p in enumerate(ps.tolist())),
+    )
     return 0
 
 
-_SEQ1_COLS = (
-    "j", "a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t",
-    "logD", "logD_t", "closed_form_agrees",
-)
-_SEQ2_COLS = (
-    "j", "theta", "theta_t", "sigma", "sigma_t", "ell", "L",
-    "logQ", "logQ_t", "closed_form_agrees",
-)
+_SEQUENCES = {
+    "case1": (
+        iteration.case1_recursion,
+        iteration.case1_closed_form,
+        ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t"),
+        ("logD", "logD_t"),
+    ),
+    "case2": (
+        iteration.case2_recursion,
+        iteration.case2_closed_form,
+        ("theta", "theta_t", "sigma", "sigma_t"),
+        ("ell", "L", "logQ", "logQ_t"),
+    ),
+}
 
 
 def cmd_sequences(args, raw, resolved, outdir: OutputDir) -> int:
     block = resolved.get("sequences") or {}
     case = block.get("case", "case1")
     j_max = int(block.get("j_max", 25))
-    params = resolved["params"]
-    p, q, n = params.p, params.q, params.n
-    rows = []
-    if case == "case1":
-        seq = iteration.case1_recursion(p, q, n, j_max)
-        for j in range(1, j_max + 1):
-            terms = seq.at(j)
-            cf = iteration.case1_closed_form(p, q, n, j)
-            agree = all(
-                getattr(cf, f) is None or getattr(cf, f) == getattr(terms, f)
-                for f in ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t")
-            )
-            rows.append(
-                [j] + [float(getattr(terms, f)) for f in
-                       ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t")]
-                + [seq.logD[j - 1], seq.logD_t[j - 1], agree]
-            )
-        _write_csv(outdir.path("sequences.csv"), _SEQ1_COLS, rows)
-    elif case == "case2":
-        seq = iteration.case2_recursion(p, q, n, j_max)
-        for j in range(1, j_max + 1):
-            terms = seq.at(j)
-            cf = iteration.case2_closed_form(p, q, n, j)
-            agree = all(
-                getattr(cf, f) is None or getattr(cf, f) == getattr(terms, f)
-                for f in ("theta", "theta_t", "sigma", "sigma_t")
-            )
-            rows.append(
-                [j] + [float(getattr(terms, f)) for f in
-                       ("theta", "theta_t", "sigma", "sigma_t")]
-                + [seq.ell[j - 1], seq.L[j - 1], seq.logQ[j - 1], seq.logQ_t[j - 1], agree]
-            )
-        _write_csv(outdir.path("sequences.csv"), _SEQ2_COLS, rows)
-    else:
+    if case not in _SEQUENCES:
         print(f"sequences.case must be case1 or case2, got {case!r}", file=sys.stderr)
         return 2
+    recursion, closed_form, fields, logs = _SEQUENCES[case]
+    params = resolved["params"]
+    p, q, n = params.p, params.q, params.n
+    seq = recursion(p, q, n, j_max)
+    js = list(range(1, j_max + 1))
+    terms = [seq.at(j) for j in js]
+    agree = []
+    for j, term in zip(js, terms):
+        cf = closed_form(p, q, n, j)
+        agree.append(all(
+            getattr(cf, f) is None or getattr(cf, f) == getattr(term, f) for f in fields
+        ))
+    columns = (
+        js,
+        *([float(getattr(term, f)) for term in terms] for f in fields),
+        *(getattr(seq, name)[:j_max] for name in logs),
+        agree,
+    )
+    _write_csv(outdir.path("sequences.csv"), ("j", *fields, *logs, "closed_form_agrees"),
+               [columns])
     return 0
 
 
@@ -578,13 +612,10 @@ def _verify_checks():
 
 
 def cmd_verify(args, raw, resolved, outdir: OutputDir) -> int:
-    rows = []
-    all_ok = True
-    for name, ok, detail in _verify_checks():
-        rows.append([name, ok, detail])
-        all_ok &= ok
-    _write_csv(outdir.path("verify.csv"), ["check", "passed", "detail"], rows)
-    return 0 if all_ok else 3
+    names, passed, details = zip(*_verify_checks())
+    _write_csv(outdir.path("verify.csv"), ["check", "passed", "detail"],
+               [(names, passed, details)])
+    return 0 if all(passed) else 3
 
 
 _COMMANDS = {

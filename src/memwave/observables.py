@@ -109,14 +109,20 @@ class FunctionalTrace:
         return self.t[1] - self.t[0]
 
 
-def compute_functionals(state, config) -> dict:
-    """One trace row from a solver state (duck-typed: r, u, v, t)."""
+def compute_functionals(state, config, phi=None) -> dict:
+    """One trace row from a solver state (duck-typed: r, u, v, t).
+
+    ``phi`` is ``phi_eigenfunction(n, state.r)``; a run passes it once for
+    all its rows, since neither n nor the grid changes.
+    """
     n = config.params.n
     p, q = config.params.p, config.params.q
     r = state.r
     u = state.u
     v = state.v if state.v is not None else state.u
-    psi = math.exp(-state.t) * phi_eigenfunction(n, r)
+    if phi is None:
+        phi = phi_eigenfunction(n, r)
+    psi = math.exp(-state.t) * phi
     return {
         "t": state.t,
         "U": radial_integral(u, r, n),

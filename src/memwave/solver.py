@@ -407,7 +407,8 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     """Integrate to t_max or until the fields blow up; record the trace."""
     state = initial_state(config)
     trace = FunctionalTrace()
-    trace.append(observables.compute_functionals(state, config))
+    phi = observables.phi_eigenfunction(config.params.n, state.r)
+    trace.append(observables.compute_functionals(state, config, phi))
     snapshot_steps = {
         int(round(ts / config.dt)): ts for ts in config.snapshot_times
     }
@@ -418,7 +419,7 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
             trace.stop_trigger = "nonfinite"
             break
         if state.step % config.record_every == 0:
-            trace.append(observables.compute_functionals(state, config))
+            trace.append(observables.compute_functionals(state, config, phi))
         if state.step in snapshot_steps:
             snapshots[snapshot_steps[state.step]] = (
                 state.u.copy(),

@@ -1,5 +1,7 @@
 """Command-line front end: validation, artifacts, determinism, snapshots."""
 
+import csv
+import io
 import json
 import re
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from memwave.cli import main, read_snapshot, validate_config, write_snapshot
+from memwave.cli import _write_csv, main, read_snapshot, validate_config, write_snapshot
 
 MINIMAL = {
     "problem": {"n": 1, "p": 2.0, "q": 2.0},
@@ -268,3 +270,110 @@ def test_snapshot_written_by_simulate(tmp_path):
     assert len(snaps) == 1
     n, dr, t, fields = read_snapshot(snaps[0])
     assert n == 1 and t == pytest.approx(0.2) and len(fields) == 2
+
+
+# ---------------------------------------------------------------------------
+# golden files: the exact bytes of every CSV the CLI writes, recorded from the
+# per-cell csv.writer path the block writer replaced
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_SLOW_SWEEP = {"n": 3, "p": 2.0, "q": 2.0, "gamma1": 0.5, "gamma2": 0.7}
+GOLDEN_RUNS = {
+    "sweep_slow": ("sweep", {"problem": _SLOW_SWEEP, "sweep": {
+        "p_range": [1.1, 4.0], "q_range": [1.2, 3.5], "resolution": 5}}, []),
+    "sweep_fast": ("sweep", {"problem": {"n": 2, "p": 2.0, "q": 2.0}, "sweep": {
+        "p_range": [1.5, 2.5], "q_range": [1.1, 6.0], "resolution": 4}}, []),
+    "simulate": ("simulate", {}, []),
+    "ladder": ("simulate", {"simulation": {"t_max": 0.2, "dr": 0.05, "mode": "coupled"}},
+               ["--resolution-ladder", "2"]),
+    "classify": ("classify", {}, []),
+    "sequences_case1": ("sequences", {"sequences": {"case": "case1", "j_max": 8}}, []),
+    "sequences_case2": ("sequences", {"sequences": {"case": "case2", "j_max": 8}}, []),
+    "verify": ("verify", None, []),
+}
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_RUNS))
+def test_csv_matches_golden_bytes(tmp_path, run):
+    command, changes, extra = GOLDEN_RUNS[run]
+    argv = [command, "--out", str(tmp_path / "out")] + extra
+    if changes is not None:
+        argv += ["--config", str(_write(tmp_path, {**MINIMAL, **changes}))]
+    assert main(argv) == 0
+    written = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
+    recorded = sorted(p.name.split("__", 1)[1] for p in GOLDEN.glob(f"{run}__*.csv"))
+    assert written == recorded
+    for name in written:
+        got = (tmp_path / "out" / name).read_bytes()
+        assert got == (GOLDEN / f"{run}__{name}").read_bytes(), name
+
+
+def test_csv_str_cell_quoted_like_csv_writer(tmp_path):
+    # a block of scalars is one row, so this call reads the same as one row
+    cells = ["plain", 'a,"b" c', 0.1, True, "x\ny"]
+    path = tmp_path / "quoted.csv"
+    _write_csv(path, ["name", 'odd,"head"', "value", "flag", "lines"], [tuple(cells)])
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(["name", 'odd,"head"', "value", "flag", "lines"])
+    writer.writerow(["plain", 'a,"b" c', "0.10000000000000001", "true", "x\ny"])
+    assert path.read_bytes() == want.getvalue().encode()
+
+
+def test_csv_blocks_match_csv_writer_rows(tmp_path):
+    margins = np.array([0.1, -0.0, np.inf, np.nan, 1e-300, 2.0 / 3.0])
+    flags = margins > 0.0
+    names = ["a", 'b,"c"', "d\re", "", "f", "%g"]
+    blocks = [
+        (1.5, names, "100%", flags, margins, list(range(6))),
+        (np.float64(2.25), names[::-1], "x,y", flags[::-1].tolist(), margins.tolist(),
+         list(range(6, 12))),
+    ]
+    header = ["p", "name", "label", "flag", "margin", "j"]
+    path = tmp_path / "blocks.csv"
+    _write_csv(path, header, iter(blocks))
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(header)
+    for p, name_col, label, flag_col, margin_col, j_col in blocks:
+        for name, flag, margin, j in zip(name_col, flag_col, margin_col, j_col):
+            writer.writerow(["%.17g" % p, name, label, str(bool(flag)).lower(),
+                             "%.17g" % margin, str(j)])
+    assert path.read_bytes() == want.getvalue().encode()
+
+
+def _custom_table_config(tmp_path, table: str, g2: dict):
+    (tmp_path / "kernel.csv").write_text(table)
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["kernels"] = {"g1": {"family": "custom", "samples": "kernel.csv"}, "g2": g2}
+    return cfg
+
+
+def test_validate_reports_custom_table_error_with_other_errors(tmp_path):
+    cfg = _custom_table_config(tmp_path, "0.5,2.0\n1.0,-1.0\n2.0,0.5\n",
+                               {"family": "exponential", "beta": -1.0})
+    _, report = validate_config(cfg, tmp_path)
+    assert len(report.errors) == 2
+    assert report.errors[0] == "kernels.g1.samples: sample values must be positive"
+    assert report.errors[1].startswith("kernels.g2.beta: ")
+
+
+def test_simulate_non_numeric_custom_table_exits_2(tmp_path, capsys):
+    cfg = _custom_table_config(tmp_path, "t,g\n0.5,2.0\n1.0,1.0\n",
+                               {"family": "exponential", "beta": 1.0})
+    path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernels.g1.samples: could not convert")
+    assert "Traceback" not in err
+
+
+def test_sweep_reversed_range_exits_2(tmp_path, capsys):
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["sweep"] = {"p_range": [2.5, 1.5], "q_range": [1.5, 2.5], "resolution": 3}
+    path = _write(tmp_path, cfg)
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 2
+    assert "non-decreasing" in capsys.readouterr().err
+    assert not (tmp_path / "s" / "region.csv").exists()

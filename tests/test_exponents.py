@@ -241,6 +241,23 @@ def test_sweep_rejects_empty_range():
         sweep_region(3, None, None, (3.0, 2.0), (1.5, 3.0), 5)
     with pytest.raises(ConfigError):
         sweep_region(3, None, None, (0.5, 2.0), (1.5, 3.0), 5)
+    for resolution in (0, -1):
+        with pytest.raises(ConfigError):
+            sweep_region(3, None, None, (1.5, 3.0), (1.5, 3.0), resolution)
+
+
+@pytest.mark.parametrize("ps, qs", [
+    ([], [1.5, 2.0]),
+    ([1.5, 2.0], []),
+    ([2.0, 1.5], [1.5, 2.0]),
+    ([1.5, 2.0], [1.5, 2.0, 1.8]),
+    ([1.0, 2.0], [1.5, 2.0]),
+    ([1.5, 2.0], [0.5, 2.0]),
+    ([1.5, np.nan], [1.5, 2.0]),
+])
+def test_region_from_grids_rejects_bad_grid(ps, qs):
+    with pytest.raises(ConfigError):
+        region_from_grids(3, None, None, ps, qs)
 
 
 def test_region_from_grids_matches_sweep():

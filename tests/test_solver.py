@@ -302,6 +302,21 @@ def test_run_simulation_pinned_trace(name):
     assert got == pytest.approx(last, rel=1e-12)
 
 
+def test_run_simulation_computes_eigenfunction_once(monkeypatch):
+    calls = []
+    phi = solver.observables.phi_eigenfunction
+
+    def counted(n, r):
+        calls.append(n)
+        return phi(n, r)
+
+    monkeypatch.setattr(solver.observables, "phi_eigenfunction", counted)
+    kw, rows, _ = PINNED_RUNS["coupled_n2"]
+    cfg = _config(u1=Profile("cosine_bump", 0.5, 1.0), t_max=0.5, dr=0.05, **kw)
+    assert len(run_simulation(cfg).trace) == rows
+    assert calls == [2]
+
+
 MEMORY_RUN = dict(mode="coupled", kernels=(RiemannLiouville(0.5), Exponential(1.0)),
                   u0=Profile("gaussian", 2.0, 1.0), v0=Profile("gaussian", 1.0, 1.0),
                   v1=Profile("zero"), t_max=1.0)
