@@ -1,7 +1,10 @@
 """Deterministic command-line front end.
 
 Subcommands: simulate, classify, sweep, sequences, verify.  Configuration is
-a single YAML file validated against the documented schema; every run writes
+a single YAML file resolved on one path: ``_SCHEMA`` coerces each value, the
+constructors it feeds (ProblemParams, Profile, the kernel families,
+SystemConfig) hold the defaults and the range checks, and every fault is
+reported at its config path before any command runs.  Every run writes
 a manifest (resolved config, no timestamp), a timestamp file (the only
 timestamped artifact), the data files, and an index listing all outputs.
 Every CSV goes through one block writer, ``_write_csv``: a table is a header
@@ -17,10 +20,13 @@ Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
+import math
 import struct
 import sys
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -37,6 +43,7 @@ from .exponents import (
     generalized_strauss,
     region_from_grids,
     strauss_exponent,
+    sweep_grids,
 )
 from .kernels import (
     Constant,
@@ -56,36 +63,6 @@ FLOAT_FMT = "%.17g"
 SNAPSHOT_MAGIC = b"MWSN"
 SNAPSHOT_VERSION = 1
 
-_KERNEL_FAMILIES = {
-    "riemann_liouville": (RiemannLiouville, {"gamma": True, "scale": False}),
-    "polynomial_shifted": (PolynomialShifted, {"gamma": True}),
-    "exponential": (Exponential, {"beta": True}),
-    "iterated_exponential": (IteratedExponential, {"c": True, "depth": True}),
-    "oscillating_polynomial": (OscillatingPolynomial, {"gamma": True}),
-    "constant": (Constant, {"value": True}),
-    "custom": (None, {"samples": True}),
-}
-
-_SCHEMA = {
-    "problem": {"n", "p", "q", "gamma1", "gamma2", "r_depth"},
-    "kernels": {"g1", "g2"},
-    "initial": {"u0", "u1", "v0", "v1"},
-    "simulation": {
-        "t_max",
-        "dr",
-        "cfl",
-        "mode",
-        "record_every",
-        "maxnorm_threshold",
-        "linear",
-        "snapshot_times",
-    },
-    "sweep": {"p_range", "q_range", "resolution"},
-    "sequences": {"case", "j_max"},
-}
-
-_PROFILE_KEYS = {"kind", "amplitude", "radius"}
-
 
 class ValidationReport:
     """Accumulates path-tagged errors and warnings during config resolution."""
@@ -101,70 +78,165 @@ class ValidationReport:
         self.warnings.append(f"{path}: {message}")
 
 
-def _check_keys(section: dict, allowed: set, path: str, report: ValidationReport) -> None:
-    for key in section:
-        if key not in allowed:
-            report.error(f"{path}.{key}", f"unknown key (expected one of {sorted(allowed)})")
+# coercions of one config value; each raises TypeError or ValueError on a bad
+# one.  Numbers may come as strings because PyYAML reads 1e6 as a string.
 
 
-def _build_kernel(block: dict, path: str, report: ValidationReport, base: Path):
-    if not isinstance(block, dict) or "family" not in block:
-        report.error(path, "kernel block must be a mapping with a 'family' key")
-        return None
-    family = block["family"]
-    if family not in _KERNEL_FAMILIES:
-        report.error(
-            f"{path}.family", f"unknown family (expected one of {sorted(_KERNEL_FAMILIES)})"
-        )
-        return None
-    cls, fields = _KERNEL_FAMILIES[family]
-    extra = set(block) - set(fields) - {"family"}
-    if extra:
-        report.error(path, f"unknown kernel parameters {sorted(extra)}")
-        return None
-    for name, required in fields.items():
-        if required and name not in block:
-            report.error(f"{path}.{name}", "required kernel parameter missing")
-            return None
-    kwargs = {k: v for k, v in block.items() if k != "family"}
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
+def _whole(value) -> int:
+    number = _float(value)
+    if not number.is_integer():
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(number)
+
+
+def _bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _floats(value) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(map(_float, value))
+
+
+def _pair(value) -> tuple:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"expected [low, high], got {value!r}")
+    return _floats(value)
+
+
+def _mapping(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"expected a mapping, got {value!r}")
+    return value
+
+
+def _custom_kernel(base: Path, samples: str) -> Custom:
+    """A tabulated kernel read from a two-column (t, g) CSV file named
+    relative to the config file; every fault is the table's."""
     try:
-        if family != "custom":
-            return cls(**kwargs)
-        # every fault of a custom kernel lies in its sample table
-        path = f"{path}.samples"
-        sample_path = base / str(kwargs["samples"])
-        if not sample_path.exists():
-            raise ConfigError(f"sample table not found: {sample_path}")
-        table = np.loadtxt(sample_path, delimiter=",", ndmin=2)
+        table = np.loadtxt(base / samples, delimiter=",", ndmin=2)
         if table.shape[1] != 2:
             raise ConfigError("sample table must have exactly two columns (t, g)")
         return Custom(table[:, 0], table[:, 1])
-    except ConfigError as exc:
-        report.error(f"{path}.{exc.param}" if exc.param else path, str(exc))
-    except (ValueError, TypeError) as exc:
-        report.error(path, str(exc))
-    return None
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc), param="samples") from exc
 
 
-def _build_profile(block, path: str, report: ValidationReport) -> Profile | None:
-    if block is None:
+_SEQUENCES = {
+    "case1": (
+        iteration.case1_recursion,
+        iteration.case1_closed_form,
+        ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t"),
+        ("logD", "logD_t"),
+    ),
+    "case2": (
+        iteration.case2_recursion,
+        iteration.case2_closed_form,
+        ("theta", "theta_t", "sigma", "sigma_t"),
+        ("ell", "L", "logQ", "logQ_t"),
+    ),
+}
+
+
+def _sequences(case: str = "case1", j_max: int = 25):
+    """The (recursion, closed form, fields, logs) of a sequence case, and j_max."""
+    if case not in _SEQUENCES:
+        raise ConfigError(f"must be one of {sorted(_SEQUENCES)}, got {case!r}", param="case")
+    return _SEQUENCES[case], j_max
+
+
+# family -> (constructor, schema of its parameters)
+_KERNEL_FAMILIES = {
+    "riemann_liouville": (RiemannLiouville, {"gamma": _float, "scale": _float}),
+    "polynomial_shifted": (PolynomialShifted, {"gamma": _float}),
+    "exponential": (Exponential, {"beta": _float}),
+    "iterated_exponential": (IteratedExponential, {"c": _float, "depth": _whole}),
+    "oscillating_polynomial": (OscillatingPolynomial, {"gamma": _float}),
+    "constant": (Constant, {"value": _float}),
+    "custom": (_custom_kernel, {"samples": str}),
+}
+
+_PROFILE = {"kind": str, "amplitude": _float, "radius": _float}
+
+# section -> key -> coercion; a missing key takes its constructor's default
+_SCHEMA = {
+    "problem": {"n": _whole, "p": _float, "q": _float, "gamma1": _float, "gamma2": _float,
+                "r_depth": _whole},
+    "kernels": {"g1": _mapping, "g2": _mapping},
+    "initial": dict.fromkeys(("u0", "u1", "v0", "v1"), _mapping),
+    "simulation": {
+        "t_max": _float,
+        "dr": _float,
+        "cfl": _float,
+        "mode": str,
+        "record_every": _whole,
+        "maxnorm_threshold": _float,
+        "linear": _bool,
+        "snapshot_times": _floats,
+    },
+    "sweep": {"p_range": _pair, "q_range": _pair, "resolution": _whole},
+    "sequences": {"case": str, "j_max": _whole},
+}
+
+
+def _coerce(block, schema: dict, path: str, report: ValidationReport) -> dict | None:
+    """Coerce each key of a config mapping by its schema; report a
+    non-mapping, each unknown key and each bad value at its own path, and
+    return None if there was any."""
+    if not isinstance(block, dict):
+        report.error(path, f"expected a mapping, got {block!r}")
         return None
-    if not isinstance(block, dict) or "kind" not in block:
-        report.error(path, "profile block must be a mapping with a 'kind' key")
-        return None
-    extra = set(block) - _PROFILE_KEYS
-    if extra:
-        report.error(path, f"unknown profile keys {sorted(extra)}")
+    faults = len(report.errors)
+    values = {}
+    for key, value in block.items():
+        if key not in schema:
+            report.error(f"{path}.{key}", f"unknown key (expected one of {sorted(schema)})")
+            continue
+        try:
+            values[key] = schema[key](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            report.error(f"{path}.{key}", str(exc))
+    return values if len(report.errors) == faults else None
+
+
+def _construct(build, values: dict | None, schema: dict, path: str, report: ValidationReport):
+    """Call a constructor on coerced values (None when they failed).  A fault
+    naming one of the schema's keys (``ConfigError.param``) is reported at
+    that key, any other at the block, a missing required argument included."""
+    if values is None:
         return None
     try:
-        return Profile(
-            block["kind"],
-            float(block.get("amplitude", 0.0)),
-            float(block.get("radius", 1.0)),
-        )
-    except ConfigError as exc:
-        report.error(path, str(exc))
+        return build(**values)
+    except (TypeError, ValueError) as exc:
+        param = getattr(exc, "param", None)
+        report.error(f"{path}.{param}" if param in schema else path, str(exc))
         return None
+
+
+def _kernel(block: dict, path: str, report: ValidationReport, base: Path):
+    """Resolve a kernel block: its family picks the constructor and schema."""
+    params = dict(block)
+    family = params.pop("family", None)
+    if not isinstance(family, str) or family not in _KERNEL_FAMILIES:
+        report.error(f"{path}.family",
+                     f"expected one of {sorted(_KERNEL_FAMILIES)}, got {family!r}")
+        return None
+    build, schema = _KERNEL_FAMILIES[family]
+    if build is _custom_kernel:
+        build = partial(build, base)
+    return _construct(build, _coerce(params, schema, path, report), schema, path, report)
 
 
 def load_config(path: Path) -> dict:
@@ -178,101 +250,45 @@ def load_config(path: Path) -> dict:
 def validate_config(raw: dict, base: Path) -> tuple[dict, ValidationReport]:
     """Resolve a raw config mapping into constructed objects plus a report.
 
-    The resolved mapping holds: params, kernels, profiles, a SystemConfig
-    (when the simulation section is present), and the untouched sweep and
-    sequences sections.
+    Every section given is coerced by ``_SCHEMA`` before any is built, so each
+    unknown key and bad value is reported, whatever else fails.  ``problem``
+    and ``sequences`` take their defaults when absent.  The resolved mapping
+    holds: params (ProblemParams), profiles, and when their sections are
+    given kernels (g1, g2; one alone serves both), system (SystemConfig),
+    sweep (the p and q grids) and sequences.
     """
     report = ValidationReport()
-    resolved: dict = {}
     for key in raw:
         if key not in _SCHEMA:
             report.error(key, f"unknown section (expected one of {sorted(_SCHEMA)})")
-    prob = raw.get("problem")
-    if not isinstance(prob, dict):
-        report.error("problem", "required section missing or not a mapping")
-        return resolved, report
-    _check_keys(prob, _SCHEMA["problem"], "problem", report)
-    if report.errors:
-        return resolved, report
-    try:
-        params = ProblemParams(
-            int(prob.get("n", 1)),
-            float(prob.get("p", 2.0)),
-            float(prob.get("q", 2.0)),
-            prob.get("gamma1"),
-            prob.get("gamma2"),
-            int(prob.get("r_depth", 0)),
-        )
-    except ConfigError as exc:
-        report.error("problem", str(exc))
-        return resolved, report
-    if params.sobolev_violated:
-        bound = params.n / (params.n - 2)
+    given = {"problem": {}, "sequences": {}, **raw}
+    values = {name: _coerce(given[name], schema, name, report)
+              for name, schema in _SCHEMA.items() if name in given}
+    blocks = values.get("kernels") or {}
+    kernels = [_kernel(blocks[name], f"kernels.{name}", report, base)
+               for name in ("g1", "g2") if name in blocks]
+    profiles = {name: _construct(Profile, _coerce(block, _PROFILE, f"initial.{name}", report),
+                                 _PROFILE, f"initial.{name}", report)
+                for name, block in (values.get("initial") or {}).items()}
+    resolved = {"profiles": profiles}
+    if kernels:
+        resolved["kernels"] = (kernels[0], kernels[-1])
+    for name, key, build in (("problem", "params", ProblemParams), ("sweep", "sweep", sweep_grids),
+                             ("sequences", "sequences", _sequences)):
+        if name in values:
+            resolved[key] = _construct(build, values[name], _SCHEMA[name], name, report)
+    params = resolved["params"]
+    if params is not None and params.sobolev_violated:
         report.warn(
             "problem",
-            f"p or q exceeds the admissibility bound n/(n-2) = {bound:g}; "
+            f"p or q exceeds the admissibility bound n/(n-2) = {params.n / (params.n - 2):g}; "
             "local existence theory does not cover this range",
         )
-    resolved["params"] = params
-
-    kernels = []
-    kblock = raw.get("kernels", {})
-    if not isinstance(kblock, dict):
-        report.error("kernels", "must be a mapping with g1/g2 blocks")
-        kblock = {}
-    _check_keys(kblock, _SCHEMA["kernels"], "kernels", report)
-    for name in ("g1", "g2"):
-        if name in kblock:
-            k = _build_kernel(kblock[name], f"kernels.{name}", report, base)
-            if k is not None:
-                kernels.append(k)
-    if len(kernels) == 1:
-        kernels.append(kernels[0])
-    resolved["kernels"] = tuple(kernels)
-
-    profiles = {}
-    iblock = raw.get("initial", {})
-    if iblock:
-        _check_keys(iblock, _SCHEMA["initial"], "initial", report)
-        for name in ("u0", "u1", "v0", "v1"):
-            prof = _build_profile(iblock.get(name), f"initial.{name}", report)
-            if prof is not None:
-                profiles[name] = prof
-    resolved["profiles"] = profiles
-
-    sblock = raw.get("simulation")
-    if sblock is not None and not report.errors:
-        _check_keys(sblock, _SCHEMA["simulation"], "simulation", report)
-        if not report.errors:
-            if len(kernels) < 2:
-                report.error("kernels", "simulation requires at least one kernel block")
-            elif "u0" not in profiles or "u1" not in profiles:
-                report.error("initial", "simulation requires u0 and u1 profiles")
-            else:
-                try:
-                    resolved["system"] = SystemConfig(
-                        params,
-                        tuple(kernels),
-                        u0=profiles["u0"],
-                        u1=profiles["u1"],
-                        v0=profiles.get("v0"),
-                        v1=profiles.get("v1"),
-                        t_max=float(sblock.get("t_max", 2.0)),
-                        dr=float(sblock.get("dr", 0.01)),
-                        cfl=float(sblock.get("cfl", 0.9)),
-                        mode=sblock.get("mode", "coupled"),
-                        maxnorm_threshold=float(sblock.get("maxnorm_threshold", 1e6)),
-                        linear=bool(sblock.get("linear", False)),
-                        record_every=int(sblock.get("record_every", 1)),
-                        snapshot_times=tuple(sblock.get("snapshot_times", ())),
-                    )
-                except ConfigError as exc:
-                    report.error("simulation", str(exc))
-    for name in ("sweep", "sequences"):
-        block = raw.get(name)
-        if block is not None:
-            _check_keys(block, _SCHEMA[name], name, report)
-            resolved[name] = block
+    # a SystemConfig reads every other section, so it is built only when they were
+    if "simulation" in values and not report.errors:
+        system = partial(SystemConfig, params, resolved.get("kernels", ()), **profiles)
+        resolved["system"] = _construct(system, values["simulation"], _SCHEMA["simulation"],
+                                         "simulation", report)
     return resolved, report
 
 
@@ -420,17 +436,10 @@ def read_snapshot(path: Path):
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(args, raw, resolved, outdir: OutputDir) -> int:
-    system = resolved.get("system")
-    if system is None:
-        print("simulate requires a 'simulation' section", file=sys.stderr)
-        return 2
+def cmd_simulate(args, resolved, outdir: OutputDir) -> int:
+    system = resolved["system"]
     ladder = max(1, args.resolution_ladder)
-    configs = [system]
-    for level in range(1, ladder):
-        import dataclasses
-
-        configs.append(dataclasses.replace(system, dr=system.dr / 2**level))
+    configs = [dataclasses.replace(system, dr=system.dr / 2**level) for level in range(ladder)]
     results = []
     for level, cfg in enumerate(configs):
         result = run_simulation(cfg)
@@ -460,11 +469,8 @@ def cmd_simulate(args, raw, resolved, outdir: OutputDir) -> int:
     return 0
 
 
-def cmd_classify(args, raw, resolved, outdir: OutputDir) -> int:
-    kernels = resolved.get("kernels", ())
-    if len(kernels) < 2:
-        print("classify requires kernel blocks g1 (and optionally g2)", file=sys.stderr)
-        return 2
+def cmd_classify(args, resolved, outdir: OutputDir) -> int:
+    kernels = resolved["kernels"]
     params = resolved["params"]
     decay = [classify_decay(k) for k in kernels]
     classes = [cls.tag.value for cls in decay]
@@ -504,20 +510,9 @@ def cmd_classify(args, raw, resolved, outdir: OutputDir) -> int:
     return 0
 
 
-def cmd_sweep(args, raw, resolved, outdir: OutputDir) -> int:
-    block = resolved.get("sweep")
-    if block is None:
-        print("sweep requires a 'sweep' section", file=sys.stderr)
-        return 2
+def cmd_sweep(args, resolved, outdir: OutputDir) -> int:
     params = resolved["params"]
-    p_range = tuple(map(float, block.get("p_range", (1.1, 3.0))))
-    q_range = tuple(map(float, block.get("q_range", (1.1, 3.0))))
-    resolution = int(block.get("resolution", 50))
-    if resolution < 1:
-        print("sweep.resolution must be >= 1", file=sys.stderr)
-        return 2
-    ps = np.linspace(p_range[0], p_range[1], resolution)
-    qs = np.linspace(q_range[0], q_range[1], resolution)
+    ps, qs = resolved["sweep"]
     region = region_from_grids(params.n, params.gamma1, params.gamma2, ps, qs)
     # one block per p value; the q cells are formatted once for the whole run
     q_text = [FLOAT_FMT % q for q in qs.tolist()]
@@ -531,30 +526,8 @@ def cmd_sweep(args, raw, resolved, outdir: OutputDir) -> int:
     return 0
 
 
-_SEQUENCES = {
-    "case1": (
-        iteration.case1_recursion,
-        iteration.case1_closed_form,
-        ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t"),
-        ("logD", "logD_t"),
-    ),
-    "case2": (
-        iteration.case2_recursion,
-        iteration.case2_closed_form,
-        ("theta", "theta_t", "sigma", "sigma_t"),
-        ("ell", "L", "logQ", "logQ_t"),
-    ),
-}
-
-
-def cmd_sequences(args, raw, resolved, outdir: OutputDir) -> int:
-    block = resolved.get("sequences") or {}
-    case = block.get("case", "case1")
-    j_max = int(block.get("j_max", 25))
-    if case not in _SEQUENCES:
-        print(f"sequences.case must be case1 or case2, got {case!r}", file=sys.stderr)
-        return 2
-    recursion, closed_form, fields, logs = _SEQUENCES[case]
+def cmd_sequences(args, resolved, outdir: OutputDir) -> int:
+    (recursion, closed_form, fields, logs), j_max = resolved["sequences"]
     params = resolved["params"]
     p, q, n = params.p, params.q, params.n
     seq = recursion(p, q, n, j_max)
@@ -611,7 +584,7 @@ def _verify_checks():
         yield f"eigen_identity_n{n}", bool(rel < 5e-2), f"max rel {rel:.3e}"
 
 
-def cmd_verify(args, raw, resolved, outdir: OutputDir) -> int:
+def cmd_verify(args, resolved, outdir: OutputDir) -> int:
     names, passed, details = zip(*_verify_checks())
     _write_csv(outdir.path("verify.csv"), ["check", "passed", "detail"],
                [(names, passed, details)])
@@ -639,6 +612,13 @@ _DEFAULT_CONFIG = {
     "simulation": {"t_max": 1.0, "dr": 0.02, "mode": "coupled"},
 }
 
+# command -> (the config section it reads beyond ``problem``, its resolved key)
+_REQUIRES = {
+    "simulate": ("simulation", "system"),
+    "classify": ("kernels", "kernels"),
+    "sweep": ("sweep", "sweep"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -649,14 +629,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sp = sub.add_parser(name)
-        sp.add_argument("--config", type=Path, default=None, help="YAML config file")
+        sp.add_argument("--config", type=Path, required=name != "verify",
+                        help="YAML config file")
         sp.add_argument("--out", type=Path, required=True, help="output directory")
-        sp.add_argument(
-            "--resolution-ladder",
-            type=int,
-            default=1,
-            help="number of mesh-halving levels for convergence studies",
-        )
+    sub.choices["simulate"].add_argument(
+        "--resolution-ladder",
+        type=int,
+        default=1,
+        help="number of mesh-halving levels for convergence studies",
+    )
     return parser
 
 
@@ -664,14 +645,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config is None:
-            if args.command != "verify":
-                print(f"{args.command} requires --config", file=sys.stderr)
-                return 2
-            raw = dict(_DEFAULT_CONFIG)
-            base = Path.cwd()
+            raw, base = _DEFAULT_CONFIG, Path.cwd()
         else:
-            raw = load_config(args.config)
-            base = args.config.parent
+            raw, base = load_config(args.config), args.config.parent
         resolved, report = validate_config(raw, base)
     except (ConfigError, OSError, yaml.YAMLError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -682,9 +658,13 @@ def main(argv=None) -> int:
         for e in report.errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
+    section, key = _REQUIRES.get(args.command, (None, None))
+    if key is not None and key not in resolved:
+        print(f"{args.command} requires a '{section}' section", file=sys.stderr)
+        return 2
     outdir = OutputDir(args.out)
     try:
-        status = _COMMANDS[args.command](args, raw, resolved, outdir)
+        status = _COMMANDS[args.command](args, resolved, outdir)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -31,6 +31,7 @@ __all__ = [
     "default_condition_times",
     "check_condition_slow",
     "check_condition_fast",
+    "sweep_grids",
     "sweep_region",
     "region_from_grids",
     "experimental_mixed_condition",
@@ -47,23 +48,24 @@ MARGIN_TOLERANCE = 0.5
 class ProblemParams:
     """Dimension, powers, optional fractional orders, log-iterate depth."""
 
-    n: int
-    p: float
-    q: float
+    n: int = 1
+    p: float = 2.0
+    q: float = 2.0
     gamma1: float | None = None
     gamma2: float | None = None
     r_depth: int = 0
 
     def __post_init__(self):
         if self.n < 1:
-            raise ConfigError(f"dimension must be >= 1, got {self.n}")
+            raise ConfigError(f"dimension must be >= 1, got {self.n}", param="n")
         if self.p <= 1.0 or self.q <= 1.0:
-            raise ConfigError("powers p, q must exceed 1")
+            raise ConfigError("powers p, q must exceed 1", param="p" if self.p <= 1.0 else "q")
         if not 0 <= self.r_depth <= MAX_LOG_DEPTH:
-            raise ConfigError(f"r_depth must be in 0..{MAX_LOG_DEPTH}")
-        for g in (self.gamma1, self.gamma2):
+            raise ConfigError(f"r_depth must be in 0..{MAX_LOG_DEPTH}", param="r_depth")
+        for name in ("gamma1", "gamma2"):
+            g = getattr(self, name)
             if g is not None and not 0.0 < g < 1.0:
-                raise ConfigError(f"fractional order must be in (0, 1), got {g}")
+                raise ConfigError(f"fractional order must be in (0, 1), got {g}", param=name)
 
     @property
     def sobolev_violated(self) -> bool:
@@ -273,11 +275,15 @@ def sweep_region(
     formula boundary (the two then coincide).  The grids are checked by
     region_from_grids.
     """
+    return region_from_grids(n, gamma1, gamma2, *sweep_grids(p_range, q_range, resolution))
+
+
+def sweep_grids(p_range=(1.1, 3.0), q_range=(1.1, 3.0), resolution: int = 50):
+    """The (p, q) grids of a sweep: ``resolution`` evenly spaced values over
+    each range, ends included."""
     if resolution < 1:
-        raise ConfigError(f"sweep resolution must be >= 1, got {resolution}")
-    ps = np.linspace(*map(float, p_range), resolution)
-    qs = np.linspace(*map(float, q_range), resolution)
-    return region_from_grids(n, gamma1, gamma2, ps, qs)
+        raise ConfigError(f"sweep resolution must be >= 1, got {resolution}", param="resolution")
+    return tuple(np.linspace(*map(float, r), resolution) for r in (p_range, q_range))
 
 
 def region_from_grids(

@@ -85,7 +85,7 @@ class MemoryKernel:
         return self._antiderivative(t)
 
     def _antiderivative(self, t: float) -> float:
-        val, _ = integrate.quad(lambda s: self(s), 0.0, t, epsrel=1e-12, limit=200)
+        val, _ = integrate.quad(self._eval, 0.0, t, epsrel=1e-12, limit=200)
         return val
 
     def second_antiderivative(self, t: float) -> float:
@@ -218,14 +218,6 @@ class IteratedExponential(MemoryKernel):
 
     def _eval(self, t):
         return np.maximum(np.exp(np.maximum(self._log_g(t), -700.0)), _TINY)
-
-    def _antiderivative(self, t):
-        # g decays so fast that the integral saturates quickly; cap the domain
-        # at the point where log g drops below the underflow threshold.
-        val, _ = integrate.quad(
-            lambda s: self._eval(s), 0.0, t, epsrel=1e-12, limit=200
-        )
-        return val
 
     def value_at_zero(self):
         return float(self._eval(0.0))

@@ -192,7 +192,7 @@ def check_u0_lower_bound(trace: FunctionalTrace, config) -> tuple[bool, float]:
     return bool(np.all(margin >= -tol)), float(np.min(margin))
 
 
-def check_iteration_frame(trace: FunctionalTrace, config, j: int = 1) -> tuple[bool, float]:
+def check_iteration_frame(trace: FunctionalTrace, config) -> tuple[bool, float]:
     """Verify the first iteration-frame inequality on a recorded run.
 
     U(t) must dominate the triple time integral of the memory convolution of
@@ -201,8 +201,6 @@ def check_iteration_frame(trace: FunctionalTrace, config, j: int = 1) -> tuple[b
     """
     from .solver import HistoryWeights
 
-    if j != 1:
-        raise UnsupportedError("only the first frame is checkable from a trace")
     if len(trace) < 16:
         raise InsufficientDataError("need at least 16 recorded samples")
     n, p = config.params.n, config.params.p

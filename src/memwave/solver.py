@@ -61,9 +61,9 @@ class Profile:
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
-            raise ConfigError(f"unknown profile kind {self.kind!r}")
+            raise ConfigError(f"unknown profile kind {self.kind!r}", param="kind")
         if self.radius <= 0.0:
-            raise ConfigError("support radius must be positive")
+            raise ConfigError("support radius must be positive", param="radius")
 
     def __call__(self, r):
         r = np.asarray(r, dtype=float)
@@ -106,18 +106,31 @@ class SystemConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
+        if self.params.n not in (1, 2, 3):
+            raise ConfigError(f"the solver supports n = 1, 2, 3, got n = {self.params.n}",
+                              param="n")
+        if len(self.kernels) != 2:
+            raise ConfigError("kernels must be a (g1, g2) pair", param="kernels")
         if self.mode not in ("single", "coupled", "mgt"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"unknown mode {self.mode!r}", param="mode")
         if not 0.0 < self.cfl < 1.0:
-            raise ConfigError("cfl must lie in (0, 1)")
+            raise ConfigError("cfl must lie in (0, 1)", param="cfl")
         if self.dr <= 0.0 or self.t_max <= 0.0:
-            raise ConfigError("dr and t_max must be positive")
+            raise ConfigError("dr and t_max must be positive",
+                              param="dr" if self.dr <= 0.0 else "t_max")
+        if self.record_every < 1:
+            raise ConfigError(f"record_every must be >= 1, got {self.record_every}",
+                              param="record_every")
+        # a time at or below dt/2 rounds to step 0, where no snapshot is taken
+        if not all(self.dt / 2 < t <= self.t_max for t in self.snapshot_times):
+            raise ConfigError(f"snapshot times must lie in (dt/2, t_max] = "
+                              f"({self.dt / 2:g}, {self.t_max:g}]", param="snapshot_times")
         if self.v0 is None:
             self.v0 = _zero_profile(self.u0.radius)
         if self.v1 is None:
             self.v1 = _zero_profile(self.u0.radius)
         if self.mode == "mgt" and not isinstance(self.kernels[0], Exponential):
-            raise ConfigError("mgt mode requires an Exponential kernel")
+            raise ConfigError("mgt mode requires an Exponential kernel", param="mode")
 
     @property
     def R(self) -> float:

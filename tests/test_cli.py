@@ -63,7 +63,7 @@ def test_validate_rejects_scale_where_unsupported(tmp_path, family, params):
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["kernels"]["g1"] = {"family": family, "scale": 2.0, **params}
     _, report = validate_config(cfg, tmp_path)
-    assert report.errors == ["kernels.g1: unknown kernel parameters ['scale']"]
+    assert report.errors == [f"kernels.g1.scale: unknown key (expected one of {sorted(params)})"]
 
 
 # one block per family in the README config comment, with the edge values the
@@ -377,3 +377,82 @@ def test_sweep_reversed_range_exits_2(tmp_path, capsys):
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")]) == 2
     assert "non-decreasing" in capsys.readouterr().err
     assert not (tmp_path / "s" / "region.csv").exists()
+
+
+# every malformed shape is reported at its own path, before any output exists
+_RUNNABLE = {**MINIMAL, "sweep": {"p_range": [1.5, 2.5], "q_range": [1.5, 2.5], "resolution": 2},
+             "sequences": {"case": "case1", "j_max": 5}}
+MALFORMED = [
+    ("simulate", {"simulation.t_max": "abc"}, "simulation.t_max"),
+    ("simulate", {"simulation.snapshot_times": 1.0}, "simulation.snapshot_times"),
+    ("simulate", {"simulation.snapshot_times": ["abc"]}, "simulation.snapshot_times"),
+    ("simulate", {"simulation.t_max": 0.5, "simulation.snapshot_times": [0.9]},
+     "simulation.snapshot_times"),
+    ("simulate", {"simulation.linear": "no"}, "simulation.linear"),
+    ("simulate", {"simulation.record_every": 0}, "simulation.record_every"),
+    ("simulate", {"problem.n": "abc"}, "problem.n"),
+    ("simulate", {"problem.n": 4}, "simulation"),
+    ("simulate", {"initial.u0.amplitude": "abc"}, "initial.u0.amplitude"),
+    ("simulate", {"initial": [1]}, "initial"),
+    ("simulate", {"kernels.g2": {"family": "iterated_exponential", "c": 1.0, "depth": 2.5}},
+     "kernels.g2.depth"),
+    ("sweep", {"sweep.p_range": [1.5]}, "sweep.p_range"),
+    ("sweep", {"sweep.p_range": "abc"}, "sweep.p_range"),
+    ("sweep", {"sweep.resolution": "abc"}, "sweep.resolution"),
+    ("sequences", {"sequences.j_max": "abc"}, "sequences.j_max"),
+]
+
+
+def _with(cfg: dict, changes: dict) -> dict:
+    cfg = yaml.safe_load(yaml.safe_dump(cfg))
+    for dotted, value in changes.items():
+        *parents, key = dotted.split(".")
+        block = cfg
+        for name in parents:
+            block = block[name]
+        block[key] = value
+    return cfg
+
+
+@pytest.mark.parametrize("command, changes, path", MALFORMED,
+                         ids=[";".join(f"{k}={v}" for k, v in c.items()) for _, c, _ in MALFORMED])
+def test_malformed_config_exits_2_at_its_path(tmp_path, capsys, command, changes, path):
+    config = _write(tmp_path, _with(_RUNNABLE, changes))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("changes", [
+    {"kernels.g2": {"family": "iterated_exponential", "c": 1.0, "depth": 2.0}},
+    {"simulation.maxnorm_threshold": "1e6"},
+], ids=["depth_2.0", "maxnorm_threshold_string"])
+def test_simulate_accepts_shape(tmp_path, changes):
+    config = _write(tmp_path, _with(MINIMAL, changes))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_validate_reports_every_section(tmp_path):
+    cfg = _with(MINIMAL, {"kernels.g1.gamma": 1.5, "simulation.t_max": "abc"})
+    _, report = validate_config(cfg, tmp_path)
+    assert sorted(e.split(":")[0] for e in report.errors) == ["kernels.g1.gamma", "simulation.t_max"]
+
+
+def test_resolution_ladder_is_a_simulate_flag(tmp_path):
+    config = _write(tmp_path, _RUNNABLE)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(config), "--out", str(tmp_path / "s"),
+              "--resolution-ladder", "2"])
+    assert exc.value.code == 2
+
+
+def test_readme_config_validates(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme[readme.index("```yaml\n") + len("```yaml\n"):]
+    raw = yaml.safe_load(block[:block.index("```")])
+    resolved, report = validate_config(raw, tmp_path)
+    assert report.errors == [] and report.warnings == []
+    assert set(resolved) >= {"params", "kernels", "profiles", "system", "sweep", "sequences"}

@@ -178,13 +178,6 @@ def test_iteration_frame_holds():
     assert margin >= -1e-9
 
 
-def test_iteration_frame_only_first_index():
-    cfg = _coupled_config()
-    res = run_simulation(cfg)
-    with pytest.raises(UnsupportedError):
-        check_iteration_frame(res.trace, cfg, j=2)
-
-
 def test_detect_blowup_linear_run():
     cfg = _coupled_config(linear=True)
     res = run_simulation(cfg)

@@ -505,6 +505,18 @@ def test_config_rejects_bad_mode():
         _config(mode="implicit")
 
 
+@pytest.mark.parametrize("kw, param", [
+    (dict(record_every=0), "record_every"),
+    (dict(params=ProblemParams(4, 2.0, 2.0)), "n"),
+    (dict(t_max=0.5, snapshot_times=(0.9,)), "snapshot_times"),
+    (dict(snapshot_times=(0.0,)), "snapshot_times"),
+], ids=["record_every_0", "n_4", "snapshot_after_t_max", "snapshot_at_0"])
+def test_config_rejects_value_the_solver_cannot_run(kw, param):
+    with pytest.raises(ConfigError) as exc:
+        _config(**kw)
+    assert exc.value.param == param
+
+
 def test_config_grid_covers_light_cone():
     cfg = _config(t_max=2.0, dr=0.05)
     assert cfg.n_cells * cfg.dr >= cfg.R + cfg.t_max + 2 * cfg.dr
