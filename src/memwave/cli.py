@@ -154,6 +154,8 @@ def _sequences(case: str = "case1", j_max: int = 25):
     """The (recursion, closed form, fields, logs) of a sequence case, and j_max."""
     if case not in _SEQUENCES:
         raise ConfigError(f"must be one of {sorted(_SEQUENCES)}, got {case!r}", param="case")
+    if j_max < 1:
+        raise ConfigError(f"must be >= 1, got {j_max}", param="j_max")
     return _SEQUENCES[case], j_max
 
 
@@ -438,7 +440,7 @@ def read_snapshot(path: Path):
 
 def cmd_simulate(args, resolved, outdir: OutputDir) -> int:
     system = resolved["system"]
-    ladder = max(1, args.resolution_ladder)
+    ladder = args.resolution_ladder
     configs = [dataclasses.replace(system, dr=system.dr / 2**level) for level in range(ladder)]
     results = []
     for level, cfg in enumerate(configs):
@@ -620,6 +622,13 @@ _REQUIRES = {
 }
 
 
+def _level_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memwave",
@@ -634,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", type=Path, required=True, help="output directory")
     sub.choices["simulate"].add_argument(
         "--resolution-ladder",
-        type=int,
+        type=_level_count,
         default=1,
         help="number of mesh-halving levels for convergence studies",
     )

@@ -283,7 +283,21 @@ def sweep_grids(p_range=(1.1, 3.0), q_range=(1.1, 3.0), resolution: int = 50):
     each range, ends included."""
     if resolution < 1:
         raise ConfigError(f"sweep resolution must be >= 1, got {resolution}", param="resolution")
-    return tuple(np.linspace(*map(float, r), resolution) for r in (p_range, q_range))
+    grids = tuple(np.linspace(*map(float, r), resolution) for r in (p_range, q_range))
+    for name, grid in zip("pq", grids):
+        _check_grid(name, grid, param=f"{name}_range")
+    return grids
+
+
+def _check_grid(name: str, grid, param: str | None = None) -> None:
+    """A sweep grid must be non-empty, non-decreasing and above 1."""
+    # checked on Python floats: a first NumPy reduction would add ~0.1 MB of
+    # resident memory to a sweep that otherwise makes none
+    grid = grid.tolist()
+    if not grid or grid != sorted(grid):
+        raise ConfigError(f"sweep {name} grid must be non-empty and non-decreasing", param=param)
+    if not all(x > 1.0 for x in grid):
+        raise ConfigError(f"sweep powers must exceed 1, got {name} = {min(grid):g}", param=param)
 
 
 def region_from_grids(
@@ -295,18 +309,13 @@ def region_from_grids(
 ) -> RegionMap:
     """Evaluate the blow-up condition on explicitly given p and q grids.
 
-    The one check of a sweep's grids: each must be non-empty, non-decreasing
-    and above 1.
+    Each grid must be non-empty, non-decreasing and above 1, the check that
+    ``sweep_grids`` also runs on the grids it builds.
     """
     ps = np.asarray(ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
-    # checked on Python floats: a first NumPy reduction would add ~0.1 MB of
-    # resident memory to a sweep that otherwise makes none
-    for name, grid in (("p", ps.tolist()), ("q", qs.tolist())):
-        if not grid or grid != sorted(grid):
-            raise ConfigError(f"sweep {name} grid must be non-empty and non-decreasing")
-        if not all(x > 1.0 for x in grid):
-            raise ConfigError(f"sweep powers must exceed 1, got {name} = {min(grid):g}")
+    _check_grid("p", ps)
+    _check_grid("q", qs)
     P, Q = np.meshgrid(ps, qs, indexing="ij")
     threshold = (n - 1) / 2.0
     if gamma1 is None and gamma2 is None:

@@ -1,7 +1,9 @@
 """Memory kernels g(t), their antiderivatives, and decay classification.
 
 Every kernel is positive on t > 0, integrable near t = 0 (singularity order
-strictly below 1), and immutable after construction.  The decay classification
+strictly below 1), and immutable after construction.  A family states the
+closed forms it has; the one generic fallback for G and ∫G is a single-level
+quadrature of Cauchy's repeated-integral formula.  The decay classification
 compares the large-time behaviour of g against the reference rate 1/t: kernels
 bounded below by c/t are Slow, kernels bounded above by c/t are Fast.
 """
@@ -58,7 +60,12 @@ class MemoryKernel:
     """Base class: evaluator g(t) with antiderivatives G and ∫G.
 
     Subclasses set ``singularity_order`` (the s in g ~ t^-s near 0) and
-    ``monotone`` (True when g is non-increasing on (0, ∞)).
+    ``monotone`` (True when g is non-increasing on (0, ∞)).  They supply
+    formulas only: ``_eval`` and, where closed forms exist, ``_antiderivative``
+    and ``_second_antiderivative``, each called for t > 0 only; the public
+    ``antiderivative`` and ``second_antiderivative`` check t.  Both fall back
+    on ``_repeated_integral``, one quadrature each, which a family may
+    replace with a better rule.
     """
 
     singularity_order: float = 0.0
@@ -80,22 +87,25 @@ class MemoryKernel:
         """G(t) = ∫_0^t g, with G(0) = 0."""
         if t < 0.0:
             raise DomainError("antiderivative argument must be nonnegative")
-        if t == 0.0:
-            return 0.0
-        return self._antiderivative(t)
-
-    def _antiderivative(self, t: float) -> float:
-        val, _ = integrate.quad(self._eval, 0.0, t, epsrel=1e-12, limit=200)
-        return val
+        return 0.0 if t == 0.0 else self._antiderivative(t)
 
     def second_antiderivative(self, t: float) -> float:
         """∫_0^t G(τ) dτ; smooth even for singular kernels."""
         if t < 0.0:
             raise DomainError("argument must be nonnegative")
-        if t == 0.0:
-            return 0.0
-        val, _ = integrate.quad(self.antiderivative, 0.0, t, epsrel=1e-12, limit=200)
-        return val
+        return 0.0 if t == 0.0 else self._second_antiderivative(t)
+
+    def _antiderivative(self, t: float) -> float:
+        return self._repeated_integral(t, 0)
+
+    def _second_antiderivative(self, t: float) -> float:
+        return self._repeated_integral(t, 1)
+
+    def _repeated_integral(self, t: float, k: int) -> float:
+        """∫_0^t (t - s)^k g(s) ds for t > 0: G(t) for k = 0 and, by Cauchy's
+        formula for repeated integration, ∫_0^t G for k = 1."""
+        return integrate.quad(lambda s: (t - s) ** k * self._eval(s), 0.0, t,
+                              epsrel=1e-12, limit=200)[0]
 
     def value_at_zero(self) -> float:
         if self.singularity_order > 0.0:
@@ -131,7 +141,7 @@ class RiemannLiouville(MemoryKernel):
     def _antiderivative(self, t):
         return self._norm * t ** (1.0 - self.gamma) / (1.0 - self.gamma)
 
-    def second_antiderivative(self, t):
+    def _second_antiderivative(self, t):
         g = self.gamma
         return self._norm * t ** (2.0 - g) / ((1.0 - g) * (2.0 - g))
 
@@ -153,7 +163,7 @@ class PolynomialShifted(MemoryKernel):
             return math.log1p(t)
         return (((1.0 + t) ** (1.0 - g)) - 1.0) / (1.0 - g)
 
-    def second_antiderivative(self, t):
+    def _second_antiderivative(self, t):
         g = self.gamma
         if g == 1.0:
             return (1.0 + t) * math.log1p(t) - t
@@ -182,7 +192,7 @@ class Exponential(MemoryKernel):
     def _antiderivative(self, t):
         return self.beta * -math.expm1(-t / self.beta)
 
-    def second_antiderivative(self, t):
+    def _second_antiderivative(self, t):
         return self.beta * t + self.beta**2 * math.expm1(-t / self.beta)
 
     def value_at_zero(self):
@@ -250,24 +260,13 @@ class OscillatingPolynomial(MemoryKernel):
         self.singularity_order = gamma
 
     def _eval(self, t):
-        if self.gamma == 0.0:
-            return 3.0 + 2.0 * np.sin(t)
         return (3.0 + 2.0 * np.sin(t)) * t ** (-self.gamma)
 
-    def _antiderivative(self, t):
-        if self.gamma == 0.0:
-            return 3.0 * t + 2.0 * (1.0 - math.cos(t))
-        # Algebraic endpoint weight t^-gamma handled by the quadrature rule.
-        val, _ = integrate.quad(
-            lambda s: 3.0 + 2.0 * math.sin(s),
-            0.0,
-            t,
-            weight="alg",
-            wvar=(-self.gamma, 0.0),
-            epsrel=1e-12,
-            limit=200,
-        )
-        return val
+    def _repeated_integral(self, t, k):
+        # QUADPACK's algebraic weight s^-gamma (t - s)^k takes both the
+        # endpoint singularity and the Cauchy factor out of the integrand
+        return integrate.quad(lambda s: 3.0 + 2.0 * math.sin(s), 0.0, t, weight="alg",
+                              wvar=(-self.gamma, k), epsrel=1e-12, limit=200)[0]
 
 
 class Constant(MemoryKernel):
@@ -284,7 +283,7 @@ class Constant(MemoryKernel):
     def _antiderivative(self, t):
         return self.value * t
 
-    def second_antiderivative(self, t):
+    def _second_antiderivative(self, t):
         return 0.5 * self.value * t * t
 
     def value_at_zero(self):
@@ -322,6 +321,11 @@ class Custom(MemoryKernel):
         slopes = np.diff(self._logg) / np.diff(self._logt)
         # Extrapolation below the first sample uses the first segment slope;
         # that slope also defines the reported singularity order.
+        if slopes[0] <= -1.0:
+            raise ConfigError(
+                f"first segment slope {slopes[0]:g} makes the kernel non-integrable at t = 0"
+                " (need log-log slope > -1)"
+            )
         self.singularity_order = max(0.0, -slopes[0])
         self._slopes = slopes
 

@@ -153,8 +153,7 @@ def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p
     U = trace.column("U")
     lp = trace.column("Lp_v")
     upp = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / dt**2
-    weights = HistoryWeights(kernel, dt)
-    rhs = np.array([weights.weights(m) @ lp[: m + 1] for m in range(1, len(t) - 1)])
+    rhs = HistoryWeights(kernel, dt).convolve(lp[:-1])[1:]
     k = len(upp)
     lo, hi = int(0.1 * k), int(math.ceil(0.9 * k))
     resid = np.abs(upp[lo:hi] - rhs[lo:hi])
@@ -210,9 +209,7 @@ def check_iteration_frame(trace: FunctionalTrace, config) -> tuple[bool, float]:
     V = np.maximum(trace.column("V"), 0.0)
     c0 = (sphere_area(n) / n) ** (-(p - 1.0))
     samples = (R + t) ** (-n * (p - 1.0)) * V**p
-    g1 = config.kernels[0]
-    weights = HistoryWeights(g1, dt)
-    inner = np.array([weights.weights(m) @ samples[: m + 1] for m in range(len(t))])
+    inner = HistoryWeights(config.kernels[0], dt).convolve(samples)
     once = integrate.cumulative_trapezoid(inner, t, initial=0.0)
     twice = integrate.cumulative_trapezoid(once, t, initial=0.0)
     rhs = c0 * twice

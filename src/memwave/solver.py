@@ -210,6 +210,11 @@ class HistoryWeights:
         w[1:] = self._lag[:m][::-1]
         return w
 
+    def convolve(self, samples) -> np.ndarray:
+        """The convolution at every grid time of samples recorded at t_0,
+        t_1, ...: row m is ``weights(m) @ samples[: m + 1]``."""
+        return np.array([self.weights(m) @ samples[: m + 1] for m in range(len(samples))])
+
     def advance(self, conv, previous, current):
         """Exponential kernels only: the convolution at t_m from the one at
         t_(m-1) and the samples at t_(m-1) and t_m.
@@ -550,10 +555,8 @@ def picard_iterate(config: SystemConfig, T_small: float, iterations: int, dx: fl
     w2 = HistoryWeights(g2, dt)
 
     def apply_operator(u, v):
-        vp = np.abs(v) ** p
-        uq = np.abs(u) ** q
-        mem_u = np.array([w1.weights(m) @ vp[: m + 1] for m in range(nt + 1)])
-        mem_v = np.array([w2.weights(m) @ uq[: m + 1] for m in range(nt + 1)])
+        mem_u = w1.convolve(np.abs(v) ** p)
+        mem_v = w2.convolve(np.abs(u) ** q)
         nu = u_lin.copy()
         nv = v_lin.copy()
         for i in range(nt + 1):
@@ -589,8 +592,7 @@ def conv_derivative_identity(kernel: Exponential, samples, t_grid) -> float:
     if t_grid.size != samples.size or t_grid.size < 3:
         raise ValueError("need matching grids with at least three points")
     dt = t_grid[1] - t_grid[0]
-    hw = HistoryWeights(kernel, dt)
-    F = np.array([hw.weights(m) @ samples[: m + 1] for m in range(t_grid.size)])
+    F = HistoryWeights(kernel, dt).convolve(samples)
     Fp = np.gradient(F, dt, edge_order=2)
     resid = Fp - samples + F / kernel.beta
     return float(np.max(np.abs(resid[1:-1])))

@@ -94,7 +94,7 @@ def test_documented_kernels_cover_readme():
 @pytest.mark.parametrize("block", DOCUMENTED_KERNELS,
                          ids=lambda b: "-".join(str(v) for v in b.values()))
 def test_validate_builds_documented_kernel(tmp_path, block):
-    np.savetxt(tmp_path / "kernel.csv", [[0.5, 2.0], [1.0, 1.0], [2.0, 0.5]], delimiter=",")
+    np.savetxt(tmp_path / "kernel.csv", [[0.5, 1.5], [1.0, 1.0], [2.0, 0.5]], delimiter=",")
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["kernels"]["g1"] = block
     resolved, report = validate_config(cfg, tmp_path)
@@ -370,6 +370,20 @@ def test_simulate_non_numeric_custom_table_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_simulate_non_integrable_custom_table_exits_2(tmp_path, capsys):
+    # g = t^-2 below t = 1: G(0.5) came out as -2.0 for this positive kernel
+    cfg = _custom_table_config(tmp_path, "0.1,100.0\n1.0,1.0\n",
+                               {"family": "exponential", "beta": 1.0})
+    path = _write(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: kernels.g1.samples: first segment slope -2 makes the kernel non-integrable"
+        " at t = 0 (need log-log slope > -1)\n"
+    )
+    assert not out.exists()
+
+
 def test_sweep_reversed_range_exits_2(tmp_path, capsys):
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["sweep"] = {"p_range": [2.5, 1.5], "q_range": [1.5, 2.5], "resolution": 3}
@@ -426,6 +440,21 @@ def test_malformed_config_exits_2_at_its_path(tmp_path, capsys, command, changes
     assert not out.exists()
 
 
+# range checks the constructors make, reported before any output exists
+@pytest.mark.parametrize("command, changes, message", [
+    ("sequences", {"sequences.j_max": 0}, "sequences.j_max: must be >= 1, got 0"),
+    ("sweep", {"sweep.p_range": [2.5, 1.5]},
+     "sweep.p_range: sweep p grid must be non-empty and non-decreasing"),
+    ("sweep", {"sweep.q_range": [0.5, 2.5]}, "sweep.q_range: sweep powers must exceed 1, got q = 0.5"),
+], ids=["j_max_0", "p_range_reversed", "q_range_below_1"])
+def test_range_error_exits_2_before_output(tmp_path, capsys, command, changes, message):
+    config = _write(tmp_path, _with(_RUNNABLE, changes))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("changes", [
     {"kernels.g2": {"family": "iterated_exponential", "c": 1.0, "depth": 2.0}},
     {"simulation.maxnorm_threshold": "1e6"},
@@ -447,6 +476,18 @@ def test_resolution_ladder_is_a_simulate_flag(tmp_path):
         main(["sweep", "--config", str(config), "--out", str(tmp_path / "s"),
               "--resolution-ladder", "2"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_resolution_ladder_below_one_exits_2(tmp_path, capsys, levels):
+    config = _write(tmp_path, MINIMAL)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(config), "--out", str(out),
+              "--resolution-ladder", levels])
+    assert exc.value.code == 2
+    assert f"--resolution-ladder: must be >= 1, got {levels}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_readme_config_validates(tmp_path):

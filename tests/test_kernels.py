@@ -96,6 +96,14 @@ def test_antiderivative_starts_at_zero(kernel):
     assert kernel.antiderivative(0.0) == 0.0
 
 
+@pytest.mark.parametrize("kernel", ALL_FAMILIES, ids=lambda k: repr(type(k).__name__))
+def test_antiderivatives_reject_negative_argument(kernel):
+    with pytest.raises(DomainError):
+        kernel.antiderivative(-1.0)
+    with pytest.raises(DomainError):
+        kernel.second_antiderivative(-1.0)
+
+
 def test_exponential_antiderivative_limit():
     # oracle: integral of e^-t over [0, inf) = 1
     assert Exponential(1.0).antiderivative(60.0) == pytest.approx(1.0, rel=1e-12)
@@ -163,8 +171,11 @@ def test_analytic_classification(kernel, expected):
 
 
 def _power_law_samples(slope, num=64):
+    # a flat first segment keeps the table integrable at t = 0 whatever the tail
     t = np.geomspace(0.1, 100.0, num)
-    return t, t**slope
+    g = t**slope
+    g[0] = g[1]
+    return t, g
 
 
 def test_custom_classification_slow():
@@ -187,7 +198,7 @@ def test_custom_classification_indeterminate():
 def test_custom_too_few_samples():
     t = np.geomspace(0.1, 10.0, 8)
     with pytest.raises(InsufficientDataError):
-        classify_decay(Custom(t, 1.0 / t))
+        classify_decay(Custom(t, t**-0.5))
 
 
 def test_custom_interpolation_matches_power_law():
@@ -239,6 +250,43 @@ def test_second_antiderivative_closed_forms():
             assert kernel.second_antiderivative(t) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("gamma", [0.3, 0.5])
+@pytest.mark.parametrize("t", [0.009, 0.5, 2.0])
+def test_oscillating_antiderivatives_match_power_series(gamma, t):
+    # oracle, free of quadrature: (3 + 2 sin s) s^-gamma integrated termwise,
+    # with M(a) the k-fold integral of s^a (k = 1 for G, 2 for its integral)
+    for k, got in ((1, OscillatingPolynomial(gamma).antiderivative(t)),
+                   (2, OscillatingPolynomial(gamma).second_antiderivative(t))):
+        def M(a):
+            return t ** (a + k) / math.prod(a + i for i in range(1, k + 1))
+
+        want = 3.0 * M(-gamma) + 2.0 * sum(
+            (-1) ** j / math.factorial(2 * j + 1) * M(2 * j + 1 - gamma) for j in range(30)
+        )
+        assert got == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+def test_generic_antiderivatives_match_exponential(c):
+    # oracle: IteratedExponential(1, c) is exp(-c t), whose G and integral of G
+    # Exponential states in closed form
+    generic, closed = IteratedExponential(1, c), Exponential(1.0 / c)
+    for t in (0.009, 0.5, 2.0, 10.0):
+        assert generic.antiderivative(t) == pytest.approx(closed.antiderivative(t), rel=1e-12)
+        assert generic.second_antiderivative(t) == pytest.approx(
+            closed.second_antiderivative(t), rel=1e-12
+        )
+
+
+def test_custom_rejects_non_integrable_first_segment():
+    # g = 100 t^-2 below t = 1 has no integral from 0; G(0.5) came out as -2.0
+    with pytest.raises(ConfigError, match="non-integrable"):
+        Custom([0.1, 1.0], [100.0, 1.0])
+    with pytest.raises(ConfigError, match="non-integrable"):
+        Custom([0.5, 1.0, 2.0], [2.0, 1.0, 0.5])  # 1/t, singularity order exactly 1
+    assert Custom([0.5, 1.0, 2.0], [1.5, 1.0, 0.5]).singularity_order < 1.0
+
+
 def test_derivative_at_zero():
     assert Exponential(1.0).derivative_at_zero() == -1.0
     assert Exponential(2.0).derivative_at_zero() == -0.5
@@ -273,6 +321,7 @@ def test_custom_envelope_is_nonincreasing_minorant(slope):
     rng = np.random.default_rng(3)
     t = np.geomspace(0.1, 100.0, 64)
     g = t**slope * np.exp(rng.uniform(0.0, 0.5, size=t.size))
+    g[0] = g[1]  # integrable at t = 0
     k = Custom(t, g)
     if classify_decay(k).tag is DecayTag.FAST:
         return
