@@ -516,14 +516,14 @@ def cmd_sweep(args, resolved, outdir: OutputDir) -> int:
     params = resolved["params"]
     ps, qs = resolved["sweep"]
     region = region_from_grids(params.n, params.gamma1, params.gamma2, ps, qs)
-    # one block per p value; the q cells are formatted once for the whole run
+    # one block per p value, evaluated as it is written; the q cells are
+    # formatted once for the whole run
     q_text = [FLOAT_FMT % q for q in qs.tolist()]
     branch = region.branch.value
     _write_csv(
         outdir.path("region.csv"),
         ["p", "q", "branch", "satisfied", "margin"],
-        ((p, q_text, branch, region.satisfied[i], region.margin[i])
-         for i, p in enumerate(ps.tolist())),
+        ((p, q_text, branch, margin > 0.0, margin) for p, margin in region.margin_rows()),
     )
     return 0
 

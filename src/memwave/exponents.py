@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -239,25 +240,42 @@ def check_condition_fast(params: ProblemParams) -> ConditionVerdict:
 
 @dataclass
 class RegionMap:
-    """Grid of condition verdicts over the (p, q) plane."""
+    """The blow-up condition over a (p, q) grid, evaluated one p row at a time.
+
+    ``margin`` (alpha - (n-1)/2) and ``satisfied`` (margin > 0) are the
+    (len(p), len(q)) planes, built on first access and kept; ``margin_rows``
+    yields the same values a p row at a time without building them.
+    """
 
     p_values: np.ndarray
     q_values: np.ndarray
     branch: Branch
-    satisfied: np.ndarray  # bool, shape (len(p), len(q))
-    margin: np.ndarray  # float, alpha - (n-1)/2
+    threshold: float  # (n - 1) / 2
+    gammas: tuple[float, float] | None  # the fractional orders; None for fast-fast
+
+    def _margin(self, p):
+        qs = self.q_values
+        alpha = alpha_w(p, qs) if self.gammas is None else alpha_wm(p, qs, *self.gammas)
+        return alpha - self.threshold
+
+    def margin_rows(self):
+        """Yield (p, margin over the q grid) for each p value in order."""
+        for p in self.p_values.tolist():
+            yield p, self._margin(p)
+
+    @cached_property
+    def margin(self) -> np.ndarray:
+        return self._margin(self.p_values[:, None])
+
+    @cached_property
+    def satisfied(self) -> np.ndarray:
+        return self.margin > 0.0
 
     def rows(self):
         """Yield (p, q, branch, satisfied, margin) row tuples, p-major."""
-        for i, p in enumerate(self.p_values):
-            for j, q in enumerate(self.q_values):
-                yield (
-                    float(p),
-                    float(q),
-                    self.branch.value,
-                    bool(self.satisfied[i, j]),
-                    float(self.margin[i, j]),
-                )
+        for p, margin in self.margin_rows():
+            for q, m in zip(self.q_values.tolist(), margin.tolist()):
+                yield p, q, self.branch.value, m > 0.0, m
 
 
 def sweep_region(
@@ -307,29 +325,25 @@ def region_from_grids(
     ps,
     qs,
 ) -> RegionMap:
-    """Evaluate the blow-up condition on explicitly given p and q grids.
+    """The blow-up condition on explicitly given p and q grids.
 
     Each grid must be non-empty, non-decreasing and above 1, the check that
-    ``sweep_grids`` also runs on the grids it builds.
+    ``sweep_grids`` also runs on the grids it builds.  The grids are checked
+    here, once; the condition itself is evaluated as the map is read.
     """
     ps = np.asarray(ps, dtype=float)
     qs = np.asarray(qs, dtype=float)
     _check_grid("p", ps)
     _check_grid("q", qs)
-    P, Q = np.meshgrid(ps, qs, indexing="ij")
-    threshold = (n - 1) / 2.0
     if gamma1 is None and gamma2 is None:
-        alpha = alpha_w(P, Q)
-        branch = Branch.FAST_FAST
+        branch, gammas = Branch.FAST_FAST, None
     elif gamma1 is not None and gamma2 is not None:
         if not (0.0 < gamma1 <= 1.0 and 0.0 < gamma2 <= 1.0):
             raise ConfigError("fractional orders must lie in (0, 1]")
-        alpha = alpha_wm(P, Q, gamma1, gamma2)
-        branch = Branch.SLOW_SLOW
+        branch, gammas = Branch.SLOW_SLOW, (gamma1, gamma2)
     else:
         raise ConfigError("give both fractional orders or neither")
-    margin = alpha - threshold
-    return RegionMap(ps, qs, branch, margin > 0.0, margin)
+    return RegionMap(ps, qs, branch, (n - 1) / 2.0, gammas)
 
 
 def experimental_mixed_condition(

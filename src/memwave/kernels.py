@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedError
 
@@ -104,6 +103,8 @@ class MemoryKernel:
     def _repeated_integral(self, t: float, k: int) -> float:
         """∫_0^t (t - s)^k g(s) ds for t > 0: G(t) for k = 0 and, by Cauchy's
         formula for repeated integration, ∫_0^t G for k = 1."""
+        from scipy import integrate  # on first use: closed-form kernels never load scipy
+
         return integrate.quad(lambda s: (t - s) ** k * self._eval(s), 0.0, t,
                               epsrel=1e-12, limit=200)[0]
 
@@ -265,6 +266,8 @@ class OscillatingPolynomial(MemoryKernel):
     def _repeated_integral(self, t, k):
         # QUADPACK's algebraic weight s^-gamma (t - s)^k takes both the
         # endpoint singularity and the Cauchy factor out of the integrand
+        from scipy import integrate
+
         return integrate.quad(lambda s: 3.0 + 2.0 * math.sin(s), 0.0, t, weight="alg",
                               wvar=(-self.gamma, k), epsrel=1e-12, limit=200)[0]
 

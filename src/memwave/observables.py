@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import InsufficientDataError, UnsupportedError
 from .kernels import MemoryKernel
@@ -23,6 +22,7 @@ __all__ = [
     "phi_eigenfunction",
     "sphere_area",
     "radial_integral",
+    "RadialGrid",
     "compute_functionals",
     "check_u_doubleprime_identity",
     "check_u0_lower_bound",
@@ -71,9 +71,48 @@ def phi_eigenfunction(n: int, r):
     return float(out) if out.ndim == 0 else out
 
 
+def _trapezoid_terms(y, d) -> np.ndarray:
+    """The panel areas ``d * (y[1:] + y[:-1]) / 2.0`` of the trapezoid rule on
+    spacings d.  This is the arithmetic of ``np.trapezoid`` (their sum) and of
+    SciPy's ``cumulative_trapezoid`` (their cumulative sum), so both results
+    are bitwise the same; the product and the halving act in place on the
+    one temporary."""
+    terms = y[1:] + y[:-1]
+    terms *= d
+    terms /= 2.0
+    return terms
+
+
+def _cumulative_trapezoid(y, x) -> np.ndarray:
+    """``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)``."""
+    return np.concatenate(([0.0], np.cumsum(_trapezoid_terms(y, np.diff(x)))))
+
+
 def radial_integral(f, r, n: int) -> float:
     """Trapezoid integral of f over R^n for a radial profile f(r)."""
-    return sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
+    r = np.asarray(r, dtype=float)
+    return sphere_area(n) * float(_trapezoid_terms(f * r ** (n - 1), np.diff(r)).sum())
+
+
+@dataclass(frozen=True)
+class RadialGrid:
+    """The factors every functional of a run shares, since neither n nor the
+    grid r changes: the sphere area, the spacings ``diff(r)``, the radial
+    weight ``r^(n-1)`` and the eigenfunction Phi."""
+
+    area: float
+    d: np.ndarray
+    w: np.ndarray
+    phi: np.ndarray
+
+    @classmethod
+    def of(cls, n: int, r) -> RadialGrid:
+        r = np.asarray(r, dtype=float)
+        return cls(sphere_area(n), np.diff(r), r ** (n - 1), phi_eigenfunction(n, r))
+
+    def integral(self, f) -> float:
+        """``radial_integral(f, r, n)``, bitwise, without recomputing the grid."""
+        return self.area * float(_trapezoid_terms(f * self.w, self.d).sum())
 
 
 @dataclass
@@ -109,30 +148,29 @@ class FunctionalTrace:
         return self.t[1] - self.t[0]
 
 
-def compute_functionals(state, config, phi=None) -> dict:
+def compute_functionals(state, config, grid: RadialGrid | None = None) -> dict:
     """One trace row from a solver state (duck-typed: r, u, v, t).
 
-    ``phi`` is ``phi_eigenfunction(n, state.r)``; a run passes it once for
-    all its rows, since neither n nor the grid changes.
+    ``grid`` is ``RadialGrid.of(n, state.r)``; a run passes it once for all
+    its rows.
     """
-    n = config.params.n
     p, q = config.params.p, config.params.q
-    r = state.r
     u = state.u
     v = state.v if state.v is not None else state.u
-    if phi is None:
-        phi = phi_eigenfunction(n, r)
-    psi = math.exp(-state.t) * phi
+    if grid is None:
+        grid = RadialGrid.of(config.params.n, state.r)
+    psi = math.exp(-state.t) * grid.phi
+    abs_u, abs_v = np.abs(u), np.abs(v)
     return {
         "t": state.t,
-        "U": radial_integral(u, r, n),
-        "V": radial_integral(v, r, n),
-        "U0": radial_integral(u * psi, r, n),
-        "V0": radial_integral(v * psi, r, n),
-        "Lp_v": radial_integral(np.abs(v) ** p, r, n),
-        "Lq_u": radial_integral(np.abs(u) ** q, r, n),
-        "maxnorm_u": float(np.max(np.abs(u))),
-        "maxnorm_v": float(np.max(np.abs(v))),
+        "U": grid.integral(u),
+        "V": grid.integral(v),
+        "U0": grid.integral(u * psi),
+        "V0": grid.integral(v * psi),
+        "Lp_v": grid.integral(abs_v ** p),
+        "Lq_u": grid.integral(abs_u ** q),
+        "maxnorm_u": float(abs_u.max()),
+        "maxnorm_v": float(abs_v.max()),
     }
 
 
@@ -210,8 +248,8 @@ def check_iteration_frame(trace: FunctionalTrace, config) -> tuple[bool, float]:
     c0 = (sphere_area(n) / n) ** (-(p - 1.0))
     samples = (R + t) ** (-n * (p - 1.0)) * V**p
     inner = HistoryWeights(config.kernels[0], dt).convolve(samples)
-    once = integrate.cumulative_trapezoid(inner, t, initial=0.0)
-    twice = integrate.cumulative_trapezoid(once, t, initial=0.0)
+    once = _cumulative_trapezoid(inner, t)
+    twice = _cumulative_trapezoid(once, t)
     rhs = c0 * twice
     U = trace.column("U")
     tail = slice(3 * len(t) // 4, None)

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate as _sci_integrate
 
 from . import observables
 from .errors import ConfigError, DomainError, UnsupportedError
@@ -425,8 +424,8 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     """Integrate to t_max or until the fields blow up; record the trace."""
     state = initial_state(config)
     trace = FunctionalTrace()
-    phi = observables.phi_eigenfunction(config.params.n, state.r)
-    trace.append(observables.compute_functionals(state, config, phi))
+    grid = observables.RadialGrid.of(config.params.n, state.r)
+    trace.append(observables.compute_functionals(state, config, grid))
     snapshot_steps = {
         int(round(ts / config.dt)): ts for ts in config.snapshot_times
     }
@@ -437,7 +436,7 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
             trace.stop_trigger = "nonfinite"
             break
         if state.step % config.record_every == 0:
-            trace.append(observables.compute_functionals(state, config, phi))
+            trace.append(observables.compute_functionals(state, config, grid))
         if state.step in snapshot_steps:
             snapshots[snapshot_steps[state.step]] = (
                 state.u.copy(),
@@ -470,12 +469,14 @@ def dalembert_reference(u0, u1, source, t: float, x: float, resolution: float = 
     f(t, x).  Returns the half-sum of translated data plus the velocity
     integral plus the light-cone integral of the source.
     """
+    from scipy.integrate import simpson  # the solver itself never needs scipy
+
     if resolution is None:
         resolution = max(t, 1.0) / 400.0
     val = 0.5 * (float(u0(np.asarray(x + t))) + float(u0(np.asarray(x - t))))
     nodes = _simpson_nodes(x - t, x + t, resolution)
     if nodes is not None:
-        val += 0.5 * float(_sci_integrate.simpson(np.asarray(u1(nodes), dtype=float), x=nodes))
+        val += 0.5 * float(simpson(np.asarray(u1(nodes), dtype=float), x=nodes))
     if source is not None and t > 0.0:
         s_nodes = _simpson_nodes(0.0, t, resolution)
         inner = np.zeros_like(s_nodes)
@@ -483,10 +484,10 @@ def dalembert_reference(u0, u1, source, t: float, x: float, resolution: float = 
             y = _simpson_nodes(x - (t - s), x + (t - s), resolution)
             if y is None:
                 continue
-            inner[i] = _sci_integrate.simpson(
+            inner[i] = simpson(
                 np.asarray([source(s, yy) for yy in y], dtype=float), x=y
             )
-        val += 0.5 * float(_sci_integrate.simpson(inner, x=s_nodes))
+        val += 0.5 * float(simpson(inner, x=s_nodes))
     return val
 
 

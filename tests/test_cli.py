@@ -3,13 +3,18 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import memwave
 from memwave.cli import _write_csv, main, read_snapshot, validate_config, write_snapshot
 
 MINIMAL = {
@@ -185,6 +190,55 @@ def test_sweep_grid(tmp_path):
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
     rows = (out / "region.csv").read_text().strip().splitlines()
     assert len(rows) == 5  # header + 2x2 grid
+
+
+def test_sweep_streams_rows(tmp_path):
+    # one p row of the region at a time: at resolution 400 the peak of traced
+    # allocations stays below the 1.28 MB of a single (400, 400) float plane
+    cfg = {"problem": {"n": 3, "p": 2.0, "q": 2.0, "gamma1": 0.5, "gamma2": 0.7},
+           "sweep": {"p_range": [1.1, 4.0], "q_range": [1.1, 4.0], "resolution": 400}}
+    path = _write(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        status = main(["sweep", "--config", str(path), "--out", str(tmp_path / "s")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert peak < 1_000_000
+
+
+def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded after running code;
+    a subprocess, since the test session itself has imported scipy."""
+    src = str(Path(memwave.__file__).resolve().parents[1])
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_import_cli_leaves_scipy_unloaded(tmp_path):
+    assert _scipy_modules_after("import memwave.cli", tmp_path) == []
+
+
+@pytest.mark.parametrize("family, params, loads_scipy", [
+    ("exponential", {"beta": 1.0}, False),
+    ("oscillating_polynomial", {"gamma": 0.3}, True),
+])
+def test_simulate_loads_scipy_only_for_quadrature(tmp_path, family, params, loads_scipy):
+    # closed-form kernels (riemann_liouville + exponential) never need scipy;
+    # a quadrature-backed kernel loads it on its first antiderivative
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["kernels"]["g2"] = {"family": family, **params}
+    path = _write(tmp_path, cfg)
+    argv = ["simulate", "--config", str(path), "--out", "out"]
+    code = f"import memwave.cli\nassert memwave.cli.main({argv!r}) == 0"
+    assert bool(_scipy_modules_after(code, tmp_path)) == loads_scipy
 
 
 def test_classify_slow_fast_pair(tmp_path):

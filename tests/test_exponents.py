@@ -266,6 +266,24 @@ def test_region_from_grids_matches_sweep():
     assert np.array_equal(a.margin, b.margin)
 
 
+@pytest.mark.parametrize("gammas", [(None, None), (0.5, 0.7)])
+def test_region_rows_bitwise_equal_meshgrid_plane(gammas):
+    # the streamed p rows are the values the full (p, q) planes give
+    ps, qs = np.linspace(1.1, 4.0, 37), np.linspace(1.2, 3.5, 23)
+    region = region_from_grids(3, *gammas, ps, qs)
+    P, Q = np.meshgrid(ps, qs, indexing="ij")
+    alpha = alpha_w(P, Q) if gammas[0] is None else alpha_wm(P, Q, *gammas)
+    plane = alpha - 1.0
+    rows = list(region.margin_rows())
+    assert [p for p, _ in rows] == ps.tolist()
+    assert np.array_equal(np.array([m for _, m in rows]), plane)
+    assert np.array_equal(region.margin, plane)
+    assert np.array_equal(region.satisfied, plane > 0.0)
+    cells = list(region.rows())
+    assert [c[4] for c in cells] == plane.ravel().tolist()
+    assert [c[3] for c in cells] == (plane > 0.0).ravel().tolist()
+
+
 def test_experimental_mixed_condition_returns_raw_curves():
     params = ProblemParams(3, 2.0, 2.0)
     times, lhs, rhs = experimental_mixed_condition(

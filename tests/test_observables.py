@@ -1,6 +1,7 @@
 """Functionals, identity checks, lower bounds, and blow-up detection."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from memwave.exponents import ProblemParams
 from memwave.kernels import Constant, Exponential, RiemannLiouville
 from memwave.observables import (
     FunctionalTrace,
+    _cumulative_trapezoid,
     check_iteration_frame,
     check_u0_lower_bound,
     check_u_doubleprime_identity,
@@ -121,6 +123,35 @@ def test_psi_factorization():
     row = compute_functionals(S, cfg)
     phi_weighted = radial_integral(S.u * phi_eigenfunction(1, S.r), S.r, 1)
     assert row["U0"] == pytest.approx(math.exp(-0.8) * phi_weighted, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_functionals_bitwise_equal_numpy_trapezoid(n):
+    # the hoisted grid factors and in-place panel sums must reproduce the
+    # np.trapezoid values exactly, or every recorded trace would drift
+    rng = np.random.default_rng(n)
+    r = np.linspace(0.0, 3.0, 301)
+    p, q = 2.5, 1.7
+    state = SimpleNamespace(r=r, u=rng.standard_normal(r.size), v=rng.standard_normal(r.size),
+                            t=0.37)
+    psi = math.exp(-state.t) * phi_eigenfunction(n, r)
+    integrands = {"U": state.u, "V": state.v, "U0": state.u * psi, "V0": state.v * psi,
+                  "Lp_v": np.abs(state.v) ** p, "Lq_u": np.abs(state.u) ** q}
+    row = compute_functionals(state, SimpleNamespace(params=ProblemParams(n, p, q)))
+    for name, f in integrands.items():
+        want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
+        assert row[name] == want, name
+        assert radial_integral(f, r, n) == want, name
+
+
+def test_cumulative_trapezoid_bitwise_equals_scipy():
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.01, 0.3, 200))  # non-uniform spacing
+    y = np.sin(3.0 * x) + rng.standard_normal(x.size)
+    got = _cumulative_trapezoid(y, x)
+    want = integrate.cumulative_trapezoid(y, x, initial=0.0)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_trace_append_and_columns():
