@@ -3,7 +3,10 @@
 Every kernel is positive on t > 0, integrable near t = 0 (singularity order
 strictly below 1), and immutable after construction.  A family states the
 closed forms it has; the one generic fallback for G and ∫G is a single-level
-quadrature of Cauchy's repeated-integral formula.  The decay classification
+quadrature of Cauchy's repeated-integral formula.  The power laws
+(RiemannLiouville, PolynomialShifted) also supply a sum-of-exponentials fit
+away from t = 0, built with NumPy only, which the solver uses for the old part
+of a long memory convolution.  The decay classification
 compares the large-time behaviour of g against the reference rate 1/t: kernels
 bounded below by c/t are Slow, kernels bounded above by c/t are Fast.
 """
@@ -12,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,19 @@ _TINY = 1e-300
 # Band (in log-log slope units) around -1 inside which a tabulated kernel is
 # reported as Indeterminate rather than Slow/Fast.
 _SLOPE_BAND = 0.05
+
+#: relative error that a sum-of-exponentials fit must meet on its whole
+#: interval, or it is not used; a 1e-12 change in the memory term grows by
+#: about 400x over a blow-up run, whose reference check is 1e-8 relative
+SOE_TOLERANCE = 1e-11
+#: the most terms a fit may keep
+SOE_MAX_TERMS = 64
+# quadrature of the Laplace integral behind a fit: Gauss-Jacobi nodes on
+# [0, 1/x1], Gauss-Legendre nodes per dyadic interval above it, and the
+# dyadic intervals stop once e^(-s x0) is below about e^-_SOE_CUTOFF
+_JACOBI_NODES = 20
+_LEGENDRE_NODES = 24
+_SOE_CUTOFF = 40.0
 
 
 class DecayTag(enum.Enum):
@@ -108,6 +125,12 @@ class MemoryKernel:
         return integrate.quad(lambda s: (t - s) ** k * self._eval(s), 0.0, t,
                               epsrel=1e-12, limit=200)[0]
 
+    def exponential_sum(self, t0: float, t1: float):
+        """Rates s_k and weights w_k with g(t) ≈ Σ_k w_k exp(-s_k (t - t0))
+        to ``SOE_TOLERANCE`` relative on [t0, t1], 0 < t0 < t1; None when the
+        family has no such fit or it misses the bound."""
+        return None
+
     def value_at_zero(self) -> float:
         if self.singularity_order > 0.0:
             raise UnsupportedError("kernel is singular at t = 0")
@@ -115,6 +138,72 @@ class MemoryKernel:
 
     def derivative_at_zero(self) -> float:
         raise UnsupportedError(f"{type(self).__name__} has no C^1 extension to t = 0")
+
+
+def _gauss_jacobi(n: int, beta: float):
+    """Nodes and weights on [0, 1] for the weight x^beta, beta > -1: the
+    Golub-Welsch eigenproblem of the Jacobi matrix of P^(0, beta)."""
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.empty(n)
+    diag[0] = beta / (beta + 2.0)
+    diag[1:] = beta * beta / (s * (s + 2.0))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+
+
+def _power_law_sum(gamma: float, x0: float, x1: float):
+    """Rates and weights with x^-gamma ≈ Σ_k w_k exp(-s_k (x - x0)) on
+    [x0, x1], 0 < x0 < x1, or None if no fit of at most ``SOE_MAX_TERMS``
+    terms meets ``SOE_TOLERANCE``.
+
+    Quadrature of x^-gamma = Γ(gamma)^-1 ∫_0^∞ s^(gamma-1) e^(-s x) ds gives a
+    few hundred terms accurate to rounding (Jiang, Zhang, Zhang & Zhang, Commun.
+    Comput. Phys. 21, 2017).  Symmetric balanced truncation compresses them:
+    the sum is the impulse response of a diagonal system whose two Gramians on
+    the horizon x1 - x0 coincide, so projecting on the leading eigenvectors of
+    that Gramian and diagonalising the projected generator gives K positive
+    rates and weights (Beylkin & Monzón, ACHA 19, 2005, for such sums).  K is
+    the smallest count whose error on a dense check grid is at most a tenth of
+    the tolerance, or failing that the most accurate one that meets it.
+    """
+    lo = 1.0 / x1  # below lo, e^(-s x) is smooth on the whole interval
+    y, wy = _gauss_jacobi(_JACOBI_NODES, gamma - 1.0)
+    nodes, weights = [lo * y], [lo**gamma * wy]
+    u, wu = np.polynomial.legendre.leggauss(_LEGENDRE_NODES)
+    while lo * x0 < _SOE_CUTOFF + 2.0 * gamma:
+        s = lo * (1.5 + 0.5 * u)
+        nodes.append(s)
+        weights.append(0.5 * lo * wu * s ** (gamma - 1.0))
+        lo *= 2.0
+    s = np.concatenate(nodes)
+    # square roots of the weights of the terms once shifted to x0
+    b = np.sqrt(np.concatenate(weights) / math.gamma(gamma)) * np.exp(-0.5 * s * x0)
+    total = s[:, None] + s
+    gramian = np.outer(b, b) * -np.expm1(-total * (x1 - x0)) / total
+    sigma, basis = np.linalg.eigh(gramian)
+    sigma, basis = sigma[::-1], basis[:, ::-1]
+    x = np.concatenate((np.geomspace(x0, x1, 4001), np.linspace(x0, x1, 4001)))
+    want = x ** -gamma
+    # the leading Hankel singular values above the tolerance bound K from below
+    start = min(max(1, int(np.sum(sigma > SOE_TOLERANCE * x1**-gamma))), SOE_MAX_TERMS)
+    best = (math.inf, None)
+    for K in range(start, SOE_MAX_TERMS + 1):
+        rates, rotation = np.linalg.eigh(basis[:, :K].T @ (s[:, None] * basis[:, :K]))
+        fit = (rates, (rotation.T @ (basis[:, :K].T @ b)) ** 2)
+        error = np.max(np.abs(np.exp(-np.outer(x - x0, fit[0])) @ fit[1] / want - 1.0))
+        if error < best[0]:
+            best = (error, fit)
+        if error <= 0.1 * SOE_TOLERANCE:
+            break
+    if best[0] > SOE_TOLERANCE:
+        warnings.warn(f"no sum of {SOE_MAX_TERMS} exponentials fits x^-{gamma:g} on "
+                      f"[{x0:g}, {x1:g}] to {SOE_TOLERANCE:g} (best {best[0]:.1e}); "
+                      "the memory convolution keeps its whole history", RuntimeWarning,
+                      stacklevel=3)
+        return None
+    return best[1]
 
 
 class RiemannLiouville(MemoryKernel):
@@ -146,6 +235,10 @@ class RiemannLiouville(MemoryKernel):
         g = self.gamma
         return self._norm * t ** (2.0 - g) / ((1.0 - g) * (2.0 - g))
 
+    def exponential_sum(self, t0, t1):
+        fit = _power_law_sum(self.gamma, t0, t1)
+        return None if fit is None else (fit[0], self._norm * fit[1])
+
 
 class PolynomialShifted(MemoryKernel):
     """g(t) = (1 + t)^-gamma with gamma >= 0; no singularity at t = 0."""
@@ -171,6 +264,12 @@ class PolynomialShifted(MemoryKernel):
         if g == 2.0:
             return t - math.log1p(t)
         return ((((1.0 + t) ** (2.0 - g)) - 1.0) / (2.0 - g) - t) / (1.0 - g)
+
+    def exponential_sum(self, t0, t1):
+        # (1 + t)^-gamma is the power law at x = 1 + t, and t - t0 = x - (1 + t0)
+        if self.gamma == 0.0:
+            return np.zeros(1), np.ones(1)
+        return _power_law_sum(self.gamma, 1.0 + t0, 1.0 + t1)
 
     def value_at_zero(self):
         return 1.0

@@ -5,11 +5,23 @@ second-order leapfrog scheme on a uniform radial grid; the memory term is a
 time convolution against the full nonlinearity history, discretized by product
 integration so that weakly singular kernels are integrated exactly against
 piecewise-linear histories.  The product-integration weights are Toeplitz in
-the lag and are built once per run.  A row forced through an exponential
-kernel follows the exact one-term recursion of its convolution, O(M) per step
-for M cells, and stores no history; every other forced row keeps its
-(n_steps + 1, M + 1) history and costs O(m c(t)) at step m, where c(t) is the
-number of cells inside the light cone, since the history is zero outside it.
+the lag and are built once per run.  Every product with stored history runs
+over the c(t) cells inside the light cone only, since the history is zero
+outside it.  Costs per step, for M + 1 cells:
+
+- an exponential or constant kernel follows the exact one-term recursion of
+  its convolution, O(M) per step, and keeps one level of history;
+- a RiemannLiouville or PolynomialShifted kernel keeps its latest
+  ``WINDOW`` to ``WINDOW + BLOCK - 1`` lags exact, over a window of
+  WINDOW + BLOCK history levels, and folds everything older into K modes of
+  a sum-of-exponentials fit of the kernel, accurate to 1e-11 relative
+  (``kernels.SOE_TOLERANCE``) on [WINDOW dt, n_steps dt].  The modes advance
+  once per ``BLOCK`` steps by one matrix product, so a step costs
+  O((WINDOW + BLOCK + K) c) and the row holds (WINDOW + BLOCK + K)(M + 1)
+  numbers, with K about 10 to 30;
+- every other kernel, and a fit that misses its bound, keeps the whole
+  (n_steps, M + 1) history and costs O(m c) at step m.
+
 A d'Alembert evaluator provides an independent reference in one dimension,
 both for convergence ladders and as the exact propagator inside the
 fixed-point iteration.  The third-order-in-time reformulation of the
@@ -26,7 +38,7 @@ import numpy as np
 from . import observables
 from .errors import ConfigError, DomainError, UnsupportedError
 from .exponents import ProblemParams
-from .kernels import Exponential, MemoryKernel
+from .kernels import Constant, Exponential, MemoryKernel
 from .observables import FunctionalTrace
 
 __all__ = [
@@ -34,6 +46,7 @@ __all__ = [
     "SystemConfig",
     "WaveState",
     "HistoryWeights",
+    "exponential_moments",
     "SimulationResult",
     "initial_state",
     "step",
@@ -46,6 +59,11 @@ __all__ = [
 
 #: numerical support halo, in grid cells, added to the light-cone radius
 SUPPORT_HALO = 2
+
+#: a row with a sum-of-exponentials tail keeps at least this many lags exact
+WINDOW = 32
+#: its modes advance once per this many steps, in one matrix product
+BLOCK = 32
 
 PROFILE_KINDS = ("zero", "cosine_bump", "smoothed_indicator", "gaussian")
 
@@ -165,22 +183,56 @@ class HistoryWeights:
     ``weights(m)`` is [X(m), L[m - 1], ..., L[0]].  X and L are extended
     lazily, one pair of antiderivative values per new grid multiple, so a run
     of N steps builds its weights in O(N) and each call copies m + 1 values.
-    An exponential kernel needs only X(1) and Y(1): its convolution follows
-    the exact one-term recursion in ``advance``, O(M) per step for M cells,
-    with no stored history.
+    An exponential or constant kernel needs only X(1) and Y(1): its
+    convolution follows the exact one-term recursion in ``advance``, O(M) per
+    step for M cells, with no stored history.
+
+    Given the run's ``n_steps``, a kernel with a sum-of-exponentials fit
+    g(t) ≈ Σ_k w_k exp(-s_k (t - WINDOW dt)) on [WINDOW dt, n_steps dt]
+    (``MemoryKernel.exponential_sum``) also gets the tables of a mode tail.
+    With F_k(j) the convolution of exp(-s_k t) with the samples over
+    [0, t_j], the convolution at t_m, for j a multiple of ``BLOCK`` with
+    d = m - j >= WINDOW, is ``weights(d)`` applied to the samples j..m plus
+    ``tail(d, F(j))``; F advances by ``fold``.  ``rates`` holds the s_k of
+    such a row and is None for every other.
     """
 
-    def __init__(self, kernel: MemoryKernel, dt: float):
+    def __init__(self, kernel: MemoryKernel, dt: float, n_steps: int = 0):
         if dt <= 0.0:
             raise ConfigError("dt must be positive")
         self.kernel = kernel
         self.dt = dt
-        #: exp(-dt / beta), the factor of the recursion in ``advance``, for an
-        #: exponential kernel; None for every other kernel
-        self.decay = math.exp(-dt / kernel.beta) if isinstance(kernel, Exponential) else None
+        #: the factor of the recursion in ``advance``: exp(-dt / beta) for an
+        #: exponential kernel, 1 for a constant one; None for every other kernel
+        self.decay = None
+        if isinstance(kernel, Exponential):
+            self.decay = math.exp(-dt / kernel.beta)
+        elif isinstance(kernel, Constant):
+            self.decay = 1.0
         self._X = [0.0]  # X(l) at index l; index 0 is unused
         self._lag = np.zeros(64)  # L[l], filled for l < len(self._X) - 1
         self._G = self._G2 = 0.0  # G and its antiderivative at the last grid multiple
+        self.rates = None
+        if self.decay is None and n_steps >= WINDOW + BLOCK:
+            fit = kernel.exponential_sum(WINDOW * dt, n_steps * dt)
+            if fit is not None:
+                self._tabulate_tail(*fit)
+
+    def _tabulate_tail(self, rates, weights) -> None:
+        dt = self.dt
+        self.rates = rates
+        # sample j + i enters F(j + BLOCK) as the left node of interval i, whose
+        # right end lies BLOCK - 1 - i steps back, and as the right node of
+        # interval i - 1; each interval is integrated exactly
+        x, y = exponential_moments(rates * dt)
+        lags = dt * np.arange(BLOCK + 1)
+        decay = np.exp(-np.outer(rates, lags[-2::-1]))
+        self._block = np.zeros((rates.size, BLOCK + 1))
+        self._block[:, :-1] = (dt * x)[:, None] * decay
+        self._block[:, 1:] += (dt * y)[:, None] * decay
+        self._damp = np.exp(-rates * lags[-1])
+        # row d - WINDOW: the mode weights w_k exp(-s_k (d - WINDOW) dt)
+        self._lead = weights * np.exp(-np.outer(lags[:-1], rates))
 
     def _extend(self, m: int) -> None:
         dt = self.dt
@@ -215,8 +267,8 @@ class HistoryWeights:
         return np.array([self.weights(m) @ samples[: m + 1] for m in range(len(samples))])
 
     def advance(self, conv, previous, current):
-        """Exponential kernels only: the convolution at t_m from the one at
-        t_(m-1) and the samples at t_(m-1) and t_m.
+        """Exponential and constant kernels only: the convolution at t_m from
+        the one at t_(m-1) and the samples at t_(m-1) and t_m.
 
         Since g(t + dt) = decay * g(t), the convolution over [0, t_(m-1)]
         shifted to t_m is decay times the previous one, and the last interval
@@ -225,6 +277,34 @@ class HistoryWeights:
         """
         self._extend(1)
         return self.decay * conv + self._X[1] * previous + self._lag[0] * current
+
+    def fold(self, modes, samples) -> None:
+        """Rows with a tail only: advance the mode array from F(j) to
+        F(j + BLOCK) in place, given the samples j..j + BLOCK as rows."""
+        modes *= self._damp[:, None]
+        modes += self._block @ samples
+
+    def tail(self, d: int, modes) -> np.ndarray:
+        """Rows with a tail only: the part of the convolution at t_(j + d)
+        that lies over [0, t_j], from the mode array F(j)."""
+        return self._lead[d - WINDOW] @ modes
+
+
+def exponential_moments(z):
+    """∫_0^1 e^(-z x) x dx and ∫_0^1 e^(-z x) (1 - x) dx for z >= 0: the
+    product-integration weights, over dt, of a step of exp(-s t) with
+    z = s dt.  Below z = 1 a Taylor series replaces the closed forms, which
+    cancel as z -> 0."""
+    z = np.asarray(z, dtype=float)
+    low, big = np.minimum(z, 1.0), np.maximum(z, 1.0)
+    left = right = 0.0
+    for n in range(24, -1, -1):  # Horner; the 25th term is below 1e-25 at z = 1
+        left = 1.0 / (math.factorial(n) * (n + 2)) - low * left
+        right = 1.0 / (math.factorial(n) * (n + 1) * (n + 2)) - low * right
+    em1 = np.expm1(-big)
+    small = z < 1.0
+    return (np.where(small, left, (-em1 - big * np.exp(-big)) / big**2),
+            np.where(small, right, (big + em1) / big**2))
 
 
 @dataclass
@@ -236,12 +316,18 @@ class WaveState:
     Entry i of ``forcing`` is ``(src, power)``: row i is driven by
     ``memory[i]``, the convolution of ``weights[i]`` with the profiles of
     ``|fields[src]|**power``, brought up to the current level when a step
-    starts from it.  ``history[i]`` holds those profiles for every level a
-    step started from, shape (n_steps, M + 1), or, when ``weights[i]`` has an
-    exponential kernel and ``memory[i]`` follows its recursion, only the
-    latest one, shape (1, M + 1).  The forcing and history are empty and the
-    memory None for linear runs and in mgt mode, whose right-hand side forces
-    locally.
+    starts from it.  ``history[i]`` holds those profiles, in one of three
+    layouts chosen by ``weights[i]``:
+
+    - its recursion (exponential or constant kernel): only the latest one,
+      shape (1, M + 1), and ``modes[i]`` is None;
+    - its mode tail: the levels j..m of the exact window, shape
+      (WINDOW + BLOCK, M + 1), and ``modes[i]`` is F(j), shape (K, M + 1);
+    - otherwise: every level a step started from, shape (n_steps, M + 1), and
+      ``modes[i]`` is None.
+
+    The forcing, history and modes are empty and the memory None for linear
+    runs and in mgt mode, whose right-hand side forces locally.
     """
 
     r: np.ndarray
@@ -254,6 +340,7 @@ class WaveState:
     forcing: tuple
     weights: tuple
     history: tuple
+    modes: tuple
     memory: np.ndarray | None  # (len(forcing), M + 1)
 
     @property
@@ -316,35 +403,50 @@ def _initial_layout(config: SystemConfig, r: np.ndarray):
 def _update_memory(state: WaveState, config: SystemConfig) -> None:
     """Record the nonlinearities at the current level and bring the memory
     terms up to it.  A stored history is zero outside the light cone, so only
-    its first c columns enter the product; ``memory`` keeps zeros beyond
-    them."""
+    its first c columns enter the products; ``memory`` and the modes keep
+    zeros beyond them."""
     m = state.step
     c = state.r.size - np.count_nonzero(_outside_cone(state.r, state.t, config))
     for i, (src, power) in enumerate(state.forcing):
         f = np.abs(state.fields[src]) ** power
-        w, history = state.weights[i], state.history[i]
+        w, history, modes = state.weights[i], state.history[i], state.modes[i]
         if w.decay is not None:
             if m > 0:
                 state.memory[i] = w.advance(state.memory[i], history[0], f)
             history[0] = f
-        else:
-            history[m] = f
-            state.memory[i, :c] = w.weights(m) @ history[: m + 1, :c]
+            continue
+        d = m  # the exact product covers the levels m - d..m
+        if modes is not None and m >= WINDOW:
+            d = WINDOW + (m - WINDOW) % BLOCK
+            if d == WINDOW and m > WINDOW:  # the window moves up one block
+                w.fold(modes[:, :c], history[: BLOCK + 1, :c])
+                history[:WINDOW] = history[BLOCK:]
+        history[d] = f
+        state.memory[i, :c] = w.weights(d) @ history[: d + 1, :c]
+        if d < m:
+            state.memory[i, :c] += w.tail(d, modes[:, :c])
 
 
 def initial_state(config: SystemConfig) -> WaveState:
-    """Initial fields and an empty forcing history at t = 0, for any mode."""
+    """Initial fields, the forced rows' weights, each with its
+    sum-of-exponentials tail if it has one, and an empty forcing history at
+    t = 0, for any mode."""
     r = config.radii()
     fields, velocity, n_wave, forcing = _initial_layout(config, r)
     if config.linear:
         forcing = ()
-    weights = tuple(HistoryWeights(g, config.dt) for g in config.kernels[: len(forcing)])
-    history = tuple(
-        np.zeros((1 if w.decay is not None else config.n_steps, r.size)) for w in weights
-    )
+    weights = tuple(HistoryWeights(g, config.dt, config.n_steps)
+                    for g in config.kernels[: len(forcing)])
+    # one level for a recursion, a window for a mode tail, else every level
+    levels = [1 if w.decay is not None
+              else config.n_steps if w.rates is None
+              else WINDOW + BLOCK for w in weights]
+    history = tuple(np.zeros((n, r.size)) for n in levels)
+    modes = tuple(None if w.rates is None else np.zeros((w.rates.size, r.size))
+                  for w in weights)
     memory = np.zeros((len(forcing), r.size)) if forcing else None
     return WaveState(r, fields, None, velocity, 0.0, 0, n_wave, forcing, weights, history,
-                     memory)
+                     modes, memory)
 
 
 def _leapfrog(state: WaveState, config: SystemConfig) -> np.ndarray:

@@ -226,15 +226,20 @@ def test_import_cli_leaves_scipy_unloaded(tmp_path):
     assert _scipy_modules_after("import memwave.cli", tmp_path) == []
 
 
-@pytest.mark.parametrize("family, params, loads_scipy", [
-    ("exponential", {"beta": 1.0}, False),
-    ("oscillating_polynomial", {"gamma": 0.3}, True),
+@pytest.mark.parametrize("family, params, loads_scipy, t_max", [
+    pytest.param("exponential", {"beta": 1.0}, False, 0.4, id="exponential-params0-False"),
+    pytest.param("oscillating_polynomial", {"gamma": 0.3}, True, 0.4,
+                 id="oscillating_polynomial-params1-True"),
+    # 111 steps: past the exact window, so the riemann_liouville row builds
+    # and runs its sum-of-exponentials tail
+    pytest.param("exponential", {"beta": 1.0}, False, 2.0, id="exponential-mode-tail"),
 ])
-def test_simulate_loads_scipy_only_for_quadrature(tmp_path, family, params, loads_scipy):
+def test_simulate_loads_scipy_only_for_quadrature(tmp_path, family, params, loads_scipy, t_max):
     # closed-form kernels (riemann_liouville + exponential) never need scipy;
     # a quadrature-backed kernel loads it on its first antiderivative
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["kernels"]["g2"] = {"family": family, **params}
+    cfg["simulation"]["t_max"] = t_max
     path = _write(tmp_path, cfg)
     argv = ["simulate", "--config", str(path), "--out", "out"]
     code = f"import memwave.cli\nassert memwave.cli.main({argv!r}) == 0"

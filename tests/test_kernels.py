@@ -328,3 +328,39 @@ def test_custom_envelope_is_nonincreasing_minorant(slope):
     m = minorant(k)
     assert np.all(np.diff(np.asarray(m(t))) <= 1e-12)
     assert np.all(np.asarray(k(t)) >= np.asarray(m(t)) - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# sum-of-exponentials fits
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", [RiemannLiouville, PolynomialShifted],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("gamma", [0.05, 0.3, 0.5, 0.7, 0.95])
+@pytest.mark.parametrize("dt, t_max", [(0.00225, 6.0), (0.0009, 20.0)])
+def test_exponential_sum_meets_tolerance(family, gamma, dt, t_max):
+    # checked on grids other than the fit's own, and on the solver's lags
+    kernel = family(gamma)
+    t0 = 32 * dt
+    rates, weights = kernel.exponential_sum(t0, t_max)
+    assert rates.size == weights.size <= 64
+    assert np.all(rates > 0.0) and np.all(weights > 0.0)
+    t = np.concatenate((np.geomspace(t0, t_max, 30011), np.linspace(t0, t_max, 30011),
+                        dt * np.arange(32, int(t_max / dt) + 1)))
+    fit = np.exp(-np.outer(t - t0, rates)) @ weights
+    assert np.max(np.abs(fit / kernel(t) - 1.0)) <= 1e-11
+
+
+def test_exponential_sum_only_for_power_laws():
+    for kernel in (Exponential(1.0), Constant(1.0), OscillatingPolynomial(0.3),
+                   IteratedExponential(2, 1.0)):
+        assert kernel.exponential_sum(0.1, 10.0) is None
+    rates, weights = PolynomialShifted(0.0).exponential_sum(0.1, 10.0)
+    assert rates.tolist() == [0.0] and weights.tolist() == [1.0]
+
+
+def test_exponential_sum_that_misses_its_bound_warns():
+    # (1 + t)^-10 over [0.03, 20] spans 13 decades: no 64 terms reach 1e-11
+    with pytest.warns(RuntimeWarning, match="whole history"):
+        assert PolynomialShifted(10.0).exponential_sum(0.03, 20.0) is None

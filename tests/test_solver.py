@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from memwave import solver
+from memwave import kernels, solver
 from memwave.errors import ConfigError, UnsupportedError
 from memwave.exponents import ProblemParams
 from memwave.kernels import (
@@ -184,10 +184,13 @@ def test_weights_match_vectorised_formula(kernel, order):
         assert np.array_equal(hw.weights(m), _vectorised_weights(kernel, dt, m))
 
 
-@pytest.mark.parametrize("beta", [0.05, 1.0, 20.0])
-def test_exponential_recursion_matches_weights(beta):
+@pytest.mark.parametrize("kernel", [Exponential(0.05), Exponential(1.0), Exponential(20.0),
+                                    Constant(0.7)],
+                         ids=lambda k: str(k.beta) if isinstance(k, Exponential) else "constant")
+def test_exponential_recursion_matches_weights(kernel):
+    # a constant kernel is the one-term exponential sum with rate 0
     dt = 0.01
-    hw = HistoryWeights(Exponential(beta), dt)
+    hw = HistoryWeights(kernel, dt)
     samples = 1.0 + np.sin(3.0 * dt * np.arange(2001)) ** 2
     conv = 0.0
     for m in range(1, samples.size):
@@ -352,6 +355,94 @@ def _direct_update(cfg):
     return update
 
 
+def _run_against_direct(monkeypatch, cfg):
+    """Step a memory run to t_max; at every step, the solver's memory terms
+    and those of the ``_direct_update`` oracle on the same fields, which the
+    solver's run then continues from.  Cells outside the light cone must stay
+    exactly zero in the fields, the memory and the modes."""
+    update, direct = solver._update_memory, _direct_update(cfg)
+    got, want = [], []
+
+    def record(state, config):
+        update(state, config)
+        got.append(state.memory.copy())
+        direct(state, config)
+        want.append(state.memory.copy())
+        state.memory[...] = got[-1]
+
+    monkeypatch.setattr(solver, "_update_memory", record)
+    state = initial_state(cfg)
+    for _ in range(cfg.n_steps):
+        step(state, cfg)
+        outside = state.r > cfg.R + state.t + 2 * cfg.dr
+        assert np.any(outside)
+        assert np.all(state.waves[:, outside] == 0.0)
+        assert np.all(state.memory[:, outside] == 0.0)
+        assert all(np.all(f[:, outside] == 0.0) for f in state.modes if f is not None)
+    return state, np.array(got), np.array(want)
+
+
+def test_initial_state_history_layouts():
+    # one level for a recursion, window and modes for a fitted tail, the whole
+    # history otherwise
+    long_run = {**MEMORY_RUN, "t_max": 2.0, "mode": "single"}
+    cfg = _config(**long_run)
+    n_steps, cells = cfg.n_steps, cfg.radii().size
+    for kernel, rows in ((Constant(0.7), 1), (Exponential(1.0), 1),
+                         (RiemannLiouville(0.5), solver.WINDOW + solver.BLOCK),
+                         (PolynomialShifted(0.5), solver.WINDOW + solver.BLOCK),
+                         (OscillatingPolynomial(0.3), n_steps)):
+        state = initial_state(_config(**{**long_run, "kernels": (kernel, kernel)}))
+        assert state.history[0].shape == (rows, cells), kernel
+        fitted = rows == solver.WINDOW + solver.BLOCK
+        assert (state.modes[0] is not None) == fitted, kernel
+        if fitted:
+            assert state.modes[0].shape == (state.weights[0].rates.size, cells)
+    # a run inside the window needs no tail
+    short = _config(**MEMORY_RUN)
+    state = initial_state(short)
+    assert state.modes == (None, None) and state.history[0].shape[0] == short.n_steps
+
+
+@pytest.mark.parametrize("kernel", [RiemannLiouville(0.5), RiemannLiouville(0.05),
+                                    PolynomialShifted(0.7)],
+                         ids=lambda k: f"{type(k).__name__}{k.gamma}")
+def test_mode_tail_matches_direct_convolution(monkeypatch, kernel):
+    # past WINDOW + BLOCK steps the old lags come from the fitted modes; every
+    # step's memory must still match the full product cell by cell
+    cfg = _config(**{**MEMORY_RUN, "kernels": (kernel, Exponential(1.0)), "t_max": 5.0,
+                     "u0": Profile("gaussian", 1.0, 1.0), "v0": Profile("gaussian", 0.5, 1.0)})
+    assert cfg.n_steps >= 4 * (solver.WINDOW + solver.BLOCK)
+    state, got, want = _run_against_direct(monkeypatch, cfg)
+    assert state.modes[0] is not None and np.max(state.modes[0]) > 0.0
+    assert state.history[0].shape[0] == solver.WINDOW + solver.BLOCK
+    assert np.all(np.isfinite(state.waves)) and np.max(want[-1, 0]) > 0.0
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_fit_that_misses_its_bound_keeps_the_whole_history(monkeypatch):
+    # an unreachable tolerance: the row warns and runs the direct product
+    monkeypatch.setattr(kernels, "SOE_TOLERANCE", 1e-300)
+    cfg = _config(**{**MEMORY_RUN, "t_max": 2.0})
+    with pytest.warns(RuntimeWarning, match="whole history"):
+        state, got, want = _run_against_direct(monkeypatch, cfg)
+    assert state.modes == (None, None)
+    assert state.history[0].shape == (cfg.n_steps, cfg.radii().size)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_exponential_moments_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    z = np.array([1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 10.0, 50.0])
+    left, right = solver.exponential_moments(z)
+    with mpmath.workdps(60):
+        for zk, x, y in zip(z, left, right):
+            q = mpmath.mpf(zk)
+            e = mpmath.exp(-q)
+            assert x == pytest.approx(float((1 - (1 + q) * e) / q**2), rel=1e-14, abs=0.0), zk
+            assert y == pytest.approx(float((q - 1 + e) / q**2), rel=1e-14, abs=0.0), zk
+
+
 def test_memory_run_matches_direct_convolution(monkeypatch):
     # the memory terms that drive each step must agree cell by cell, and the
     # traces to rounding
@@ -456,6 +547,23 @@ def test_mgt_zero_data_stays_zero():
     for _ in range(10):
         step(state, cfg)
     assert np.all(state.u == 0.0)
+
+
+def test_mgt_matches_single_mode_at_second_order():
+    # single mode with an exponential kernel (its recursion) and mgt mode (RK4
+    # on the third-order form) solve one equation through code they do not
+    # share; their gap must fall at the scheme's second order.  In n = 1 the
+    # leading error terms of the two nearly cancel, and the gap falls faster
+    gaps = []
+    for dr in (0.02, 0.01, 0.005):
+        common = dict(params=ProblemParams(2, 2.0, 2.0), kernels=(Exponential(1.0),) * 2,
+                      u0=Profile("gaussian", 0.5, 1.0), u1=Profile("zero"), t_max=2.0, dr=dr)
+        single = run_simulation(_config(mode="single", **common)).trace
+        mgt = run_simulation(_config(mode="mgt", **common)).trace
+        assert single.stop_trigger == mgt.stop_trigger == "reached_tmax"
+        gaps.append(abs(single.maxnorm_u[-1] - mgt.maxnorm_u[-1]))
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all((1.8 <= orders) & (orders <= 2.2)), (gaps, orders)
 
 
 def test_mgt_run_keeps_snapshots():
