@@ -138,20 +138,20 @@ _SEQUENCES = {
     "case1": (
         iteration.case1_recursion,
         iteration.case1_closed_form,
-        ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t"),
+        iteration.Case1Terms,
         ("logD", "logD_t"),
     ),
     "case2": (
         iteration.case2_recursion,
         iteration.case2_closed_form,
-        ("theta", "theta_t", "sigma", "sigma_t"),
+        iteration.Case2Terms,
         ("ell", "L", "logQ", "logQ_t"),
     ),
 }
 
 
 def _sequences(case: str = "case1", j_max: int = 25):
-    """The (recursion, closed form, fields, logs) of a sequence case, and j_max."""
+    """The (recursion, closed form, terms class, logs) of a sequence case, and j_max."""
     if case not in _SEQUENCES:
         raise ConfigError(f"must be one of {sorted(_SEQUENCES)}, got {case!r}", param="case")
     if j_max < 1:
@@ -529,7 +529,8 @@ def cmd_sweep(args, resolved, outdir: OutputDir) -> int:
 
 
 def cmd_sequences(args, resolved, outdir: OutputDir) -> int:
-    (recursion, closed_form, fields, logs), j_max = resolved["sequences"]
+    (recursion, closed_form, terms_class, logs), j_max = resolved["sequences"]
+    fields = iteration.term_fields(terms_class)
     params = resolved["params"]
     p, q, n = params.p, params.q, params.n
     seq = recursion(p, q, n, j_max)
@@ -569,9 +570,10 @@ def _verify_checks():
         name = type(kernel).__name__.lower()
         yield f"quadrature_{name}", abs(got - want) < 1e-10, f"error {abs(got - want):.3e}"
     ok = True
+    seq = iteration.case1_recursion(2, 3, 3, 16)
     for j in range(1, 16):
         cf = iteration.case1_closed_form(2, 3, 3, j)
-        terms = iteration.case1_recursion(2, 3, 3, 16).at(j)
+        terms = seq.at(j)
         if cf.beta != terms.beta or (cf.a is not None and cf.a != terms.a):
             ok = False
     yield "iteration_closed_forms", ok, "exact rational agreement"

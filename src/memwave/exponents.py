@@ -167,9 +167,10 @@ def log_iterate(t, r: int = 0):
     return float(out) if out.ndim == 0 else out
 
 
-def default_condition_times(num: int = 121) -> np.ndarray:
-    """Log-spaced grid on [1, 1e6] used to probe asymptotic conditions."""
-    return np.geomspace(1.0, 1e6, num)
+def default_condition_times() -> np.ndarray:
+    """The 121-point log-spaced grid on [1, 1e6] on which every asymptotic
+    condition and divergence certificate is probed."""
+    return np.geomspace(1.0, 1e6, 121)
 
 
 def _require_class(kernel: MemoryKernel, tag: DecayTag, role: str) -> None:
@@ -184,9 +185,8 @@ def check_condition_slow(
     params: ProblemParams,
     g1: MemoryKernel,
     g2: MemoryKernel,
-    times=None,
 ) -> ConditionVerdict:
-    """Blow-up condition for two slow-decay kernels, tested on a time grid.
+    """Blow-up condition for two slow-decay kernels, tested on ``default_condition_times``.
 
     Compares log LHS(t) = log(g1 g2 max{g1^(q-1) t^(2q+1/p), g2^(p-1) t^(2p+1/q)})
     against log RHS(t) = ((n-1)(pq-1)/2 - 3) log t + log of the log-iterate.
@@ -195,12 +195,7 @@ def check_condition_slow(
     """
     _require_class(g1, DecayTag.SLOW, "first")
     _require_class(g2, DecayTag.SLOW, "second")
-    if times is None:
-        times = default_condition_times()
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
-        raise ConfigError("times must be a nonempty increasing positive grid")
-
+    times = default_condition_times()
     n, p, q = params.n, params.p, params.q
     logt = np.log(times)
     logg1 = np.log(np.asarray(g1(times), dtype=float))
@@ -351,19 +346,16 @@ def experimental_mixed_condition(
     g1: MemoryKernel,
     g2: MemoryKernel,
     slow_index: int,
-    times=None,
 ):
     """EXPERIMENTAL: raw terms of the conjectural mixed slow/fast condition.
 
     One kernel decays slower and one faster than 1/t; the blow-up condition in
     this regime is a conjecture, so no verdict is produced.  Returns
-    (times, log_lhs, log_rhs) for inspection only.
+    (times, log_lhs, log_rhs) on ``default_condition_times`` for inspection only.
     """
     if slow_index not in (1, 2):
         raise ConfigError("slow_index must be 1 or 2")
-    if times is None:
-        times = default_condition_times()
-    times = np.asarray(times, dtype=float)
+    times = default_condition_times()
     n, p, q = params.n, params.p, params.q
     logt = np.log(times)
     logL = np.log(log_iterate(times, params.r_depth))

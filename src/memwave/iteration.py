@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedError
+from .exponents import default_condition_times
 from .kernels import DecayTag, MemoryKernel, classify_decay
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "case1_closed_form",
     "case2_recursion",
     "case2_closed_form",
+    "term_fields",
     "sum_formula",
     "slicing_sequence",
     "index_thresholds",
@@ -60,8 +62,8 @@ class Case1Sequences:
     """Per-index quantities of the direct iteration, j = 1..j_max.
 
     Lists are indexed so that entry 0 holds j = 1.  The log coefficients are
-    lower bounds on log D_j given the seed values, with the non-constructive
-    constants normalized to the supplied placeholders.
+    lower bounds on log D_j, with the seeds D_1, D~_1 and the non-constructive
+    constants C_0, C~_0 normalized to one (log 0).
     """
 
     p: Fraction
@@ -78,18 +80,8 @@ class Case1Sequences:
     logD: list
     logD_t: list
 
-    def at(self, j: int):
-        return Case1Terms(
-            j,
-            self.a[j - 1],
-            self.a_t[j - 1],
-            self.alpha[j - 1],
-            self.alpha_t[j - 1],
-            self.b[j - 1],
-            self.b_t[j - 1],
-            self.beta[j - 1],
-            self.beta_t[j - 1],
-        )
+    def at(self, j: int) -> Case1Terms:
+        return _terms_at(self, Case1Terms, j)
 
 
 @dataclass
@@ -120,14 +112,8 @@ class Case2Sequences:
     logQ: list
     logQ_t: list
 
-    def at(self, j: int):
-        return Case2Terms(
-            j,
-            self.theta[j - 1],
-            self.theta_t[j - 1],
-            self.sigma[j - 1],
-            self.sigma_t[j - 1],
-        )
+    def at(self, j: int) -> Case2Terms:
+        return _terms_at(self, Case2Terms, j)
 
 
 @dataclass
@@ -139,21 +125,22 @@ class Case2Terms:
     sigma_t: Fraction
 
 
-def case1_recursion(
-    p,
-    q,
-    n: int,
-    j_max: int,
-    logD1: float = 0.0,
-    logD1_t: float = 0.0,
-    logC0: float = 0.0,
-    logC0_t: float = 0.0,
-) -> Case1Sequences:
+def term_fields(terms) -> tuple:
+    """The sequence names of Case1Terms or Case2Terms: every field but j."""
+    return tuple(f.name for f in fields(terms))[1:]
+
+
+def _terms_at(seq, terms, j: int):
+    return terms(j, *(getattr(seq, name)[j - 1] for name in term_fields(terms)))
+
+
+def case1_recursion(p, q, n: int, j_max: int) -> Case1Sequences:
     """Fill the direct-iteration sequences from the j = 1 seeds.
 
     Seeds: a=1, alpha=0, b=(n-1)p/2, beta=n+2 and the tilded mirror with q.
     Each induction step gains one kernel power, a factor p (or q) on the old
-    exponents, and three extra time integrations.
+    exponents, and three extra time integrations.  The log coefficients start
+    from D_1 = D~_1 = 1, with the constants C_0, C~_0 normalized to one.
     """
     p, q = _rat(p), _rat(q)
     if p <= 1 or q <= 1 or j_max < 1:
@@ -166,18 +153,16 @@ def case1_recursion(
     alpha_t = [Fraction(1)]
     b_t = [Fraction(n - 1) * q / 2]
     beta_t = [Fraction(n + 2)]
-    logD = [logD1]
-    logD_t = [logD1_t]
+    logD = [0.0]
+    logD_t = [0.0]
     for _ in range(1, j_max):
         bt, b_ = beta_t[-1], beta[-1]
         logD.append(
-            logC0
-            + float(p) * logD_t[-1]
+            float(p) * logD_t[-1]
             - math.log(float((1 + bt * p) * (2 + bt * p) * (3 + bt * p)))
         )
         logD_t.append(
-            logC0_t
-            + float(q) * logD[-2]
+            float(q) * logD[-2]
             - math.log(float((1 + b_ * q) * (2 + b_ * q) * (3 + b_ * q)))
         )
         a.append(1 + a_t[-1] * p)
@@ -218,21 +203,14 @@ def case1_closed_form(p, q, n: int, j: int) -> Case1Terms:
     return Case1Terms(j, None, None, None, None, None, None, beta, beta_t)
 
 
-def case2_recursion(
-    p,
-    q,
-    n: int,
-    j_max: int,
-    logQ1: float = 0.0,
-    logQ1_t: float = 0.0,
-    logC: float = 0.0,
-    logC_t: float = 0.0,
-) -> Case2Sequences:
+def case2_recursion(p, q, n: int, j_max: int) -> Case2Sequences:
     """Fill the sliced-iteration sequences from the j = 1 seeds.
 
     Seeds: theta=(n-1)p/2, sigma=n+1 and the tilded mirror.  The slicing
     factors ell_k and partial products L_j are carried alongside; each step of
-    the log coefficient pays a (pq)^-j loss from the shrinking slices.
+    the log coefficient pays a (pq)^-j loss from the shrinking slices.  The
+    log coefficients start from Q_1 = Q~_1 = 1, with the constants C, C~
+    normalized to one.
     """
     p, q = _rat(p), _rat(q)
     if p <= 1 or q <= 1 or j_max < 1:
@@ -242,19 +220,17 @@ def case2_recursion(
     sigma = [Fraction(n + 1)]
     theta_t = [Fraction(n - 1) * q / 2]
     sigma_t = [Fraction(n + 1)]
-    logQ = [logQ1]
-    logQ_t = [logQ1_t]
+    logQ = [0.0]
+    logQ_t = [0.0]
     for j in range(1, j_max):
         st, s_ = sigma_t[-1], sigma[-1]
         logQ.append(
-            logC
-            - j * math.log(pq)
+            -j * math.log(pq)
             + float(p) * logQ_t[-1]
             - math.log(float((st * p + 1) * (st * p + 2)))
         )
         logQ_t.append(
-            logC_t
-            - j * math.log(pq)
+            -j * math.log(pq)
             + float(q) * logQ[-2]
             - math.log(float((s_ * q + 1) * (s_ * q + 2)))
         )
@@ -405,15 +381,14 @@ def divergence_certificate(
     q: float,
     n: int,
     kernels=None,
-    seedlogs=(0.0, 0.0),
-    times=None,
 ) -> DivergenceCertificate | None:
     """Probe whether the iterated lower bound diverges as the index grows.
 
-    Evaluates the time-dependent base inside the exponential lower bound with
-    all non-constructive constants normalized to one; the bound diverges with
-    the iteration index exactly where that base exceeds one.  Returns None
-    when the base stays below one on the whole probed grid.
+    Evaluates the time-dependent base inside the exponential lower bound on
+    ``exponents.default_condition_times``, with the seeds and all
+    non-constructive constants normalized to one (log 0); the bound diverges
+    with the iteration index exactly where that base exceeds one.  Returns
+    None when the base stays below one on the whole probed grid.
     """
     case = IterationCase(case)
     if p <= 1.0 or q <= 1.0:
@@ -426,12 +401,9 @@ def divergence_certificate(
                 raise UnsupportedError(
                     f"{case.value} requires {want.value} kernels, got {got.value}"
                 )
-    if times is None:
-        times = np.geomspace(1.0, 1e6, 121)
-    times = np.asarray(times, dtype=float)
+    times = default_condition_times()
     logt = np.log(times)
     pq1 = p * q - 1.0
-    seed_u, seed_v = seedlogs
 
     if case is IterationCase.CASE1:
         if kernels is None:
@@ -440,29 +412,25 @@ def divergence_certificate(
         lg1 = np.log(np.asarray(g1(times), dtype=float))
         lg2 = np.log(np.asarray(g2(times), dtype=float))
         log_b_u = (
-            seed_u
-            + (-(n - 1) * p / 2.0 - n) * math.log(2.0)
+            (-(n - 1) * p / 2.0 - n) * math.log(2.0)
             + (p * q / pq1) * lg1
             + (p / pq1) * lg2
             + (-(n - 1) * p / 2.0 + 2.0 + 3.0 * (p + 1) / pq1) * logt
         )
         log_b_v = (
-            seed_v
-            + (-(n - 1) * q / 2.0 - n) * math.log(2.0)
+            (-(n - 1) * q / 2.0 - n) * math.log(2.0)
             + (q / pq1) * lg1
             + (p * q / pq1) * lg2
             + (-(n - 1) * q / 2.0 + 2.0 + 3.0 * (q + 1) / pq1) * logt
         )
     else:
         log_b_u = (
-            seed_u
-            + (-(2 * n + (n - 1) * p) / 2.0 - ((n + 1) * pq1 + 2 * (p + 1)) / pq1)
+            (-(2 * n + (n - 1) * p) / 2.0 - ((n + 1) * pq1 + 2 * (p + 1)) / pq1)
             * math.log(2.0)
             + (-(n - 1) * p / 2.0 + 1.0 + 2.0 * (p + 1) / pq1) * logt
         )
         log_b_v = (
-            seed_v
-            + (-(2 * n + (n - 1) * q) / 2.0 - ((n + 1) * pq1 + 2 * (q + 1)) / pq1)
+            (-(2 * n + (n - 1) * q) / 2.0 - ((n + 1) * pq1 + 2 * (q + 1)) / pq1)
             * math.log(2.0)
             + (-(n - 1) * q / 2.0 + 1.0 + 2.0 * (q + 1) / pq1) * logt
         )

@@ -184,7 +184,7 @@ class HistoryWeights:
     lazily, one pair of antiderivative values per new grid multiple, so a run
     of N steps builds its weights in O(N) and each call copies m + 1 values.
     An exponential or constant kernel needs only X(1) and Y(1): its
-    convolution follows the exact one-term recursion in ``advance``, O(M) per
+    convolution follows the exact one-term recursion in ``update``, O(M) per
     step for M cells, with no stored history.
 
     Given the run's ``n_steps``, a kernel with a sum-of-exponentials fit
@@ -193,8 +193,8 @@ class HistoryWeights:
     With F_k(j) the convolution of exp(-s_k t) with the samples over
     [0, t_j], the convolution at t_m, for j a multiple of ``BLOCK`` with
     d = m - j >= WINDOW, is ``weights(d)`` applied to the samples j..m plus
-    ``tail(d, F(j))``; F advances by ``fold``.  ``rates`` holds the s_k of
-    such a row and is None for every other.
+    the mode weights at lag d applied to F(j); ``update`` advances F once per
+    block.  ``rates`` holds the s_k of such a row and is None for every other.
     """
 
     def __init__(self, kernel: MemoryKernel, dt: float, n_steps: int = 0):
@@ -202,7 +202,7 @@ class HistoryWeights:
             raise ConfigError("dt must be positive")
         self.kernel = kernel
         self.dt = dt
-        #: the factor of the recursion in ``advance``: exp(-dt / beta) for an
+        #: the factor of the recursion in ``update``: exp(-dt / beta) for an
         #: exponential kernel, 1 for a constant one; None for every other kernel
         self.decay = None
         if isinstance(kernel, Exponential):
@@ -213,6 +213,9 @@ class HistoryWeights:
         self._lag = np.zeros(64)  # L[l], filled for l < len(self._X) - 1
         self._G = self._G2 = 0.0  # G and its antiderivative at the last grid multiple
         self.rates = None
+        #: history levels the row keeps: 1 for a recursion, WINDOW + BLOCK for
+        #: a mode tail, n_steps otherwise
+        self.levels = 1 if self.decay is not None else n_steps
         if self.decay is None and n_steps >= WINDOW + BLOCK:
             fit = kernel.exponential_sum(WINDOW * dt, n_steps * dt)
             if fit is not None:
@@ -221,6 +224,7 @@ class HistoryWeights:
     def _tabulate_tail(self, rates, weights) -> None:
         dt = self.dt
         self.rates = rates
+        self.levels = WINDOW + BLOCK
         # sample j + i enters F(j + BLOCK) as the left node of interval i, whose
         # right end lies BLOCK - 1 - i steps back, and as the right node of
         # interval i - 1; each interval is integrated exactly
@@ -266,28 +270,29 @@ class HistoryWeights:
         t_1, ...: row m is ``weights(m) @ samples[: m + 1]``."""
         return np.array([self.weights(m) @ samples[: m + 1] for m in range(len(samples))])
 
-    def advance(self, conv, previous, current):
-        """Exponential and constant kernels only: the convolution at t_m from
-        the one at t_(m-1) and the samples at t_(m-1) and t_m.
-
-        Since g(t + dt) = decay * g(t), the convolution over [0, t_(m-1)]
-        shifted to t_m is decay times the previous one, and the last interval
-        adds X(1) and Y(1) times its two samples; in exact arithmetic this
-        equals ``weights(m) @ samples``.
-        """
-        self._extend(1)
-        return self.decay * conv + self._X[1] * previous + self._lag[0] * current
-
-    def fold(self, modes, samples) -> None:
-        """Rows with a tail only: advance the mode array from F(j) to
-        F(j + BLOCK) in place, given the samples j..j + BLOCK as rows."""
-        modes *= self._damp[:, None]
-        modes += self._block @ samples
-
-    def tail(self, d: int, modes) -> np.ndarray:
-        """Rows with a tail only: the part of the convolution at t_(j + d)
-        that lies over [0, t_j], from the mode array F(j)."""
-        return self._lead[d - WINDOW] @ modes
+    def update(self, memory, history, modes, f, m: int, c: int) -> None:
+        """Record the samples f at t_m in a forced row's ``history`` (laid out
+        as in ``WaveState``) and bring its ``memory`` up to t_m, in place;
+        only the first c cells enter products with stored history.  Since
+        g(t + dt) = decay * g(t), a recursion scales the previous convolution
+        by decay and adds X(1) and Y(1) times the last interval's samples."""
+        if self.decay is not None:
+            if m > 0:
+                self._extend(1)
+                memory[:] = self.decay * memory + self._X[1] * history[0] + self._lag[0] * f
+            history[0] = f
+            return
+        d = m  # the exact product covers the levels m - d..m
+        if modes is not None and m >= WINDOW:
+            d = WINDOW + (m - WINDOW) % BLOCK
+            if d == WINDOW and m > WINDOW:  # the window moves up one block
+                modes[:, :c] *= self._damp[:, None]
+                modes[:, :c] += self._block @ history[: BLOCK + 1, :c]
+                history[:WINDOW] = history[BLOCK:]
+        history[d] = f
+        memory[:c] = self.weights(d) @ history[: d + 1, :c]
+        if d < m:  # the part over [0, t_j], from F(j)
+            memory[:c] += self._lead[d - WINDOW] @ modes[:, :c]
 
 
 def exponential_moments(z):
@@ -405,26 +410,10 @@ def _update_memory(state: WaveState, config: SystemConfig) -> None:
     terms up to it.  A stored history is zero outside the light cone, so only
     its first c columns enter the products; ``memory`` and the modes keep
     zeros beyond them."""
-    m = state.step
     c = state.r.size - np.count_nonzero(_outside_cone(state.r, state.t, config))
     for i, (src, power) in enumerate(state.forcing):
-        f = np.abs(state.fields[src]) ** power
-        w, history, modes = state.weights[i], state.history[i], state.modes[i]
-        if w.decay is not None:
-            if m > 0:
-                state.memory[i] = w.advance(state.memory[i], history[0], f)
-            history[0] = f
-            continue
-        d = m  # the exact product covers the levels m - d..m
-        if modes is not None and m >= WINDOW:
-            d = WINDOW + (m - WINDOW) % BLOCK
-            if d == WINDOW and m > WINDOW:  # the window moves up one block
-                w.fold(modes[:, :c], history[: BLOCK + 1, :c])
-                history[:WINDOW] = history[BLOCK:]
-        history[d] = f
-        state.memory[i, :c] = w.weights(d) @ history[: d + 1, :c]
-        if d < m:
-            state.memory[i, :c] += w.tail(d, modes[:, :c])
+        state.weights[i].update(state.memory[i], state.history[i], state.modes[i],
+                                np.abs(state.fields[src]) ** power, state.step, c)
 
 
 def initial_state(config: SystemConfig) -> WaveState:
@@ -437,11 +426,7 @@ def initial_state(config: SystemConfig) -> WaveState:
         forcing = ()
     weights = tuple(HistoryWeights(g, config.dt, config.n_steps)
                     for g in config.kernels[: len(forcing)])
-    # one level for a recursion, a window for a mode tail, else every level
-    levels = [1 if w.decay is not None
-              else config.n_steps if w.rates is None
-              else WINDOW + BLOCK for w in weights]
-    history = tuple(np.zeros((n, r.size)) for n in levels)
+    history = tuple(np.zeros((w.levels, r.size)) for w in weights)
     modes = tuple(None if w.rates is None else np.zeros((w.rates.size, r.size))
                   for w in weights)
     memory = np.zeros((len(forcing), r.size)) if forcing else None
@@ -463,14 +448,18 @@ def _leapfrog(state: WaveState, config: SystemConfig) -> np.ndarray:
 
 
 def _rk4(state: WaveState, config: SystemConfig) -> np.ndarray:
-    """One RK4 step of the first-order system (u, u_t, u_tt)."""
+    """One RK4 step of the first-order system (u, u_t, u_tt); a linear run
+    drops its |u|^p source."""
     beta = config.kernels[0].beta
     n, dr, dt, p = config.params.n, config.dr, config.dt, config.params.p
     r = state.r
 
     def rhs(y):
         lap = _laplacian(y[:2], r, dr, n)
-        return np.stack((y[1], y[2], lap[0] / beta + lap[1] - y[2] / beta + np.abs(y[0]) ** p))
+        uttt = lap[0] / beta + lap[1] - y[2] / beta
+        if not config.linear:
+            uttt += np.abs(y[0]) ** p
+        return np.stack((y[1], y[2], uttt))
 
     y = state.fields
     k1 = rhs(y)

@@ -192,10 +192,11 @@ def test_exponential_recursion_matches_weights(kernel):
     dt = 0.01
     hw = HistoryWeights(kernel, dt)
     samples = 1.0 + np.sin(3.0 * dt * np.arange(2001)) ** 2
-    conv = 0.0
-    for m in range(1, samples.size):
-        conv = hw.advance(conv, samples[m - 1], samples[m])
-        assert conv == pytest.approx(hw.weights(m) @ samples[: m + 1], rel=1e-10)
+    memory, history = np.zeros(1), np.zeros((hw.levels, 1))
+    assert history.shape == (1, 1)
+    for m in range(samples.size):
+        hw.update(memory, history, None, samples[m : m + 1], m, 1)
+        assert memory[0] == pytest.approx(hw.weights(m) @ samples[: m + 1], rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -549,21 +550,45 @@ def test_mgt_zero_data_stays_zero():
     assert np.all(state.u == 0.0)
 
 
+def _mgt_single_orders(linear):
+    """Observed orders of the final maxnorm_u gap between single mode with an
+    exponential kernel and mgt mode, for an n = 2 Gaussian at dr = 0.02, 0.01
+    and 0.005."""
+    gaps = []
+    for dr in (0.02, 0.01, 0.005):
+        common = dict(params=ProblemParams(2, 2.0, 2.0), kernels=(Exponential(1.0),) * 2,
+                      u0=Profile("gaussian", 0.5, 1.0), u1=Profile("zero"), t_max=2.0, dr=dr,
+                      linear=linear)
+        single = run_simulation(_config(mode="single", **common)).trace
+        mgt = run_simulation(_config(mode="mgt", **common)).trace
+        assert single.stop_trigger == mgt.stop_trigger == "reached_tmax"
+        gaps.append(abs(single.maxnorm_u[-1] - mgt.maxnorm_u[-1]))
+    return gaps, np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+
+
 def test_mgt_matches_single_mode_at_second_order():
     # single mode with an exponential kernel (its recursion) and mgt mode (RK4
     # on the third-order form) solve one equation through code they do not
     # share; their gap must fall at the scheme's second order.  In n = 1 the
     # leading error terms of the two nearly cancel, and the gap falls faster
-    gaps = []
-    for dr in (0.02, 0.01, 0.005):
-        common = dict(params=ProblemParams(2, 2.0, 2.0), kernels=(Exponential(1.0),) * 2,
-                      u0=Profile("gaussian", 0.5, 1.0), u1=Profile("zero"), t_max=2.0, dr=dr)
-        single = run_simulation(_config(mode="single", **common)).trace
-        mgt = run_simulation(_config(mode="mgt", **common)).trace
-        assert single.stop_trigger == mgt.stop_trigger == "reached_tmax"
-        gaps.append(abs(single.maxnorm_u[-1] - mgt.maxnorm_u[-1]))
-    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    gaps, orders = _mgt_single_orders(linear=False)
     assert np.all((1.8 <= orders) & (orders <= 2.2)), (gaps, orders)
+
+
+def test_linear_mgt_matches_linear_single_mode_at_second_order():
+    # without the nonlinearity both modes solve the same free wave: mgt's
+    # third-order form reduces to (d/dt + 1/beta)(u_tt - lap u) = 0 with
+    # u_tt(0) = lap u0
+    gaps, orders = _mgt_single_orders(linear=True)
+    assert np.all((1.8 <= orders) & (orders <= 2.2)), (gaps, orders)
+
+
+def test_mgt_linear_drops_the_nonlinearity():
+    common = dict(mode="mgt", kernels=(Exponential(1.0),) * 2,
+                  u0=Profile("cosine_bump", 0.5, 1.0), u1=Profile("zero"), t_max=2.0, dr=0.02)
+    nonlinear = run_simulation(_config(**common)).trace.maxnorm_u[-1]
+    linear = run_simulation(_config(linear=True, **common)).trace.maxnorm_u[-1]
+    assert abs(nonlinear - linear) > 1e-3, (nonlinear, linear)
 
 
 def test_mgt_run_keeps_snapshots():
