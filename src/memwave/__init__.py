@@ -21,7 +21,6 @@ from .exponents import (
     generalized_strauss,
     log_iterate,
     strauss_exponent,
-    sweep_region,
 )
 from .iteration import (
     IterationCase,
@@ -32,7 +31,6 @@ from .iteration import (
     divergence_certificate,
     index_thresholds,
     slicing_sequence,
-    sum_formula,
 )
 from .kernels import (
     Constant,
@@ -51,8 +49,6 @@ from .kernels import (
 from .observables import (
     BlowupVerdict,
     FunctionalTrace,
-    check_iteration_frame,
-    check_u0_lower_bound,
     check_u_doubleprime_identity,
     detect_blowup,
     phi_eigenfunction,
@@ -63,8 +59,6 @@ from .solver import (
     Profile,
     SimulationResult,
     SystemConfig,
-    dalembert_reference,
-    picard_iterate,
     run_simulation,
 )
 

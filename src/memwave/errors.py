@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["ConfigError", "DomainError", "UnsupportedError", "InsufficientDataError"]
+
 
 class ConfigError(ValueError):
     """Invalid parameter or configuration value; ``param`` names the offending

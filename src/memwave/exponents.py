@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "check_condition_slow",
     "check_condition_fast",
     "sweep_grids",
-    "sweep_region",
     "region_from_grids",
     "experimental_mixed_condition",
 ]
@@ -80,14 +78,12 @@ class ProblemParams:
 class Branch(enum.Enum):
     SLOW_SLOW = "slow-slow"
     FAST_FAST = "fast-fast"
-    UNSUPPORTED = "unsupported"
 
 
 @dataclass
 class ConditionVerdict:
     satisfied: bool
     branch: Branch
-    witness_times: list = field(default_factory=list)
     margin: float = math.nan
     critical: bool = False
 
@@ -212,7 +208,6 @@ def check_condition_slow(
     return ConditionVerdict(
         satisfied=bool(np.min(tail) >= -MARGIN_TOLERANCE),
         branch=Branch.SLOW_SLOW,
-        witness_times=list(times),
         margin=float(gap[-1]),
     )
 
@@ -237,9 +232,8 @@ def check_condition_fast(params: ProblemParams) -> ConditionVerdict:
 class RegionMap:
     """The blow-up condition over a (p, q) grid, evaluated one p row at a time.
 
-    ``margin`` (alpha - (n-1)/2) and ``satisfied`` (margin > 0) are the
-    (len(p), len(q)) planes, built on first access and kept; ``margin_rows``
-    yields the same values a p row at a time without building them.
+    ``margin_rows`` yields the margin alpha - (n-1)/2 over the q grid for each
+    p; a cell is satisfied when its margin is positive.
     """
 
     p_values: np.ndarray
@@ -248,47 +242,18 @@ class RegionMap:
     threshold: float  # (n - 1) / 2
     gammas: tuple[float, float] | None  # the fractional orders; None for fast-fast
 
-    def _margin(self, p):
-        qs = self.q_values
-        alpha = alpha_w(p, qs) if self.gammas is None else alpha_wm(p, qs, *self.gammas)
-        return alpha - self.threshold
-
     def margin_rows(self):
         """Yield (p, margin over the q grid) for each p value in order."""
+        qs = self.q_values
         for p in self.p_values.tolist():
-            yield p, self._margin(p)
-
-    @cached_property
-    def margin(self) -> np.ndarray:
-        return self._margin(self.p_values[:, None])
-
-    @cached_property
-    def satisfied(self) -> np.ndarray:
-        return self.margin > 0.0
+            alpha = alpha_w(p, qs) if self.gammas is None else alpha_wm(p, qs, *self.gammas)
+            yield p, alpha - self.threshold
 
     def rows(self):
         """Yield (p, q, branch, satisfied, margin) row tuples, p-major."""
         for p, margin in self.margin_rows():
             for q, m in zip(self.q_values.tolist(), margin.tolist()):
                 yield p, q, self.branch.value, m > 0.0, m
-
-
-def sweep_region(
-    n: int,
-    gamma1: float | None,
-    gamma2: float | None,
-    p_range,
-    q_range,
-    resolution: int,
-) -> RegionMap:
-    """Evaluate the blow-up condition on a (p, q) grid.
-
-    With fractional orders given the slow-slow critical curve is used; with
-    both None the fast-fast inequality applies.  gamma = 1 is accepted as the
-    formula boundary (the two then coincide).  The grids are checked by
-    region_from_grids.
-    """
-    return region_from_grids(n, gamma1, gamma2, *sweep_grids(p_range, q_range, resolution))
 
 
 def sweep_grids(p_range=(1.1, 3.0), q_range=(1.1, 3.0), resolution: int = 50):

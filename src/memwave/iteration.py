@@ -33,7 +33,6 @@ __all__ = [
     "case2_recursion",
     "case2_closed_form",
     "term_fields",
-    "sum_formula",
     "slicing_sequence",
     "index_thresholds",
     "divergence_certificate",
@@ -264,17 +263,6 @@ def case2_closed_form(p, q, n: int, j: int) -> Case2Terms:
     return Case2Terms(j, None, None, sigma, sigma_t)
 
 
-def sum_formula(j: int, pq):
-    """Closed form of sum_{k=0}^{(j-3)/2} (j - 2k) (pq)^k for odd j >= 3."""
-    if j % 2 == 0 or j < 3:
-        raise DomainError("sum formula requires odd j >= 3")
-    pq = _rat(pq)
-    if pq <= 1:
-        raise DomainError("requires pq > 1")
-    w = pq ** ((j - 1) // 2)
-    return (2 + 3 * (pq - 1)) / (pq - 1) ** 2 * w - (2 * pq + j * (pq - 1)) / (pq - 1) ** 2
-
-
 def slicing_sequence(pq: float, j_max: int):
     """Slicing factors ell_k, partial products L_j, and the limit product.
 
@@ -324,27 +312,17 @@ def index_thresholds(
     L: float,
     g1_data,
     g2_data,
-    placeholders: dict | None = None,
 ) -> IndexThresholds:
     """Indices past which the iteration lower bounds take their final shape.
 
-    The non-constructive constants enter only through the supplied log
-    placeholders (default 0, i.e. constants normalized to one).  Kernel data
+    With the non-constructive constants normalized to one (log 0), the
+    thresholds j0 and j2 that they set are 1 for every p, q > 1.  Kernel data
     may be MemoryKernel instances (must be regular at 0) or (g(0), g'(0))
     pairs.
     """
-    ph = {"logE0": 0.0, "logE0_t": 0.0, "logE2": 0.0, "logE2_t": 0.0}
-    if placeholders:
-        unknown = set(placeholders) - set(ph)
-        if unknown:
-            raise ConfigError(f"unknown placeholder keys: {sorted(unknown)}")
-        ph.update(placeholders)
     if p <= 1.0 or q <= 1.0:
         raise ConfigError("need p, q > 1")
     lpq = math.log(p * q)
-    shift = 2.0 * p * q / (p * q - 1.0)
-    j0 = max(1, math.ceil(2.0 / (3.0 * lpq) * max(ph["logE0"] / (p + 1), ph["logE0_t"] / (q + 1)) - shift))
-    j2 = max(1, math.ceil(1.0 / (2.0 * lpq) * max(ph["logE2"] / (p + 1), ph["logE2_t"] / (q + 1)) - shift))
 
     def j1_of(data) -> int:
         g0, gp0 = _zero_data(data)
@@ -357,7 +335,7 @@ def index_thresholds(
     j_m = 1
     while L * t0 * (p * q) ** (-j_m / 2.0) >= _SMALLNESS:
         j_m += 1
-    return IndexThresholds(j0, j1, j1_t, j2, j_m)
+    return IndexThresholds(j0=1, j1=j1, j1_t=j1_t, j2=1, j_m=j_m)
 
 
 @dataclass

@@ -1,9 +1,10 @@
-"""Blow-up functionals, identity checks, and blow-up detection.
+"""Blow-up functionals, the U'' identity check, and blow-up detection.
 
 Everything here is pure post-processing over recorded traces or states: the
 space averages U, V, their test-function-weighted variants U0, V0, the second
 derivative identity that ties U'' to the memory convolution of the spatial
-p-norm, and a heuristic blow-up-time extrapolation.
+p-norm, and a heuristic blow-up-time extrapolation.  The lower bounds on U0
+and U, which no command runs, live with the test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ __all__ = [
     "RadialGrid",
     "compute_functionals",
     "check_u_doubleprime_identity",
-    "check_u0_lower_bound",
-    "check_iteration_frame",
     "detect_blowup",
 ]
 
@@ -81,11 +80,6 @@ def _trapezoid_terms(y, d) -> np.ndarray:
     terms *= d
     terms /= 2.0
     return terms
-
-
-def _cumulative_trapezoid(y, x) -> np.ndarray:
-    """``scipy.integrate.cumulative_trapezoid(y, x, initial=0.0)``."""
-    return np.concatenate(([0.0], np.cumsum(_trapezoid_terms(y, np.diff(x)))))
 
 
 def radial_integral(f, r, n: int) -> float:
@@ -199,63 +193,6 @@ def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p
     if scale == 0.0:
         return float(np.max(resid))
     return float(np.max(resid) / scale)
-
-
-def initial_weighted_integrals(config) -> tuple[float, float]:
-    """(integral of u0*Phi, integral of u1*Phi) from the configured data."""
-    n = config.params.n
-    r = config.radii()
-    phi = phi_eigenfunction(n, r)
-    return (
-        radial_integral(config.u0(r) * phi, r, n),
-        radial_integral(config.u1(r) * phi, r, n),
-    )
-
-
-def check_u0_lower_bound(trace: FunctionalTrace, config) -> tuple[bool, float]:
-    """Verify U0(t) >= (1+e^-2t)/2 * <u0,Phi> + (1-e^-2t)/2 * <u1,Phi>.
-
-    This is e^-t times the comparison solution a cosh t + b sinh t of
-    y'' - y = 0, which minorizes y = <u(t), Phi> whenever the forcing is
-    nonnegative.  Checked at every recorded time with relative tolerance
-    1e-3.  Returns (all held, worst signed margin).
-    """
-    i0, i1 = initial_weighted_integrals(config)
-    t = trace.column("t")
-    u0_col = trace.column("U0")
-    rhs = 0.5 * (1.0 + np.exp(-2.0 * t)) * i0 + 0.5 * (1.0 - np.exp(-2.0 * t)) * i1
-    margin = u0_col - rhs
-    tol = 1e-3 * (np.abs(rhs) + 1.0)
-    return bool(np.all(margin >= -tol)), float(np.min(margin))
-
-
-def check_iteration_frame(trace: FunctionalTrace, config) -> tuple[bool, float]:
-    """Verify the first iteration-frame inequality on a recorded run.
-
-    U(t) must dominate the triple time integral of the memory convolution of
-    (R+tau)^(-n(p-1)) V(tau)^p, with the explicit ball-volume constant from
-    the Hoelder step.  Checked over the final quarter of recorded times.
-    """
-    from .solver import HistoryWeights
-
-    if len(trace) < 16:
-        raise InsufficientDataError("need at least 16 recorded samples")
-    n, p = config.params.n, config.params.p
-    R = config.R
-    t = trace.column("t")
-    dt = trace.dt
-    V = np.maximum(trace.column("V"), 0.0)
-    c0 = (sphere_area(n) / n) ** (-(p - 1.0))
-    samples = (R + t) ** (-n * (p - 1.0)) * V**p
-    inner = HistoryWeights(config.kernels[0], dt).convolve(samples)
-    once = _cumulative_trapezoid(inner, t)
-    twice = _cumulative_trapezoid(once, t)
-    rhs = c0 * twice
-    U = trace.column("U")
-    tail = slice(3 * len(t) // 4, None)
-    margin = U[tail] - rhs[tail]
-    tol = 1e-9 * (np.abs(U[tail]) + 1.0)
-    return bool(np.all(margin >= -tol)), float(np.min(margin))
 
 
 @dataclass

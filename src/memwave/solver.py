@@ -22,10 +22,9 @@ outside it.  Costs per step, for M + 1 cells:
 - every other kernel, and a fit that misses its bound, keeps the whole
   (n_steps, M + 1) history and costs O(m c) at step m.
 
-A d'Alembert evaluator provides an independent reference in one dimension,
-both for convergence ladders and as the exact propagator inside the
-fixed-point iteration.  The third-order-in-time reformulation of the
-exponential-kernel equation is integrated as a first-order system with RK4.
+The third-order-in-time reformulation of the exponential-kernel equation is
+integrated as a first-order system with RK4.  The d'Alembert and Picard
+references that tests compare the scheme against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observables
-from .errors import ConfigError, DomainError, UnsupportedError
+from .errors import ConfigError, DomainError
 from .exponents import ProblemParams
 from .kernels import Constant, Exponential, MemoryKernel
 from .observables import FunctionalTrace
@@ -51,9 +50,6 @@ __all__ = [
     "initial_state",
     "step",
     "run_simulation",
-    "dalembert_reference",
-    "picard_iterate",
-    "conv_derivative_identity",
     "discrete_energy",
 ]
 
@@ -539,152 +535,3 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     trace.t_stop = state.t
     return SimulationResult(config, trace, snapshots)
 
-
-# ---------------------------------------------------------------------------
-# d'Alembert reference and fixed-point iteration (one spatial dimension)
-# ---------------------------------------------------------------------------
-
-
-def _simpson_nodes(a: float, b: float, resolution: float):
-    if b <= a:
-        return None
-    n = max(2, int(math.ceil((b - a) / resolution)))
-    n += n % 2  # Simpson needs an even interval count
-    return np.linspace(a, b, n + 1)
-
-
-def dalembert_reference(u0, u1, source, t: float, x: float, resolution: float = None) -> float:
-    """Exact 1-d propagator evaluated by composite Simpson quadrature.
-
-    u0, u1 are callables on the real line; source is None or a callable
-    f(t, x).  Returns the half-sum of translated data plus the velocity
-    integral plus the light-cone integral of the source.
-    """
-    from scipy.integrate import simpson  # the solver itself never needs scipy
-
-    if resolution is None:
-        resolution = max(t, 1.0) / 400.0
-    val = 0.5 * (float(u0(np.asarray(x + t))) + float(u0(np.asarray(x - t))))
-    nodes = _simpson_nodes(x - t, x + t, resolution)
-    if nodes is not None:
-        val += 0.5 * float(simpson(np.asarray(u1(nodes), dtype=float), x=nodes))
-    if source is not None and t > 0.0:
-        s_nodes = _simpson_nodes(0.0, t, resolution)
-        inner = np.zeros_like(s_nodes)
-        for i, s in enumerate(s_nodes):
-            y = _simpson_nodes(x - (t - s), x + (t - s), resolution)
-            if y is None:
-                continue
-            inner[i] = simpson(
-                np.asarray([source(s, yy) for yy in y], dtype=float), x=y
-            )
-        val += 0.5 * float(simpson(inner, x=s_nodes))
-    return val
-
-
-def _even(profile):
-    return lambda x: profile(np.abs(np.asarray(x, dtype=float)))
-
-
-def _cone_integral(mem: np.ndarray, i: int, dx: float) -> np.ndarray:
-    """Light-cone double integral of gridded data, target time index i.
-
-    mem has shape (time, x) on a grid with dt = dx, so cone edges fall on
-    nodes; trapezoid in both directions.  Returns values for every x node.
-    """
-    nx = mem.shape[1]
-    out = np.zeros(nx)
-    if i == 0:
-        return out
-    csum = np.cumsum(mem, axis=1)
-    for k in range(i + 1):
-        w = i - k  # cone half-width in cells at source time k
-        if w == 0:
-            continue
-        row = mem[k]
-        c = csum[k]
-        j = np.arange(nx)
-        lo = np.clip(j - w, 0, nx - 1)
-        hi = np.clip(j + w, 0, nx - 1)
-        sums = c[hi] - c[lo] + row[lo]
-        inner = dx * (sums - 0.5 * row[lo] - 0.5 * row[hi])
-        wt = 0.5 if k in (0, i) else 1.0
-        out += wt * inner
-    return 0.5 * out * dx  # dt = dx
-
-
-def picard_iterate(config: SystemConfig, T_small: float, iterations: int, dx: float = 0.01):
-    """Fixed-point iteration of the Duhamel operator on a short window.
-
-    One spatial dimension only: the linear part comes from the exact
-    propagator, the nonlinear part applies the memory convolution followed by
-    the light-cone integral on a grid with dt = dx.  Returns the sup-norm
-    distances between consecutive iterates.
-    """
-    if config.params.n != 1:
-        raise UnsupportedError("fixed-point iteration uses the 1-d propagator")
-    if T_small > 0.5:
-        raise ConfigError("window must satisfy T <= 0.5")
-    p, q = config.params.p, config.params.q
-    g1 = config.kernels[0]
-    g2 = config.kernels[1] if config.mode == "coupled" else config.kernels[0]
-    nt = max(4, int(round(T_small / dx)))
-    dt = T_small / nt
-    X = config.R + T_small + 2.0 * dx
-    xs = np.arange(-X, X + 0.5 * dx, dx)
-    ts = dt * np.arange(nt + 1)
-
-    u0, u1 = _even(config.u0), _even(config.u1)
-    v0, v1 = _even(config.v0), _even(config.v1)
-    u_lin = np.array(
-        [[dalembert_reference(u0, u1, None, t, x, resolution=dx) for x in xs] for t in ts]
-    )
-    v_lin = np.array(
-        [[dalembert_reference(v0, v1, None, t, x, resolution=dx) for x in xs] for t in ts]
-    )
-
-    w1 = HistoryWeights(g1, dt)
-    w2 = HistoryWeights(g2, dt)
-
-    def apply_operator(u, v):
-        mem_u = w1.convolve(np.abs(v) ** p)
-        mem_v = w2.convolve(np.abs(u) ** q)
-        nu = u_lin.copy()
-        nv = v_lin.copy()
-        for i in range(nt + 1):
-            nu[i] += _cone_integral(mem_u[: i + 1], i, dx)
-            nv[i] += _cone_integral(mem_v[: i + 1], i, dx)
-        return nu, nv
-
-    u, v = u_lin, v_lin
-    distances = []
-    for _ in range(iterations):
-        nu, nv = apply_operator(u, v)
-        d = max(float(np.max(np.abs(nu - u))), float(np.max(np.abs(nv - v))))
-        distances.append(d)
-        u, v = nu, nv
-    return distances
-
-
-# ---------------------------------------------------------------------------
-# Third-order-in-time reformulation for exponential kernels
-# ---------------------------------------------------------------------------
-
-
-def conv_derivative_identity(kernel: Exponential, samples, t_grid) -> float:
-    """Max residual of F' = w - F/beta for F = g * w with g exponential.
-
-    F is built by product-integration convolution on the uniform grid, F' by
-    second-order central differences; the residual vanishes in the continuum.
-    """
-    if not isinstance(kernel, Exponential):
-        raise ConfigError("identity holds for exponential kernels only")
-    t_grid = np.asarray(t_grid, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    if t_grid.size != samples.size or t_grid.size < 3:
-        raise ValueError("need matching grids with at least three points")
-    dt = t_grid[1] - t_grid[0]
-    F = HistoryWeights(kernel, dt).convolve(samples)
-    Fp = np.gradient(F, dt, edge_order=2)
-    resid = Fp - samples + F / kernel.beta
-    return float(np.max(np.abs(resid[1:-1])))

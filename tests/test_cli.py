@@ -1,9 +1,12 @@
 """Command-line front end: validation, artifacts, determinism, snapshots."""
 
 import csv
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -16,6 +19,8 @@ import yaml
 
 import memwave
 from memwave.cli import _write_csv, main, read_snapshot, validate_config, write_snapshot
+from memwave.exponents import ProblemParams, check_condition_slow, experimental_mixed_condition
+from memwave.kernels import Exponential, RiemannLiouville
 
 MINIMAL = {
     "problem": {"n": 1, "p": 2.0, "q": 2.0},
@@ -226,6 +231,17 @@ def test_import_cli_leaves_scipy_unloaded(tmp_path):
     assert _scipy_modules_after("import memwave.cli", tmp_path) == []
 
 
+def test_package_exports_are_consistent():
+    # listed names exist, the package exports only listed names, the solver has no scipy
+    for info in pkgutil.iter_modules(memwave.__path__):
+        module = importlib.import_module(f"memwave.{info.name}")
+        assert all(hasattr(module, name) for name in getattr(module, "__all__", ())), info.name
+    for name, obj in vars(memwave).items():
+        if not name.startswith("_") and not inspect.ismodule(obj):
+            assert name in sys.modules[obj.__module__].__all__, name
+    assert "scipy" not in Path(memwave.solver.__file__).read_text()
+
+
 @pytest.mark.parametrize("family, params, loads_scipy, t_max", [
     pytest.param("exponential", {"beta": 1.0}, False, 0.4, id="exponential-params0-False"),
     pytest.param("oscillating_polynomial", {"gamma": 0.3}, True, 0.4,
@@ -246,13 +262,34 @@ def test_simulate_loads_scipy_only_for_quadrature(tmp_path, family, params, load
     assert bool(_scipy_modules_after(code, tmp_path)) == loads_scipy
 
 
-def test_classify_slow_fast_pair(tmp_path):
-    cfg = _write(tmp_path, MINIMAL)
+@pytest.mark.parametrize("slow_index, classes", [(1, ["slow", "fast"]), (2, ["fast", "slow"])],
+                         ids=["slow-fast", "fast-slow"])
+def test_classify_slow_fast_pair(tmp_path, slow_index, classes):
+    # swapping the kernels and p with q leaves the mixed curves unchanged
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["problem"]["q"] = 3.0
+    if slow_index == 2:
+        cfg["problem"].update(p=3.0, q=2.0)
+        cfg["kernels"] = {"g1": cfg["kernels"]["g2"], "g2": cfg["kernels"]["g1"]}
     out = tmp_path / "cls"
-    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["classify", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
     condition = json.loads((out / "condition.json").read_text())
-    assert condition["decay_classes"] == ["slow", "fast"]
-    assert (out / "mixed_condition_experimental.csv").exists()
+    assert condition["decay_classes"] == classes
+    want = experimental_mixed_condition(ProblemParams(1, 2.0, 3.0), RiemannLiouville(0.5),
+                                        Exponential(1.0), slow_index=1)
+    got = np.loadtxt(out / "mixed_condition_experimental.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(got, np.column_stack(want))
+
+
+def test_classify_slow_slow_pair(tmp_path):
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["kernels"]["g2"] = {"family": "polynomial_shifted", "gamma": 0.5}
+    out = tmp_path / "cls"
+    assert main(["classify", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+    c = json.loads((out / "condition.json").read_text())["condition"]
+    resolved, _ = validate_config(cfg, tmp_path)
+    want = check_condition_slow(resolved["params"], *resolved["kernels"])
+    assert (c["branch"], c["satisfied"], c["margin"]) == ("slow-slow", want.satisfied, want.margin)
 
 
 def test_classify_fast_fast_pair(tmp_path):

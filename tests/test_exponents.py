@@ -21,9 +21,10 @@ from memwave.exponents import (
     log_iterate,
     region_from_grids,
     strauss_exponent,
-    sweep_region,
+    sweep_grids,
 )
 from memwave.kernels import Constant, Exponential, RiemannLiouville
+from oracles import margin_plane
 
 
 def test_strauss_one_dimension_infinite():
@@ -209,8 +210,12 @@ def test_default_condition_times():
     assert np.all(np.diff(t) > 0)
 
 
+def _sweep(n, gamma1, gamma2, p_range, q_range, resolution):
+    return region_from_grids(n, gamma1, gamma2, *sweep_grids(p_range, q_range, resolution))
+
+
 def test_sweep_single_point_matches_pointwise():
-    m = sweep_region(3, None, None, (2.0, 2.0), (2.0, 2.0), 1)
+    m = _sweep(3, None, None, (2.0, 2.0), (2.0, 2.0), 1)
     verdict = check_condition_fast(ProblemParams(3, 2.0, 2.0))
     rows = list(m.rows())
     assert len(rows) == 1
@@ -218,25 +223,25 @@ def test_sweep_single_point_matches_pointwise():
 
 
 def test_sweep_gamma_monotonicity():
-    lo = sweep_region(3, 0.3, 0.3, (1.5, 3.0), (1.5, 3.0), 20)
-    hi = sweep_region(3, 0.8, 0.8, (1.5, 3.0), (1.5, 3.0), 20)
+    lo = _sweep(3, 0.3, 0.3, (1.5, 3.0), (1.5, 3.0), 20)
+    hi = _sweep(3, 0.8, 0.8, (1.5, 3.0), (1.5, 3.0), 20)
     # larger gamma shrinks the satisfied region
-    assert np.all(lo.satisfied >= hi.satisfied)
+    assert np.all((margin_plane(lo) > 0.0) >= (margin_plane(hi) > 0.0))
 
 
 def test_sweep_rejects_mixed_gammas():
     with pytest.raises(ConfigError):
-        sweep_region(3, 0.5, None, (1.5, 3.0), (1.5, 3.0), 5)
+        _sweep(3, 0.5, None, (1.5, 3.0), (1.5, 3.0), 5)
 
 
 def test_sweep_rejects_empty_range():
     with pytest.raises(ConfigError):
-        sweep_region(3, None, None, (3.0, 2.0), (1.5, 3.0), 5)
+        _sweep(3, None, None, (3.0, 2.0), (1.5, 3.0), 5)
     with pytest.raises(ConfigError):
-        sweep_region(3, None, None, (0.5, 2.0), (1.5, 3.0), 5)
+        _sweep(3, None, None, (0.5, 2.0), (1.5, 3.0), 5)
     for resolution in (0, -1):
         with pytest.raises(ConfigError):
-            sweep_region(3, None, None, (1.5, 3.0), (1.5, 3.0), resolution)
+            _sweep(3, None, None, (1.5, 3.0), (1.5, 3.0), resolution)
 
 
 @pytest.mark.parametrize("ps, qs", [
@@ -254,9 +259,9 @@ def test_region_from_grids_rejects_bad_grid(ps, qs):
 
 
 def test_region_from_grids_matches_sweep():
-    a = sweep_region(3, None, None, (1.5, 3.0), (1.5, 3.0), 7)
+    a = _sweep(3, None, None, (1.5, 3.0), (1.5, 3.0), 7)
     b = region_from_grids(3, None, None, np.linspace(1.5, 3.0, 7), np.linspace(1.5, 3.0, 7))
-    assert np.array_equal(a.margin, b.margin)
+    assert np.array_equal(margin_plane(a), margin_plane(b))
 
 
 @pytest.mark.parametrize("gammas", [(None, None), (0.5, 0.7)])
@@ -270,8 +275,6 @@ def test_region_rows_bitwise_equal_meshgrid_plane(gammas):
     rows = list(region.margin_rows())
     assert [p for p, _ in rows] == ps.tolist()
     assert np.array_equal(np.array([m for _, m in rows]), plane)
-    assert np.array_equal(region.margin, plane)
-    assert np.array_equal(region.satisfied, plane > 0.0)
     cells = list(region.rows())
     assert [c[4] for c in cells] == plane.ravel().tolist()
     assert [c[3] for c in cells] == (plane > 0.0).ravel().tolist()

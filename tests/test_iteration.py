@@ -16,9 +16,9 @@ from memwave.iteration import (
     divergence_certificate,
     index_thresholds,
     slicing_sequence,
-    sum_formula,
 )
 from memwave.kernels import Constant, Exponential, RiemannLiouville
+from oracles import sum_formula
 
 PQ_PAIRS = [(Fraction(2), Fraction(2)), (Fraction(2), Fraction(3)),
             (Fraction(3, 2), Fraction(4))]
@@ -170,7 +170,7 @@ def test_beta_growth_envelope(p, q, n):
 
 def test_index_thresholds_defaults():
     th = index_thresholds(2.0, 2.0, 1.0, 3.0, (1.0, 0.5), (1.0, 0.5))
-    assert th.j0 == 1 and th.j2 == 1  # placeholder logs vanish, clamped
+    assert th.j0 == 1 and th.j2 == 1  # the normalized constants' logs vanish
     assert th.j1 == 1 and th.j1_t == 1  # positive derivative at zero
     assert th.j_start >= 1
 
@@ -187,12 +187,6 @@ def test_index_thresholds_smallness_index():
     pq = 4.0
     assert 3.0 * 1.0 * pq ** (-th.j_m / 2.0) < 0.1
     assert 3.0 * 1.0 * pq ** (-(th.j_m - 1) / 2.0) >= 0.1
-
-
-def test_index_thresholds_rejects_unknown_placeholder():
-    with pytest.raises(ConfigError):
-        index_thresholds(2.0, 2.0, 1.0, 3.0, (1.0, 0.0), (1.0, 0.0),
-                         placeholders={"logZ": 1.0})
 
 
 def test_certificate_case2_subcritical_exists():

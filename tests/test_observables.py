@@ -12,18 +12,16 @@ from memwave.exponents import ProblemParams
 from memwave.kernels import Constant, Exponential, RiemannLiouville
 from memwave.observables import (
     FunctionalTrace,
-    _cumulative_trapezoid,
-    check_iteration_frame,
-    check_u0_lower_bound,
     check_u_doubleprime_identity,
     compute_functionals,
     detect_blowup,
-    initial_weighted_integrals,
     phi_eigenfunction,
     radial_integral,
     sphere_area,
 )
 from memwave.solver import Profile, SystemConfig, run_simulation
+from oracles import (_cumulative_trapezoid, check_iteration_frame, check_u0_lower_bound,
+                     initial_weighted_integrals)
 
 PARAMS = ProblemParams(1, 2.0, 2.0)
 
@@ -236,6 +234,21 @@ def test_detect_blowup_single_constant_kernel():
     assert verdict.t_stop < 20.0
     assert verdict.T_estimate is not None and verdict.fit_r2 > 0.99
     assert verdict.ci_low <= verdict.T_estimate <= verdict.ci_high
+
+
+@pytest.mark.parametrize("maxnorm, decades, T_estimate, fit_r2", [
+    ([1, 2, np.nan, np.inf, 0.0, 4, 8, 16, 32, 64], 1.0, None, None),
+    ([1, 2, np.nan, np.inf, 3.0, 4, 8, 16, 32, 64], 1.0, None, 0.92),
+    # only the peak is within 0.1 decades of it: fit the last four, 1/maxnorm = 9.5 - t
+    ([0.1] * 6 + [1 / 3.5, 1 / 2.5, 1 / 1.5, 2.0], 0.1, 9.5, 1.0),
+    (list(range(10, 0, -1)), 1.0, None, None),
+], ids=["seven-finite-samples", "eight-samples-poor-fit", "last-four-window", "falling-maxnorm"])
+def test_detect_blowup_fit_exits(maxnorm, decades, T_estimate, fit_r2):
+    trace = FunctionalTrace(t=[float(k) for k in range(10)], maxnorm_u=[float(m) for m in maxnorm],
+                            stop_trigger="maxnorm", t_stop=9.0)
+    verdict = detect_blowup(trace, SimpleNamespace(params=PARAMS), growth_decades=decades)
+    for got, want in ((verdict.T_estimate, T_estimate), (verdict.fit_r2, fit_r2)):
+        assert got == (None if want is None else pytest.approx(want, rel=1e-12))
 
 
 def test_monotone_growth_after_minimum():

@@ -22,14 +22,12 @@ from memwave.solver import (
     HistoryWeights,
     Profile,
     SystemConfig,
-    dalembert_reference,
     discrete_energy,
     initial_state,
-    conv_derivative_identity,
-    picard_iterate,
     run_simulation,
     step,
 )
+from oracles import conv_derivative_identity, dalembert_reference, picard_iterate
 
 PARAMS = ProblemParams(1, 2.0, 2.0)
 
