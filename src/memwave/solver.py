@@ -22,9 +22,11 @@ outside it.  Costs per step, for M + 1 cells:
 - every other kernel, and a fit that misses its bound, keeps the whole
   (n_steps, M + 1) history and costs O(m c) at step m.
 
-The third-order-in-time reformulation of the exponential-kernel equation is
-integrated as a first-order system with RK4.  The d'Alembert and Picard
-references that tests compare the scheme against live in ``tests/oracles.py``.
+Every mode runs this one scheme.  Mgt mode is the Moore-Gibson-Thompson form
+beta u_ttt + u_tt - lap u - beta lap u_t = beta |u|^p of the single equation
+with g1 = exp(-t / beta), so it runs the single-mode layout.  The d'Alembert,
+Picard and third-order RK4 references that tests compare the scheme against
+live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ WINDOW = 32
 BLOCK = 32
 
 PROFILE_KINDS = ("zero", "cosine_bump", "smoothed_indicator", "gaussian")
+
+#: leapfrog is stable for cfl < 2 / sqrt(rho(dr^2 L)), with L the matrix of
+#: ``_laplacian``; rho(dr^2 L) is 4, 4.8419... and 6 for n = 1, 2, 3, set by
+#: the rows at the origin whatever the grid size
+CFL_BOUNDS = {1: 1.0, 2: 0.9089085575485424, 3: math.sqrt(2.0 / 3.0)}
 
 
 @dataclass(frozen=True)
@@ -126,8 +133,10 @@ class SystemConfig:
             raise ConfigError("kernels must be a (g1, g2) pair", param="kernels")
         if self.mode not in ("single", "coupled", "mgt"):
             raise ConfigError(f"unknown mode {self.mode!r}", param="mode")
-        if not 0.0 < self.cfl < 1.0:
-            raise ConfigError("cfl must lie in (0, 1)", param="cfl")
+        bound = CFL_BOUNDS[self.params.n]
+        if not 0.0 < self.cfl < bound:
+            raise ConfigError(f"cfl must lie in (0, {bound:.6g}) for n = {self.params.n}",
+                              param="cfl")
         if self.dr <= 0.0 or self.t_max <= 0.0:
             raise ConfigError("dr and t_max must be positive",
                               param="dr" if self.dr <= 0.0 else "t_max")
@@ -312,13 +321,13 @@ def exponential_moments(z):
 class WaveState:
     """Stacked fields, their previous time level, and the memory forcing.
 
-    The rows of ``fields`` are (u,) in single mode, (u, v) in coupled mode and
-    (u, u_t, u_tt) in mgt mode; the first ``n_wave`` rows are the wave fields.
-    Entry i of ``forcing`` is ``(src, power)``: row i is driven by
-    ``memory[i]``, the convolution of ``weights[i]`` with the profiles of
-    ``|fields[src]|**power``, brought up to the current level when a step
-    starts from it.  ``history[i]`` holds those profiles, in one of three
-    layouts chosen by ``weights[i]``:
+    The rows of ``fields`` are (u, v) in coupled mode and (u,) in single and
+    mgt mode, and ``velocity`` holds their initial velocities.  Entry i of
+    ``forcing`` is ``(src, power)``: row i is driven by ``memory[i]``, the
+    convolution of ``weights[i]`` with the profiles of ``|fields[src]|**power``,
+    brought up to the current level when a step starts from it.
+    ``history[i]`` holds those profiles, in one of three layouts chosen by
+    ``weights[i]``:
 
     - its recursion (exponential or constant kernel): only the latest one,
       shape (1, M + 1), and ``modes[i]`` is None;
@@ -328,16 +337,15 @@ class WaveState:
       ``modes[i]`` is None.
 
     The forcing, history and modes are empty and the memory None for linear
-    runs and in mgt mode, whose right-hand side forces locally.
+    runs.
     """
 
     r: np.ndarray
     fields: np.ndarray
     prev: np.ndarray | None  # the previous time level; None before the first step
-    velocity: np.ndarray | None  # initial velocities of the leapfrog rows
+    velocity: np.ndarray
     t: float
     step: int
-    n_wave: int
     forcing: tuple
     weights: tuple
     history: tuple
@@ -345,16 +353,12 @@ class WaveState:
     memory: np.ndarray | None  # (len(forcing), M + 1)
 
     @property
-    def waves(self) -> np.ndarray:
-        return self.fields[: self.n_wave]
-
-    @property
     def u(self) -> np.ndarray:
         return self.fields[0]
 
     @property
     def v(self) -> np.ndarray | None:
-        return self.fields[1] if self.n_wave == 2 else None
+        return self.fields[1] if len(self.fields) == 2 else None
 
     @property
     def u_prev(self) -> np.ndarray | None:
@@ -365,7 +369,7 @@ class WaveState:
         outside = _outside_cone(self.r, self.t, config)
         if not np.any(outside):
             return 0.0
-        return float(np.max(np.abs(self.waves[:, outside])))
+        return float(np.max(np.abs(self.fields[:, outside])))
 
 
 def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
@@ -384,23 +388,6 @@ def _outside_cone(r, t, config: SystemConfig) -> np.ndarray:
     return r > config.R + t + SUPPORT_HALO * config.dr
 
 
-def _initial_layout(config: SystemConfig, r: np.ndarray):
-    """Initial fields, leapfrog velocities, wave-row count and forcing map.
-
-    One of the two places that read the mode; the other is the choice of
-    update in ``step``.
-    """
-    p, q = config.params.p, config.params.q
-    u0 = config.u0(r)
-    if config.mode == "mgt":
-        utt = _laplacian(u0, r, config.dr, config.params.n)
-        return np.stack((u0, config.u1(r), utt)), None, 1, ()
-    if config.mode == "coupled":
-        fields = np.stack((u0, config.v0(r)))
-        return fields, np.stack((config.u1(r), config.v1(r))), 2, ((1, p), (0, q))
-    return u0[None], config.u1(r)[None], 1, ((0, p),)
-
-
 def _update_memory(state: WaveState, config: SystemConfig) -> None:
     """Record the nonlinearities at the current level and bring the memory
     terms up to it.  A stored history is zero outside the light cone, so only
@@ -415,9 +402,16 @@ def _update_memory(state: WaveState, config: SystemConfig) -> None:
 def initial_state(config: SystemConfig) -> WaveState:
     """Initial fields, the forced rows' weights, each with its
     sum-of-exponentials tail if it has one, and an empty forcing history at
-    t = 0, for any mode."""
+    t = 0, for any mode.  The one place that reads the mode: mgt runs the
+    single-mode layout."""
     r = config.radii()
-    fields, velocity, n_wave, forcing = _initial_layout(config, r)
+    p, q = config.params.p, config.params.q
+    if config.mode == "coupled":
+        fields = np.stack((config.u0(r), config.v0(r)))
+        velocity = np.stack((config.u1(r), config.v1(r)))
+        forcing = ((1, p), (0, q))
+    else:
+        fields, velocity, forcing = config.u0(r)[None], config.u1(r)[None], ((0, p),)
     if config.linear:
         forcing = ()
     weights = tuple(HistoryWeights(g, config.dt, config.n_steps)
@@ -426,58 +420,31 @@ def initial_state(config: SystemConfig) -> WaveState:
     modes = tuple(None if w.rates is None else np.zeros((w.rates.size, r.size))
                   for w in weights)
     memory = np.zeros((len(forcing), r.size)) if forcing else None
-    return WaveState(r, fields, None, velocity, 0.0, 0, n_wave, forcing, weights, history,
-                     modes, memory)
+    return WaveState(r, fields, None, velocity, 0.0, 0, forcing, weights, history, modes,
+                     memory)
 
 
-def _leapfrog(state: WaveState, config: SystemConfig) -> np.ndarray:
-    dt, m = config.dt, state.step
+def step(state: WaveState, config: SystemConfig) -> WaveState:
+    """Advance one time level, in place, in any mode.
+
+    Leapfrog with a Taylor start; the forcing at the current level is the
+    product-integration convolution of the nonlinearity history, brought up
+    to this level first.  Fields outside the light cone (plus halo) are
+    clamped to zero, which is consistent with finite propagation speed and
+    keeps the scheme second order.
+    """
+    dt = config.dt
     f = 0.0
     if state.forcing:
         with np.errstate(over="ignore", invalid="ignore"):
             _update_memory(state, config)
         f = state.memory
     lap = _laplacian(state.fields, state.r, config.dr, config.params.n)
-    if m == 0:
-        return state.fields + dt * state.velocity + 0.5 * dt**2 * (lap + f)
-    return 2.0 * state.fields - state.prev + dt**2 * (lap + f)
-
-
-def _rk4(state: WaveState, config: SystemConfig) -> np.ndarray:
-    """One RK4 step of the first-order system (u, u_t, u_tt); a linear run
-    drops its |u|^p source."""
-    beta = config.kernels[0].beta
-    n, dr, dt, p = config.params.n, config.dr, config.dt, config.params.p
-    r = state.r
-
-    def rhs(y):
-        lap = _laplacian(y[:2], r, dr, n)
-        uttt = lap[0] / beta + lap[1] - y[2] / beta
-        if not config.linear:
-            uttt += np.abs(y[0]) ** p
-        return np.stack((y[1], y[2], uttt))
-
-    y = state.fields
-    k1 = rhs(y)
-    k2 = rhs(y + 0.5 * dt * k1)
-    k3 = rhs(y + 0.5 * dt * k2)
-    k4 = rhs(y + dt * k3)
-    return y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(state: WaveState, config: SystemConfig) -> WaveState:
-    """Advance one time level, in place.
-
-    The wave modes use leapfrog with a Taylor start; their forcing at the
-    current level is the product-integration convolution of the nonlinearity
-    history, brought up to this level first.  Mgt mode takes one RK4 step of
-    the third-order reformulation of the exponential-kernel equation.  Fields
-    outside the light cone (plus halo) are clamped to zero, which is
-    consistent with finite propagation speed and keeps the scheme second
-    order.
-    """
-    new = _rk4(state, config) if config.mode == "mgt" else _leapfrog(state, config)
-    state.t += config.dt
+    if state.step == 0:
+        new = state.fields + dt * state.velocity + 0.5 * dt**2 * (lap + f)
+    else:
+        new = 2.0 * state.fields - state.prev + dt**2 * (lap + f)
+    state.t += dt
     new[..., _outside_cone(state.r, state.t, config)] = 0.0
     state.prev, state.fields = state.fields, new
     state.step += 1
@@ -519,7 +486,9 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     snapshots = {}
     for _ in range(config.n_steps):
         step(state, config)
-        if not np.all(np.isfinite(state.waves)):
+        # one reduction serves both triggers: a NaN or inf propagates to the peak
+        peak = np.max(np.abs(state.fields))
+        if not np.isfinite(peak):
             trace.stop_trigger = "nonfinite"
             break
         if state.step % config.record_every == 0:
@@ -529,7 +498,7 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
                 state.u.copy(),
                 None if state.v is None else state.v.copy(),
             )
-        if np.max(np.abs(state.waves)) > config.maxnorm_threshold:
+        if peak > config.maxnorm_threshold:
             trace.stop_trigger = "maxnorm"
             break
     trace.t_stop = state.t

@@ -101,6 +101,25 @@ def test_documented_kernels_cover_readme():
     assert documented == {b["family"] for b in DOCUMENTED_KERNELS}
 
 
+def _readme_modes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.search(r"^  mode: \w+ +# ([\w |]+?) *(?:\(|$)", readme, re.M).group(1).split(" | ")
+
+
+def test_readme_lists_the_modes():
+    assert sorted(_readme_modes()) == ["coupled", "mgt", "single"]
+
+
+@pytest.mark.parametrize("mode", _readme_modes())
+def test_simulate_runs_documented_mode(tmp_path, mode):
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["simulation"]["mode"] = mode
+    if mode == "mgt":
+        cfg["kernels"]["g1"] = {"family": "exponential", "beta": 1.0}
+    path = _write(tmp_path, cfg)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
 @pytest.mark.parametrize("block", DOCUMENTED_KERNELS,
                          ids=lambda b: "-".join(str(v) for v in b.values()))
 def test_validate_builds_documented_kernel(tmp_path, block):
@@ -137,6 +156,7 @@ def test_validate_reports_unknown_key(tmp_path):
 def test_validate_sobolev_warning(tmp_path):
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["problem"] = {"n": 3, "p": 4.0, "q": 2.0}
+    cfg["simulation"]["cfl"] = 0.8  # below the n = 3 bound
     _, report = validate_config(cfg, tmp_path)
     assert not report.errors
     assert any("n/(n-2) = 3" in w for w in report.warnings)
@@ -377,8 +397,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _SLOW_SWEEP = {"n": 3, "p": 2.0, "q": 2.0, "gamma1": 0.5, "gamma2": 0.7}
 GOLDEN_RUNS = {
+    # the simulation section is validated too, so n = 3 takes a cfl below its bound
     "sweep_slow": ("sweep", {"problem": _SLOW_SWEEP, "sweep": {
-        "p_range": [1.1, 4.0], "q_range": [1.2, 3.5], "resolution": 5}}, []),
+        "p_range": [1.1, 4.0], "q_range": [1.2, 3.5], "resolution": 5},
+        "simulation": {**MINIMAL["simulation"], "cfl": 0.8}}, []),
     "sweep_fast": ("sweep", {"problem": {"n": 2, "p": 2.0, "q": 2.0}, "sweep": {
         "p_range": [1.5, 2.5], "q_range": [1.1, 6.0], "resolution": 4}}, []),
     "simulate": ("simulate", {}, []),

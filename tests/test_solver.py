@@ -27,7 +27,7 @@ from memwave.solver import (
     run_simulation,
     step,
 )
-from oracles import conv_derivative_identity, dalembert_reference, picard_iterate
+from oracles import conv_derivative_identity, dalembert_reference, mgt_reference, picard_iterate
 
 PARAMS = ProblemParams(1, 2.0, 2.0)
 
@@ -263,7 +263,8 @@ def test_run_simulation_linear_reaches_tmax():
 
 
 # trace end points recorded from the per-mode drivers that preceded the
-# shared stepping loop; any change to the floating-point operations shows here
+# stepping loop every mode now shares; any change to the floating-point
+# operations shows here
 PINNED_RUNS = {
     "single_n3": (
         dict(params=ProblemParams(3, 2.0, 3.0), mode="single", cfl=0.5,
@@ -282,14 +283,6 @@ PINNED_RUNS = {
          1.913177822325771, 8.037166164459306, 0.6117402983265022,
          0.023927265325577693, 0.32162163060759263, 0.8018211401995272),
     ),
-    "mgt_n1": (
-        dict(params=ProblemParams(1, 2.0, 3.0), mode="mgt",
-             kernels=(Exponential(1.0), Exponential(1.0))),
-        12,
-        (0.49499999999999994, 0.6960615706163895, 0.6960615706163895,
-         0.9594936461143369, 0.9594936461143369, 0.30703437135596945,
-         0.15376086080000684, 0.6252464746564075, 0.6252464746564075),
-    ),
 }
 
 
@@ -302,6 +295,14 @@ def test_run_simulation_pinned_trace(name):
     assert trace.stop_trigger == "reached_tmax"
     got = tuple(getattr(trace, col)[-1] for col in TRACE_COLUMNS)
     assert got == pytest.approx(last, rel=1e-12)
+
+
+def test_mgt_reference_pinned_end_point():
+    # the RK4 third-order form, pinned where the solver ran it as mgt mode
+    cfg = _config(params=ProblemParams(1, 2.0, 3.0), mode="mgt", kernels=(Exponential(1.0),) * 2,
+                  u1=Profile("cosine_bump", 0.5, 1.0), t_max=0.5, dr=0.05)
+    assert cfg.n_steps * cfg.dt == pytest.approx(0.495, rel=1e-12)
+    assert np.max(np.abs(mgt_reference(cfg))) == 0.6252464746564075
 
 
 def test_run_simulation_computes_eigenfunction_once(monkeypatch):
@@ -333,7 +334,7 @@ def test_memory_run_keeps_light_cone_exact():
         step(state, cfg)
         outside = state.r > cfg.R + state.t + 2 * cfg.dr
         assert np.any(outside)
-        assert np.all(state.waves[:, outside] == 0.0)
+        assert np.all(state.fields[:, outside] == 0.0)
         assert np.all(state.memory[:, outside] == 0.0)
     assert np.max(np.abs(state.memory)) > 0.0
 
@@ -375,7 +376,7 @@ def _run_against_direct(monkeypatch, cfg):
         step(state, cfg)
         outside = state.r > cfg.R + state.t + 2 * cfg.dr
         assert np.any(outside)
-        assert np.all(state.waves[:, outside] == 0.0)
+        assert np.all(state.fields[:, outside] == 0.0)
         assert np.all(state.memory[:, outside] == 0.0)
         assert all(np.all(f[:, outside] == 0.0) for f in state.modes if f is not None)
     return state, np.array(got), np.array(want)
@@ -415,7 +416,7 @@ def test_mode_tail_matches_direct_convolution(monkeypatch, kernel):
     state, got, want = _run_against_direct(monkeypatch, cfg)
     assert state.modes[0] is not None and np.max(state.modes[0]) > 0.0
     assert state.history[0].shape[0] == solver.WINDOW + solver.BLOCK
-    assert np.all(np.isfinite(state.waves)) and np.max(want[-1, 0]) > 0.0
+    assert np.all(np.isfinite(state.fields)) and np.max(want[-1, 0]) > 0.0
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
@@ -461,6 +462,24 @@ def test_memory_run_matches_direct_convolution(monkeypatch):
     np.testing.assert_allclose(memory, want_memory, rtol=1e-12, atol=0.0)
     for col in TRACE_COLUMNS:
         np.testing.assert_allclose(getattr(trace, col), getattr(want, col), rtol=1e-12, atol=0.0)
+
+
+def test_nonfinite_field_stops_the_run(monkeypatch):
+    # a NaN in the forcing of step 5 reaches the fields that step makes; the
+    # run stops there, before it records them
+    update = solver._update_memory
+
+    def poisoned(state, config):
+        update(state, config)
+        if state.step == 5:
+            state.memory[0, 0] = np.nan
+
+    monkeypatch.setattr(solver, "_update_memory", poisoned)
+    cfg = _config(t_max=0.5)
+    trace = run_simulation(cfg).trace
+    assert trace.stop_trigger == "nonfinite"
+    assert trace.t_stop == pytest.approx(6 * cfg.dt, rel=1e-12)
+    assert len(trace) == 6 and np.all(np.isfinite(trace.maxnorm_u))
 
 
 def test_run_simulation_snapshot_capture():
@@ -530,7 +549,7 @@ def test_picard_rejects_long_window():
 
 
 # ---------------------------------------------------------------------------
-# third-order-in-time reformulation
+# mgt mode: the third-order (MGT) form of the exponential-kernel equation
 # ---------------------------------------------------------------------------
 
 
@@ -548,33 +567,49 @@ def test_mgt_zero_data_stays_zero():
     assert np.all(state.u == 0.0)
 
 
+@pytest.mark.parametrize("linear", [False, True], ids=["nonlinear", "linear"])
+@pytest.mark.parametrize("dr", [0.02, 0.01, 0.005])
+def test_mgt_mode_is_single_mode(dr, linear):
+    # with u_tt(0) = lap u0 the MGT equation is the single equation with
+    # g1 = exp(-t / beta), and both modes run it through one scheme; on this
+    # C1 cosine bump the third-order RK4 scheme once stayed 3.3e-3 to 3.8e-3
+    # away from single mode at every dr
+    common = dict(kernels=(Exponential(1.0),) * 2, u0=Profile("cosine_bump", 0.5, 1.0),
+                  u1=Profile("zero"), t_max=2.0, dr=dr, linear=linear)
+    single = run_simulation(_config(mode="single", **common)).trace
+    mgt = run_simulation(_config(mode="mgt", **common)).trace
+    assert mgt.stop_trigger == single.stop_trigger == "reached_tmax"
+    for col in TRACE_COLUMNS:
+        assert np.array_equal(getattr(mgt, col), getattr(single, col)), col
+
+
 def _mgt_single_orders(linear):
-    """Observed orders of the final maxnorm_u gap between single mode with an
-    exponential kernel and mgt mode, for an n = 2 Gaussian at dr = 0.02, 0.01
-    and 0.005."""
+    """Observed orders of the final max|u| gap between single mode with an
+    exponential kernel and the RK4 third-order reference, for an n = 2
+    Gaussian at dr = 0.02, 0.01 and 0.005."""
     gaps = []
     for dr in (0.02, 0.01, 0.005):
-        common = dict(params=ProblemParams(2, 2.0, 2.0), kernels=(Exponential(1.0),) * 2,
-                      u0=Profile("gaussian", 0.5, 1.0), u1=Profile("zero"), t_max=2.0, dr=dr,
-                      linear=linear)
-        single = run_simulation(_config(mode="single", **common)).trace
-        mgt = run_simulation(_config(mode="mgt", **common)).trace
-        assert single.stop_trigger == mgt.stop_trigger == "reached_tmax"
-        gaps.append(abs(single.maxnorm_u[-1] - mgt.maxnorm_u[-1]))
+        cfg = _config(mode="single", params=ProblemParams(2, 2.0, 2.0),
+                      kernels=(Exponential(1.0),) * 2, u0=Profile("gaussian", 0.5, 1.0),
+                      u1=Profile("zero"), t_max=2.0, dr=dr, linear=linear)
+        single = run_simulation(cfg).trace
+        assert single.stop_trigger == "reached_tmax"
+        gaps.append(abs(single.maxnorm_u[-1] - np.max(np.abs(mgt_reference(cfg)))))
     return gaps, np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
 
 
 def test_mgt_matches_single_mode_at_second_order():
-    # single mode with an exponential kernel (its recursion) and mgt mode (RK4
-    # on the third-order form) solve one equation through code they do not
-    # share; their gap must fall at the scheme's second order.  In n = 1 the
-    # leading error terms of the two nearly cancel, and the gap falls faster
+    # single mode with an exponential kernel (its recursion) and the RK4
+    # reference on the third-order form solve one equation through code they
+    # do not share; their gap must fall at the scheme's second order.  In
+    # n = 1 the leading error terms of the two nearly cancel, and the gap
+    # falls faster
     gaps, orders = _mgt_single_orders(linear=False)
     assert np.all((1.8 <= orders) & (orders <= 2.2)), (gaps, orders)
 
 
 def test_linear_mgt_matches_linear_single_mode_at_second_order():
-    # without the nonlinearity both modes solve the same free wave: mgt's
+    # without the nonlinearity both schemes solve the same free wave: the
     # third-order form reduces to (d/dt + 1/beta)(u_tt - lap u) = 0 with
     # u_tt(0) = lap u0
     gaps, orders = _mgt_single_orders(linear=True)
@@ -631,6 +666,39 @@ def test_config_rejects_bad_cfl():
         _config(cfl=1.5)
 
 
+def _laplacian_matrix(n, cells):
+    """dr^2 times the matrix of ``solver._laplacian`` on a grid of cells + 1
+    points; column j is the image of the j-th unit vector."""
+    dr = 1.0 / cells
+    r = dr * np.arange(cells + 1)
+    return dr**2 * solver._laplacian(np.eye(cells + 1), r, dr, n).T
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cfl_bound_is_the_leapfrog_stability_limit(n):
+    # leapfrog on u'' = L u is stable iff dt^2 rho(L) < 4, that is
+    # cfl < 2 / sqrt(rho(dr^2 L)); the rows at the origin set rho in n = 2
+    # and 3 on every grid, and in n = 1 rho tends to 4 from below
+    bound = solver.CFL_BOUNDS[n]
+    for cells in (50, 400):
+        eig = np.linalg.eigvals(_laplacian_matrix(n, cells))
+        limit = 2.0 / math.sqrt(np.max(np.abs(eig)))
+        assert limit >= bound * (1.0 - 1e-14)
+        assert limit == pytest.approx(bound, rel=2e-4 if n == 1 else 1e-12)
+
+
+def test_free_3d_wave_at_cfl_above_the_bound_is_rejected():
+    # a free 3-d Gaussian at cfl 0.9 grew at the origin rows until it stopped
+    # on maxnorm at t = 0.288 and was reported as blow-up; below the bound
+    # the same wave reaches t_max
+    common = dict(params=ProblemParams(3, 2.0, 2.0), dr=0.01, t_max=2.0, linear=True)
+    with pytest.raises(ConfigError) as exc:
+        _config(cfl=0.9, **common)
+    assert exc.value.param == "cfl"
+    trace = run_simulation(_config(cfl=0.81, **common)).trace
+    assert trace.stop_trigger == "reached_tmax"
+
+
 def test_config_rejects_bad_mode():
     with pytest.raises(ConfigError):
         _config(mode="implicit")
@@ -641,7 +709,8 @@ def test_config_rejects_bad_mode():
     (dict(params=ProblemParams(4, 2.0, 2.0)), "n"),
     (dict(t_max=0.5, snapshot_times=(0.9,)), "snapshot_times"),
     (dict(snapshot_times=(0.0,)), "snapshot_times"),
-], ids=["record_every_0", "n_4", "snapshot_after_t_max", "snapshot_at_0"])
+    (dict(params=ProblemParams(2, 2.0, 2.0), cfl=0.91), "cfl"),
+], ids=["record_every_0", "n_4", "snapshot_after_t_max", "snapshot_at_0", "cfl_above_n2_bound"])
 def test_config_rejects_value_the_solver_cannot_run(kw, param):
     with pytest.raises(ConfigError) as exc:
         _config(**kw)
