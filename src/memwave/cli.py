@@ -39,7 +39,7 @@ from .exponents import (
     ProblemParams,
     check_condition_fast,
     check_condition_slow,
-    experimental_mixed_condition,
+    condition_curves,
     generalized_strauss,
     region_from_grids,
     strauss_exponent,
@@ -485,14 +485,11 @@ def cmd_classify(args, resolved, outdir: OutputDir) -> int:
     verdict = None
     extra: dict = {"decay_classes": classes}
     if classes == ["slow", "slow"]:
-        verdict = check_condition_slow(params, kernels[0], kernels[1])
+        verdict = check_condition_slow(params, *kernels)
     elif classes == ["fast", "fast"]:
         verdict = check_condition_fast(params)
     elif "indeterminate" not in classes:
-        slow_index = 1 if classes[0] == "slow" else 2
-        times, lhs, rhs = experimental_mixed_condition(
-            params, kernels[0], kernels[1], slow_index
-        )
+        times, lhs, rhs = condition_curves(params, *kernels)
         _write_csv(
             outdir.path("mixed_condition_experimental.csv"),
             ["t", "log_lhs", "log_rhs"],

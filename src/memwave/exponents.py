@@ -1,10 +1,14 @@
 """Critical exponents, critical curves, and blow-up condition checks.
 
-The two condition checks mirror the dichotomy driven by kernel decay: when
-both kernels decay slower than 1/t the condition couples the kernels, the
-powers, and a slowly growing log-iterate; when both decay faster than 1/t the
-condition collapses to the classical critical-curve inequality for coupled
-wave systems.
+The blow-up condition is one pair of curves, ``condition_curves``: it couples
+the kernels, the powers and a slowly growing log-iterate.  A kernel that
+decays slower than 1/t enters through its own log g; one that decays faster
+enters at the threshold g = 1/t, so the same curves serve a slow-slow and a
+mixed slow/fast pair.  With both kernels at the threshold the slope of their
+gap in log t is (pq-1)(alpha_w - (n-1)/2), the classical critical curve of the
+coupled wave system, which ``check_condition_fast`` tests in closed form.
+Only the slow-slow pair gets a verdict from the curves; the mixed regime is a
+conjecture, so its curves are reported as they are.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ __all__ = [
     "check_condition_fast",
     "sweep_grids",
     "region_from_grids",
-    "experimental_mixed_condition",
+    "condition_curves",
 ]
 
 MAX_LOG_DEPTH = 4
@@ -177,32 +181,48 @@ def _require_class(kernel: MemoryKernel, tag: DecayTag, role: str) -> None:
         )
 
 
+def condition_curves(params: ProblemParams, g1: MemoryKernel, g2: MemoryKernel):
+    """(times, log LHS, log RHS) of the blow-up condition on ``default_condition_times``.
+
+    log LHS(t) = log(g1 g2 max{g1^(q-1) t^(2q+1/p), g2^(p-1) t^(2p+1/q)}) and
+    log RHS(t) = ((n-1)(pq-1)/2 - 3) log t + log of the log-iterate.  A kernel
+    that ``classify_decay`` calls fast enters at the 1/t threshold: its factor
+    1/t moves to the right-hand side and its power folds into the exponent of
+    t, so each fast kernel raises the -3 by one.  Every other kernel enters
+    through its log g.
+    """
+    times = default_condition_times()
+    n, p, q = params.n, params.p, params.q
+    logt = np.log(times)
+    slow_logs, terms = [], []
+    for g, power, other in ((g1, q, p), (g2, p, q)):
+        if classify_decay(g).tag is DecayTag.FAST:
+            terms.append((power + 1.0 + 1.0 / other) * logt)
+        else:
+            logg = np.log(np.asarray(g(times), dtype=float))
+            slow_logs.append(logg)
+            terms.append((power - 1.0) * logg + (2.0 * power + 1.0 / other) * logt)
+    lhs = sum(slow_logs) + np.maximum(*terms)
+    rhs = ((n - 1) * (p * q - 1.0) / 2.0 - (1.0 + len(slow_logs))) * logt + np.log(
+        log_iterate(times, params.r_depth)
+    )
+    return times, lhs, rhs
+
+
 def check_condition_slow(
     params: ProblemParams,
     g1: MemoryKernel,
     g2: MemoryKernel,
 ) -> ConditionVerdict:
-    """Blow-up condition for two slow-decay kernels, tested on ``default_condition_times``.
+    """Blow-up condition for two slow-decay kernels, tested on ``condition_curves``.
 
-    Compares log LHS(t) = log(g1 g2 max{g1^(q-1) t^(2q+1/p), g2^(p-1) t^(2p+1/q)})
-    against log RHS(t) = ((n-1)(pq-1)/2 - 3) log t + log of the log-iterate.
-    Satisfied when the gap stays above -MARGIN_TOLERANCE over the last half of
-    the grid; the reported margin is the gap at the largest time.
+    Satisfied when the gap log LHS - log RHS stays above -MARGIN_TOLERANCE
+    over the last half of the grid; the reported margin is the gap at the
+    largest time.
     """
     _require_class(g1, DecayTag.SLOW, "first")
     _require_class(g2, DecayTag.SLOW, "second")
-    times = default_condition_times()
-    n, p, q = params.n, params.p, params.q
-    logt = np.log(times)
-    logg1 = np.log(np.asarray(g1(times), dtype=float))
-    logg2 = np.log(np.asarray(g2(times), dtype=float))
-    lhs = logg1 + logg2 + np.maximum(
-        (q - 1.0) * logg1 + (2.0 * q + 1.0 / p) * logt,
-        (p - 1.0) * logg2 + (2.0 * p + 1.0 / q) * logt,
-    )
-    rhs = ((n - 1) * (p * q - 1.0) / 2.0 - 3.0) * logt + np.log(
-        log_iterate(times, params.r_depth)
-    )
+    times, lhs, rhs = condition_curves(params, g1, g2)
     gap = lhs - rhs
     tail = gap[times.size // 2 :]
     return ConditionVerdict(
@@ -240,14 +260,13 @@ class RegionMap:
     q_values: np.ndarray
     branch: Branch
     threshold: float  # (n - 1) / 2
-    gammas: tuple[float, float] | None  # the fractional orders; None for fast-fast
+    gammas: tuple[float, float]  # the fractional orders; (1.0, 1.0) for fast-fast
 
     def margin_rows(self):
         """Yield (p, margin over the q grid) for each p value in order."""
         qs = self.q_values
         for p in self.p_values.tolist():
-            alpha = alpha_w(p, qs) if self.gammas is None else alpha_wm(p, qs, *self.gammas)
-            yield p, alpha - self.threshold
+            yield p, alpha_wm(p, qs, *self.gammas) - self.threshold
 
     def rows(self):
         """Yield (p, q, branch, satisfied, margin) row tuples, p-major."""
@@ -296,7 +315,8 @@ def region_from_grids(
     _check_grid("p", ps)
     _check_grid("q", qs)
     if gamma1 is None and gamma2 is None:
-        branch, gammas = Branch.FAST_FAST, None
+        # alpha_wm at orders 1 is alpha_w, bit for bit
+        branch, gammas = Branch.FAST_FAST, (1.0, 1.0)
     elif gamma1 is not None and gamma2 is not None:
         if not (0.0 < gamma1 <= 1.0 and 0.0 < gamma2 <= 1.0):
             raise ConfigError("fractional orders must lie in (0, 1]")
@@ -304,37 +324,3 @@ def region_from_grids(
     else:
         raise ConfigError("give both fractional orders or neither")
     return RegionMap(ps, qs, branch, (n - 1) / 2.0, gammas)
-
-
-def experimental_mixed_condition(
-    params: ProblemParams,
-    g1: MemoryKernel,
-    g2: MemoryKernel,
-    slow_index: int,
-):
-    """EXPERIMENTAL: raw terms of the conjectural mixed slow/fast condition.
-
-    One kernel decays slower and one faster than 1/t; the blow-up condition in
-    this regime is a conjecture, so no verdict is produced.  Returns
-    (times, log_lhs, log_rhs) on ``default_condition_times`` for inspection only.
-    """
-    if slow_index not in (1, 2):
-        raise ConfigError("slow_index must be 1 or 2")
-    times = default_condition_times()
-    n, p, q = params.n, params.p, params.q
-    logt = np.log(times)
-    logL = np.log(log_iterate(times, params.r_depth))
-    rhs = ((n - 1) * (p * q - 1.0) / 2.0 - 2.0) * logt + logL
-    if slow_index == 1:
-        logg = np.log(np.asarray(g1(times), dtype=float))
-        lhs = logg + np.maximum(
-            (q - 1.0) * logg + (2.0 * q + 1.0 / p) * logt,
-            (p + 1.0 + 1.0 / q) * logt,
-        )
-    else:
-        logg = np.log(np.asarray(g2(times), dtype=float))
-        lhs = logg + np.maximum(
-            (q + 1.0 + 1.0 / p) * logt,
-            (p - 1.0) * logg + (2.0 * p + 1.0 / q) * logt,
-        )
-    return times, lhs, rhs

@@ -69,6 +69,8 @@ PROFILE_KINDS = ("zero", "cosine_bump", "smoothed_indicator", "gaussian")
 #: ``_laplacian``; rho(dr^2 L) is 4, 4.8419... and 6 for n = 1, 2, 3, set by
 #: the rows at the origin whatever the grid size
 CFL_BOUNDS = {1: 1.0, 2: 0.9089085575485424, 3: math.sqrt(2.0 / 3.0)}
+#: the cfl of a run that sets none, below each dimension's bound
+DEFAULT_CFL = {1: 0.9, 2: 0.9, 3: 0.8}
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ class SystemConfig:
     v1: Profile = None
     t_max: float = 2.0
     dr: float = 0.01
-    cfl: float = 0.9
+    cfl: float | None = None  # None: DEFAULT_CFL for the dimension
     mode: str = "coupled"  # "single" | "coupled" | "mgt"
     maxnorm_threshold: float = 1e6
     linear: bool = False  # drop the memory forcing (free wave propagation)
@@ -133,6 +135,8 @@ class SystemConfig:
             raise ConfigError("kernels must be a (g1, g2) pair", param="kernels")
         if self.mode not in ("single", "coupled", "mgt"):
             raise ConfigError(f"unknown mode {self.mode!r}", param="mode")
+        if self.cfl is None:
+            self.cfl = DEFAULT_CFL[self.params.n]
         bound = CFL_BOUNDS[self.params.n]
         if not 0.0 < self.cfl < bound:
             raise ConfigError(f"cfl must lie in (0, {bound:.6g}) for n = {self.params.n}",
@@ -366,10 +370,10 @@ class WaveState:
 
     def support_violation(self, config: SystemConfig) -> float:
         """Largest wave-field magnitude outside the allowed light cone."""
-        outside = _outside_cone(self.r, self.t, config)
-        if not np.any(outside):
+        c = _cone_cut(self.r, self.t, config)
+        if c == self.r.size:
             return 0.0
-        return float(np.max(np.abs(self.fields[:, outside])))
+        return float(np.max(np.abs(self.fields[:, c:])))
 
 
 def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
@@ -384,8 +388,10 @@ def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
     return lap
 
 
-def _outside_cone(r, t, config: SystemConfig) -> np.ndarray:
-    return r > config.R + t + SUPPORT_HALO * config.dr
+def _cone_cut(r, t, config: SystemConfig) -> int:
+    """The number c of cells inside the light cone (plus halo) at time t: r
+    increases, so the cells with r > R + t + halo are exactly r[c:]."""
+    return int(np.searchsorted(r, config.R + t + SUPPORT_HALO * config.dr, side="right"))
 
 
 def _update_memory(state: WaveState, config: SystemConfig) -> None:
@@ -393,7 +399,7 @@ def _update_memory(state: WaveState, config: SystemConfig) -> None:
     terms up to it.  A stored history is zero outside the light cone, so only
     its first c columns enter the products; ``memory`` and the modes keep
     zeros beyond them."""
-    c = state.r.size - np.count_nonzero(_outside_cone(state.r, state.t, config))
+    c = _cone_cut(state.r, state.t, config)
     for i, (src, power) in enumerate(state.forcing):
         state.weights[i].update(state.memory[i], state.history[i], state.modes[i],
                                 np.abs(state.fields[src]) ** power, state.step, c)
@@ -445,7 +451,7 @@ def step(state: WaveState, config: SystemConfig) -> WaveState:
     else:
         new = 2.0 * state.fields - state.prev + dt**2 * (lap + f)
     state.t += dt
-    new[..., _outside_cone(state.r, state.t, config)] = 0.0
+    new[..., _cone_cut(state.r, state.t, config):] = 0.0
     state.prev, state.fields = state.fields, new
     state.step += 1
     return state

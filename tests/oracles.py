@@ -16,7 +16,7 @@ from memwave.iteration import _rat
 from memwave.kernels import Exponential
 from memwave.observables import (FunctionalTrace, _trapezoid_terms, phi_eigenfunction,
                                  radial_integral, sphere_area)
-from memwave.solver import HistoryWeights, SystemConfig, _laplacian, _outside_cone
+from memwave.solver import HistoryWeights, SystemConfig, _cone_cut, _laplacian
 
 
 def margin_plane(region) -> np.ndarray:
@@ -192,7 +192,7 @@ def mgt_reference(config: SystemConfig) -> np.ndarray:
         k4 = rhs(y + dt * k3)
         y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
-        y[..., _outside_cone(r, t, config)] = 0.0
+        y[..., _cone_cut(r, t, config):] = 0.0
     return y[0]
 
 

@@ -19,7 +19,7 @@ import yaml
 
 import memwave
 from memwave.cli import _write_csv, main, read_snapshot, validate_config, write_snapshot
-from memwave.exponents import ProblemParams, check_condition_slow, experimental_mixed_condition
+from memwave.exponents import ProblemParams, check_condition_slow, condition_curves
 from memwave.kernels import Exponential, RiemannLiouville
 
 MINIMAL = {
@@ -162,6 +162,18 @@ def test_validate_sobolev_warning(tmp_path):
     assert any("n/(n-2) = 3" in w for w in report.warnings)
 
 
+@pytest.mark.parametrize("command", ["sweep", "classify", "simulate"])
+def test_n3_config_without_cfl_runs(tmp_path, command):
+    # a default cfl of 0.9 lies above the n = 3 bound, so this config exited 2
+    # in every command that validates its simulation section
+    cfg = {**MINIMAL, "problem": {"n": 3, "p": 2.0, "q": 2.0},
+           "sweep": {"p_range": [1.5, 2.5], "q_range": [1.5, 2.5], "resolution": 3}}
+    out = tmp_path / command
+    assert main([command, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved_simulation"]["cfl"] == 0.8
+
+
 def test_simulate_writes_artifacts(tmp_path):
     cfg = _write(tmp_path, MINIMAL)
     out = tmp_path / "out"
@@ -262,41 +274,56 @@ def test_package_exports_are_consistent():
     assert "scipy" not in Path(memwave.solver.__file__).read_text()
 
 
-@pytest.mark.parametrize("family, params, loads_scipy, t_max", [
-    pytest.param("exponential", {"beta": 1.0}, False, 0.4, id="exponential-params0-False"),
-    pytest.param("oscillating_polynomial", {"gamma": 0.3}, True, 0.4,
+_EXPONENTIAL = {"family": "exponential", "beta": 1.0}
+
+
+@pytest.mark.parametrize("kernels, simulation, loads_scipy", [
+    pytest.param({}, {}, False, id="exponential-params0-False"),
+    pytest.param({"g2": {"family": "oscillating_polynomial", "gamma": 0.3}}, {}, True,
                  id="oscillating_polynomial-params1-True"),
     # 111 steps: past the exact window, so the riemann_liouville row builds
-    # and runs its sum-of-exponentials tail
-    pytest.param("exponential", {"beta": 1.0}, False, 2.0, id="exponential-mode-tail"),
+    # and runs its sum-of-exponentials tail, in coupled and in single mode
+    pytest.param({}, {"t_max": 2.0}, False, id="exponential-mode-tail"),
+    pytest.param({}, {"t_max": 2.0, "mode": "single"}, False, id="single-mode-tail"),
+    pytest.param({"g1": _EXPONENTIAL}, {"t_max": 2.0, "mode": "mgt"}, False, id="mgt"),
 ])
-def test_simulate_loads_scipy_only_for_quadrature(tmp_path, family, params, loads_scipy, t_max):
+def test_simulate_loads_scipy_only_for_quadrature(tmp_path, kernels, simulation, loads_scipy):
     # closed-form kernels (riemann_liouville + exponential) never need scipy;
     # a quadrature-backed kernel loads it on its first antiderivative
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
-    cfg["kernels"]["g2"] = {"family": family, **params}
-    cfg["simulation"]["t_max"] = t_max
+    cfg["kernels"].update(kernels)
+    cfg["simulation"].update(simulation)
     path = _write(tmp_path, cfg)
     argv = ["simulate", "--config", str(path), "--out", "out"]
     code = f"import memwave.cli\nassert memwave.cli.main({argv!r}) == 0"
     assert bool(_scipy_modules_after(code, tmp_path)) == loads_scipy
 
 
-@pytest.mark.parametrize("slow_index, classes", [(1, ["slow", "fast"]), (2, ["fast", "slow"])],
+def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
+    # classify (a mixed pair's curves), sweep, sequences and verify
+    cfg = {**MINIMAL, "sweep": {"p_range": [1.1, 3.0], "q_range": [1.1, 3.0], "resolution": 9}}
+    path = str(_write(tmp_path, cfg))
+    runs = [[command, "--config", path, "--out", command]
+            for command in ("classify", "sweep", "sequences")] + [["verify", "--out", "verify"]]
+    code = "import memwave.cli\n" + "".join(
+        f"assert memwave.cli.main({argv!r}) == 0\n" for argv in runs)
+    assert _scipy_modules_after(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("swapped, classes", [(False, ["slow", "fast"]), (True, ["fast", "slow"])],
                          ids=["slow-fast", "fast-slow"])
-def test_classify_slow_fast_pair(tmp_path, slow_index, classes):
+def test_classify_slow_fast_pair(tmp_path, swapped, classes):
     # swapping the kernels and p with q leaves the mixed curves unchanged
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["problem"]["q"] = 3.0
-    if slow_index == 2:
+    if swapped:
         cfg["problem"].update(p=3.0, q=2.0)
         cfg["kernels"] = {"g1": cfg["kernels"]["g2"], "g2": cfg["kernels"]["g1"]}
     out = tmp_path / "cls"
     assert main(["classify", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
     condition = json.loads((out / "condition.json").read_text())
     assert condition["decay_classes"] == classes
-    want = experimental_mixed_condition(ProblemParams(1, 2.0, 3.0), RiemannLiouville(0.5),
-                                        Exponential(1.0), slow_index=1)
+    want = condition_curves(ProblemParams(1, 2.0, 3.0), RiemannLiouville(0.5), Exponential(1.0))
     got = np.loadtxt(out / "mixed_condition_experimental.csv", delimiter=",", skiprows=1)
     assert np.array_equal(got, np.column_stack(want))
 
@@ -397,10 +424,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 _SLOW_SWEEP = {"n": 3, "p": 2.0, "q": 2.0, "gamma1": 0.5, "gamma2": 0.7}
 GOLDEN_RUNS = {
-    # the simulation section is validated too, so n = 3 takes a cfl below its bound
+    # sweep validates the simulation section too, which for n = 3 takes the
+    # default cfl of its dimension, 0.8
     "sweep_slow": ("sweep", {"problem": _SLOW_SWEEP, "sweep": {
-        "p_range": [1.1, 4.0], "q_range": [1.2, 3.5], "resolution": 5},
-        "simulation": {**MINIMAL["simulation"], "cfl": 0.8}}, []),
+        "p_range": [1.1, 4.0], "q_range": [1.2, 3.5], "resolution": 5}}, []),
     "sweep_fast": ("sweep", {"problem": {"n": 2, "p": 2.0, "q": 2.0}, "sweep": {
         "p_range": [1.5, 2.5], "q_range": [1.1, 6.0], "resolution": 4}}, []),
     "simulate": ("simulate", {}, []),

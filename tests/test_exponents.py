@@ -15,15 +15,21 @@ from memwave.exponents import (
     alpha_wm,
     check_condition_fast,
     check_condition_slow,
+    condition_curves,
     default_condition_times,
-    experimental_mixed_condition,
     generalized_strauss,
     log_iterate,
     region_from_grids,
     strauss_exponent,
     sweep_grids,
 )
-from memwave.kernels import Constant, Exponential, RiemannLiouville
+from memwave.kernels import (
+    Constant,
+    Exponential,
+    IteratedExponential,
+    PolynomialShifted,
+    RiemannLiouville,
+)
 from oracles import margin_plane
 
 
@@ -282,10 +288,47 @@ def test_region_rows_bitwise_equal_meshgrid_plane(gammas):
 
 def test_experimental_mixed_condition_returns_raw_curves():
     params = ProblemParams(3, 2.0, 2.0)
-    times, lhs, rhs = experimental_mixed_condition(
-        params, RiemannLiouville(0.5), Exponential(1.0), slow_index=1
-    )
+    times, lhs, rhs = condition_curves(params, RiemannLiouville(0.5), Exponential(1.0))
     assert len(times) == len(lhs) == len(rhs)
+    assert np.array_equal(times, default_condition_times())
     assert np.all(np.isfinite(lhs)) and np.all(np.isfinite(rhs))
-    with pytest.raises(ConfigError):
-        experimental_mixed_condition(params, RiemannLiouville(0.5), Exponential(1.0), 3)
+
+
+_FAST = [Exponential(1.0), IteratedExponential(2, 1.0), PolynomialShifted(1.5)]
+
+
+def _critical_slope(params, g1, g2):
+    """The slope in log t of the condition's gap, log-iterate added back,
+    over the last two grid points."""
+    times, lhs, rhs = condition_curves(params, g1, g2)
+    gap = lhs - rhs + np.log(log_iterate(times, params.r_depth))
+    logt = np.log(times)
+    return (gap[-1] - gap[-2]) / (logt[-1] - logt[-2])
+
+
+@pytest.mark.parametrize("gammas", [(0.3, 0.8), (0.5, None), (None, 0.7), (None, None)],
+                         ids=["slow-slow", "slow-fast", "fast-slow", "fast-fast"])
+@pytest.mark.parametrize("n, p, q", [(1, 1.5, 3.0), (2, 2.0, 2.0), (3, 2.0, 2.5), (3, 3.7, 1.1)])
+@pytest.mark.parametrize("r_depth", [0, 2])
+def test_condition_curves_slope_is_the_critical_curve(gammas, n, p, q, r_depth):
+    # a fast kernel enters at the 1/t threshold, which is order 1 in
+    # alpha_wm: with both kernels fast the slope is (pq-1)(alpha_w - (n-1)/2),
+    # the curve that check_condition_fast and a fast-fast sweep test
+    params = ProblemParams(n, p, q, r_depth=r_depth)
+    orders = [1.0 if g is None else g for g in gammas]
+    want = (p * q - 1.0) * (float(alpha_wm(p, q, *orders)) - (n - 1) / 2.0)
+    pairs = [[RiemannLiouville(g)] if g is not None else _FAST for g in gammas]
+    for g1 in pairs[0]:
+        for g2 in pairs[1]:
+            assert _critical_slope(params, g1, g2) == pytest.approx(want, abs=1e-9)
+
+
+def test_condition_curves_critical_slopes_at_a_point():
+    params = ProblemParams(3, 2.0, 2.5)
+    rl, fast = RiemannLiouville, Exponential(1.0)
+    slopes = [_critical_slope(params, *pair) for pair in (
+        (rl(0.3), rl(0.8)), (rl(0.5), fast), (fast, rl(0.7)), (fast, fast))]
+    assert slopes == pytest.approx([2.95, 2.25, 1.3, 1.0], abs=1e-9)
+    fast_fast = float(check_condition_fast(params).margin) * (2.0 * 2.5 - 1.0)
+    assert slopes[-1] == pytest.approx(fast_fast, abs=1e-12)
+

@@ -687,6 +687,26 @@ def test_cfl_bound_is_the_leapfrog_stability_limit(n):
         assert limit == pytest.approx(bound, rel=2e-4 if n == 1 else 1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_cfl_lies_below_the_bound(n):
+    # n = 1 and 2 keep 0.9, so configs without cfl keep their time step
+    cfg = _config(params=ProblemParams(n, 2.0, 2.0))
+    assert cfg.cfl == solver.DEFAULT_CFL[n] == (0.8 if n == 3 else 0.9)
+    assert cfg.cfl < solver.CFL_BOUNDS[n]
+
+
+def test_cone_cut_is_the_suffix_outside_the_cone():
+    # dr = 0.25, R = 1 and t = 1 put the cone edge R + t + halo on a grid
+    # point, which stays inside
+    cfg = _config(dr=0.25, t_max=2.0)
+    r = cfg.radii()
+    for t in (0.0, 0.1, 1.0, 1.3, 2.0):
+        c = solver._cone_cut(r, t, cfg)
+        edge = cfg.R + t + solver.SUPPORT_HALO * cfg.dr
+        assert np.all(r[:c] <= edge) and np.all(r[c:] > edge)
+    assert r[solver._cone_cut(r, 1.0, cfg) - 1] == 2.5
+
+
 def test_free_3d_wave_at_cfl_above_the_bound_is_rejected():
     # a free 3-d Gaussian at cfl 0.9 grew at the origin rows until it stopped
     # on maxnorm at t = 0.288 and was reported as blow-up; below the bound
