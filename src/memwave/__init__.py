@@ -23,13 +23,10 @@ from .exponents import (
     strauss_exponent,
 )
 from .iteration import (
-    IterationCase,
     case1_closed_form,
     case1_recursion,
     case2_closed_form,
     case2_recursion,
-    divergence_certificate,
-    index_thresholds,
     slicing_sequence,
 )
 from .kernels import (
@@ -44,7 +41,6 @@ from .kernels import (
     PolynomialShifted,
     RiemannLiouville,
     classify_decay,
-    minorant,
 )
 from .observables import (
     BlowupVerdict,
@@ -52,7 +48,6 @@ from .observables import (
     check_u_doubleprime_identity,
     detect_blowup,
     phi_eigenfunction,
-    radial_integral,
 )
 from .solver import (
     HistoryWeights,

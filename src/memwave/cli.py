@@ -525,6 +525,14 @@ def cmd_sweep(args, resolved, outdir: OutputDir) -> int:
     return 0
 
 
+def _closed_form_agrees(closed_form, p, q, n: int, term) -> bool:
+    """Whether every sequence that the closed form states at index term.j
+    equals the recursion's term."""
+    cf = closed_form(p, q, n, term.j)
+    return all(getattr(cf, f) is None or getattr(cf, f) == getattr(term, f)
+               for f in iteration.term_fields(type(term)))
+
+
 def cmd_sequences(args, resolved, outdir: OutputDir) -> int:
     (recursion, closed_form, terms_class, logs), j_max = resolved["sequences"]
     fields = iteration.term_fields(terms_class)
@@ -533,17 +541,11 @@ def cmd_sequences(args, resolved, outdir: OutputDir) -> int:
     seq = recursion(p, q, n, j_max)
     js = list(range(1, j_max + 1))
     terms = [seq.at(j) for j in js]
-    agree = []
-    for j, term in zip(js, terms):
-        cf = closed_form(p, q, n, j)
-        agree.append(all(
-            getattr(cf, f) is None or getattr(cf, f) == getattr(term, f) for f in fields
-        ))
     columns = (
         js,
         *([float(getattr(term, f)) for term in terms] for f in fields),
         *(getattr(seq, name)[:j_max] for name in logs),
-        agree,
+        [_closed_form_agrees(closed_form, p, q, n, term) for term in terms],
     )
     _write_csv(outdir.path("sequences.csv"), ("j", *fields, *logs, "closed_form_agrees"),
                [columns])
@@ -567,12 +569,9 @@ def _verify_checks():
         name = type(kernel).__name__.lower()
         yield f"quadrature_{name}", abs(got - want) < 1e-10, f"error {abs(got - want):.3e}"
     ok = True
-    seq = iteration.case1_recursion(2, 3, 3, 16)
-    for j in range(1, 16):
-        cf = iteration.case1_closed_form(2, 3, 3, j)
-        terms = seq.at(j)
-        if cf.beta != terms.beta or (cf.a is not None and cf.a != terms.a):
-            ok = False
+    for recursion, closed_form, _, _ in _SEQUENCES.values():
+        seq = recursion(2, 3, 3, 16)
+        ok &= all(_closed_form_agrees(closed_form, 2, 3, 3, seq.at(j)) for j in range(1, 16))
     yield "iteration_closed_forms", ok, "exact rational agreement"
     r = np.linspace(0.1, 5.0, 400)
     for n in (1, 2, 3):

@@ -69,6 +69,9 @@ class ProblemParams:
             g = getattr(self, name)
             if g is not None and not 0.0 < g < 1.0:
                 raise ConfigError(f"fractional order must be in (0, 1), got {g}", param=name)
+        if (self.gamma1 is None) != (self.gamma2 is None):
+            missing = "gamma1" if self.gamma1 is None else "gamma2"
+            raise ConfigError("give both fractional orders or neither", param=missing)
 
     @property
     def sobolev_violated(self) -> bool:

@@ -1,53 +1,40 @@
-"""Iteration-frame sequences, slicing products, and divergence certificates.
+"""Iteration-frame sequences, their closed forms, and slicing products.
 
 Two regimes share the same machinery: a direct iteration for slow-decay
 kernels (Case 1) and a sliced iteration for fast-decay kernels (Case 2).  All
 exponent sequences are carried as exact rationals so that the geometric growth
 (pq)^(j/2) never loses precision; only the logarithmic coefficient bounds use
-floats.  Closed forms are cross-validated against the recursions in tests.
+floats.  The ``sequences`` and ``verify`` commands check the closed forms
+against the recursions.  The index thresholds and divergence certificates
+built on these sequences, which no command runs, live with the test
+references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, UnsupportedError
-from .exponents import default_condition_times
-from .kernels import DecayTag, MemoryKernel, classify_decay
+from .errors import ConfigError, DomainError
 
 __all__ = [
     "Case1Sequences",
     "Case2Sequences",
     "Case1Terms",
     "Case2Terms",
-    "IndexThresholds",
-    "DivergenceCertificate",
-    "IterationCase",
     "case1_recursion",
     "case1_closed_form",
     "case2_recursion",
     "case2_closed_form",
     "term_fields",
     "slicing_sequence",
-    "index_thresholds",
-    "divergence_certificate",
 ]
 
 # Tail factor below which the infinite slicing product is declared converged.
 _PRODUCT_TAIL = 1e-14
-
-# Concrete stand-in for the "much smaller than one" slicing-offset regime.
-_SMALLNESS = 0.1
-
-
-class IterationCase(enum.Enum):
-    CASE1 = "case1"  # slow-decay kernels, direct iteration
-    CASE2 = "case2"  # fast-decay kernels, sliced iteration
 
 
 def _rat(x) -> Fraction:
@@ -283,141 +270,3 @@ def slicing_sequence(pq: float, j_max: int):
         k += 1
         factor = 1.0 + root ** (k - 1)
     return ell, L, L_limit
-
-
-def _zero_data(g) -> tuple[float, float]:
-    if isinstance(g, MemoryKernel):
-        return g.value_at_zero(), g.derivative_at_zero()
-    g0, gp0 = g
-    return float(g0), float(gp0)
-
-
-@dataclass(frozen=True)
-class IndexThresholds:
-    j0: int
-    j1: int
-    j1_t: int
-    j2: int
-    j_m: int
-
-    @property
-    def j_start(self) -> int:
-        return max(self.j0, self.j1, self.j1_t, self.j2, self.j_m)
-
-
-def index_thresholds(
-    p: float,
-    q: float,
-    t0: float,
-    L: float,
-    g1_data,
-    g2_data,
-) -> IndexThresholds:
-    """Indices past which the iteration lower bounds take their final shape.
-
-    With the non-constructive constants normalized to one (log 0), the
-    thresholds j0 and j2 that they set are 1 for every p, q > 1.  Kernel data
-    may be MemoryKernel instances (must be regular at 0) or (g(0), g'(0))
-    pairs.
-    """
-    if p <= 1.0 or q <= 1.0:
-        raise ConfigError("need p, q > 1")
-    lpq = math.log(p * q)
-
-    def j1_of(data) -> int:
-        g0, gp0 = _zero_data(data)
-        if gp0 > 0.0:
-            return 1
-        return max(1, math.ceil(2.0 * math.log(1.0 / g0 - gp0 * L * t0 / (2.0 * g0)) / lpq))
-
-    j1 = j1_of(g1_data)
-    j1_t = j1_of(g2_data)
-    j_m = 1
-    while L * t0 * (p * q) ** (-j_m / 2.0) >= _SMALLNESS:
-        j_m += 1
-    return IndexThresholds(j0=1, j1=j1, j1_t=j1_t, j2=1, j_m=j_m)
-
-
-@dataclass
-class DivergenceCertificate:
-    """Evidence that the iterated lower bound diverges at some time.
-
-    The certificate records the first probed time where the log-base of the
-    doubly exponential bound turns positive (constants normalized to one) and
-    the tail slopes of that log-base in log time for both components.
-    """
-
-    t_first: float
-    branch: str  # "U" or "V", whichever turns positive first
-    u_exponent: float
-    v_exponent: float
-
-
-def divergence_certificate(
-    case: IterationCase,
-    p: float,
-    q: float,
-    n: int,
-    kernels=None,
-) -> DivergenceCertificate | None:
-    """Probe whether the iterated lower bound diverges as the index grows.
-
-    Evaluates the time-dependent base inside the exponential lower bound on
-    ``exponents.default_condition_times``, with the seeds and all
-    non-constructive constants normalized to one (log 0); the bound diverges
-    with the iteration index exactly where that base exceeds one.  Returns
-    None when the base stays below one on the whole probed grid.
-    """
-    case = IterationCase(case)
-    if p <= 1.0 or q <= 1.0:
-        raise ConfigError("need p, q > 1")
-    if kernels is not None:
-        want = DecayTag.SLOW if case is IterationCase.CASE1 else DecayTag.FAST
-        for k in kernels:
-            got = classify_decay(k).tag
-            if got is not want:
-                raise UnsupportedError(
-                    f"{case.value} requires {want.value} kernels, got {got.value}"
-                )
-    times = default_condition_times()
-    logt = np.log(times)
-    pq1 = p * q - 1.0
-
-    if case is IterationCase.CASE1:
-        if kernels is None:
-            raise ConfigError("case1 certificate needs the kernel pair")
-        g1, g2 = kernels
-        lg1 = np.log(np.asarray(g1(times), dtype=float))
-        lg2 = np.log(np.asarray(g2(times), dtype=float))
-        log_b_u = (
-            (-(n - 1) * p / 2.0 - n) * math.log(2.0)
-            + (p * q / pq1) * lg1
-            + (p / pq1) * lg2
-            + (-(n - 1) * p / 2.0 + 2.0 + 3.0 * (p + 1) / pq1) * logt
-        )
-        log_b_v = (
-            (-(n - 1) * q / 2.0 - n) * math.log(2.0)
-            + (q / pq1) * lg1
-            + (p * q / pq1) * lg2
-            + (-(n - 1) * q / 2.0 + 2.0 + 3.0 * (q + 1) / pq1) * logt
-        )
-    else:
-        log_b_u = (
-            (-(2 * n + (n - 1) * p) / 2.0 - ((n + 1) * pq1 + 2 * (p + 1)) / pq1)
-            * math.log(2.0)
-            + (-(n - 1) * p / 2.0 + 1.0 + 2.0 * (p + 1) / pq1) * logt
-        )
-        log_b_v = (
-            (-(2 * n + (n - 1) * q) / 2.0 - ((n + 1) * pq1 + 2 * (q + 1)) / pq1)
-            * math.log(2.0)
-            + (-(n - 1) * q / 2.0 + 1.0 + 2.0 * (q + 1) / pq1) * logt
-        )
-
-    u_exp = (log_b_u[-1] - log_b_u[-2]) / (logt[-1] - logt[-2])
-    v_exp = (log_b_v[-1] - log_b_v[-2]) / (logt[-1] - logt[-2])
-    positive = (log_b_u > 0.0) | (log_b_v > 0.0)
-    if not np.any(positive):
-        return None
-    i = int(np.argmax(positive))
-    branch = "U" if log_b_u[i] > 0.0 else "V"
-    return DivergenceCertificate(float(times[i]), branch, float(u_exp), float(v_exp))

@@ -6,9 +6,11 @@ closed forms it has; the one generic fallback for G and ∫G is a single-level
 quadrature of Cauchy's repeated-integral formula.  The power laws
 (RiemannLiouville, PolynomialShifted) also supply a sum-of-exponentials fit
 away from t = 0, built with NumPy only, which the solver uses for the old part
-of a long memory convolution.  The decay classification
-compares the large-time behaviour of g against the reference rate 1/t: kernels
-bounded below by c/t are Slow, kernels bounded above by c/t are Fast.
+of a long memory convolution.  The decay classification compares the
+large-time behaviour of g against the reference rate 1/t: kernels bounded
+below by c/t are Slow, kernels bounded above by c/t are Fast.  The
+non-increasing minorant of a Slow kernel, which no command runs, lives with
+the test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, InsufficientDataError, UnsupportedError
+from .errors import ConfigError, DomainError, InsufficientDataError
 
 __all__ = [
     "MemoryKernel",
@@ -34,7 +36,6 @@ __all__ = [
     "DecayTag",
     "DecayClass",
     "classify_decay",
-    "minorant",
 ]
 
 # Floor used when a very fast kernel underflows double precision; keeps g > 0.
@@ -76,16 +77,14 @@ class MemoryKernel:
     """Base class: evaluator g(t) with antiderivatives G and ∫G.
 
     Subclasses set ``singularity_order`` (the s in g ~ t^-s near 0) and
-    ``monotone`` (True when g is non-increasing on (0, ∞)).  They supply
-    formulas only: ``_eval`` and, where closed forms exist, ``_antiderivative``
-    and ``_second_antiderivative``, each called for t > 0 only; the public
-    ``antiderivative`` and ``second_antiderivative`` check t.  Both fall back
-    on ``_repeated_integral``, one quadrature each, which a family may
-    replace with a better rule.
+    supply formulas only: ``_eval`` and, where closed forms exist,
+    ``_antiderivative`` and ``_second_antiderivative``, each called for t > 0
+    only; the public ``antiderivative`` and ``second_antiderivative`` check t.
+    Both fall back on ``_repeated_integral``, one quadrature each, which a
+    family may replace with a better rule.
     """
 
     singularity_order: float = 0.0
-    monotone: bool = True
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -130,14 +129,6 @@ class MemoryKernel:
         to ``SOE_TOLERANCE`` relative on [t0, t1], 0 < t0 < t1; None when the
         family has no such fit or it misses the bound."""
         return None
-
-    def value_at_zero(self) -> float:
-        if self.singularity_order > 0.0:
-            raise UnsupportedError("kernel is singular at t = 0")
-        return self(0.0)
-
-    def derivative_at_zero(self) -> float:
-        raise UnsupportedError(f"{type(self).__name__} has no C^1 extension to t = 0")
 
 
 def _gauss_jacobi(n: int, beta: float):
@@ -271,12 +262,6 @@ class PolynomialShifted(MemoryKernel):
             return np.zeros(1), np.ones(1)
         return _power_law_sum(self.gamma, 1.0 + t0, 1.0 + t1)
 
-    def value_at_zero(self):
-        return 1.0
-
-    def derivative_at_zero(self):
-        return -self.gamma
-
 
 class Exponential(MemoryKernel):
     """g(t) = exp(-t / beta) with beta > 0."""
@@ -294,12 +279,6 @@ class Exponential(MemoryKernel):
 
     def _second_antiderivative(self, t):
         return self.beta * t + self.beta**2 * math.expm1(-t / self.beta)
-
-    def value_at_zero(self):
-        return 1.0
-
-    def derivative_at_zero(self):
-        return -1.0 / self.beta
 
 
 class IteratedExponential(MemoryKernel):
@@ -329,27 +308,10 @@ class IteratedExponential(MemoryKernel):
     def _eval(self, t):
         return np.maximum(np.exp(np.maximum(self._log_g(t), -700.0)), _TINY)
 
-    def value_at_zero(self):
-        return float(self._eval(0.0))
-
-    def derivative_at_zero(self):
-        # d/dx exp^(k)(x) at 0 is the product of the partial towers.
-        slope = 1.0
-        x = 0.0
-        for _ in range(self.depth - 1):
-            x = math.exp(x)
-            slope *= x
-        return -self.c * slope * self.value_at_zero()
-
 
 class OscillatingPolynomial(MemoryKernel):
-    """g(t) = (3 + 2 sin t) t^-gamma, gamma in [0, 1); oscillating but Slow.
-
-    Bounded below by the bare power law t^-gamma, which serves as its
-    non-increasing minorant.
-    """
-
-    monotone = False
+    """g(t) = (3 + 2 sin t) t^-gamma, gamma in [0, 1); oscillating but Slow,
+    bounded below by the bare power law t^-gamma."""
 
     def __init__(self, gamma: float):
         if not 0.0 <= gamma < 1.0:
@@ -388,12 +350,6 @@ class Constant(MemoryKernel):
     def _second_antiderivative(self, t):
         return 0.5 * self.value * t * t
 
-    def value_at_zero(self):
-        return self.value
-
-    def derivative_at_zero(self):
-        return 0.0
-
 
 class Custom(MemoryKernel):
     """Tabulated kernel with log-linear (power-law) interpolation.
@@ -402,8 +358,6 @@ class Custom(MemoryKernel):
     Outside the tabulated range the first/last segment's power law is
     extended.
     """
-
-    monotone = False
 
     def __init__(self, times, values):
         times = np.asarray(times, dtype=float)
@@ -492,25 +446,3 @@ def _classify_tabulated(kernel: Custom) -> DecayClass:
     if slope > -1.0:
         return DecayClass(DecayTag.SLOW, t0)
     return DecayClass(DecayTag.FAST, t0)
-
-
-def minorant(kernel: MemoryKernel) -> MemoryKernel:
-    """Return a non-increasing kernel bounded above by g everywhere.
-
-    Identity for already monotone Slow kernels; strips the oscillating factor
-    of OscillatingPolynomial; running right-minimum envelope for tabulated
-    kernels.  Fast kernels are rejected.
-    """
-    cls = classify_decay(kernel)
-    if cls.tag is DecayTag.FAST:
-        raise UnsupportedError("minorant is defined only for Slow-class kernels")
-    if isinstance(kernel, OscillatingPolynomial):
-        if kernel.gamma == 0.0:
-            return Constant(1.0)
-        # bare power law t^-gamma, i.e. the fractional kernel rescaled
-        return RiemannLiouville(kernel.gamma, scale=math.gamma(1.0 - kernel.gamma))
-    if isinstance(kernel, Custom):
-        # greatest nonincreasing minorant of the samples: running minimum
-        envelope = np.minimum.accumulate(kernel.values)
-        return Custom(kernel.times, envelope)
-    return kernel

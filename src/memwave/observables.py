@@ -22,7 +22,6 @@ __all__ = [
     "BlowupVerdict",
     "phi_eigenfunction",
     "sphere_area",
-    "radial_integral",
     "RadialGrid",
     "compute_functionals",
     "check_u_doubleprime_identity",
@@ -82,12 +81,6 @@ def _trapezoid_terms(y, d) -> np.ndarray:
     return terms
 
 
-def radial_integral(f, r, n: int) -> float:
-    """Trapezoid integral of f over R^n for a radial profile f(r)."""
-    r = np.asarray(r, dtype=float)
-    return sphere_area(n) * float(_trapezoid_terms(f * r ** (n - 1), np.diff(r)).sum())
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """The factors every functional of a run shares, since neither n nor the
@@ -105,7 +98,7 @@ class RadialGrid:
         return cls(sphere_area(n), np.diff(r), r ** (n - 1), phi_eigenfunction(n, r))
 
     def integral(self, f) -> float:
-        """``radial_integral(f, r, n)``, bitwise, without recomputing the grid."""
+        """Trapezoid integral over R^n of a radial profile f(r)."""
         return self.area * float(_trapezoid_terms(f * self.w, self.d).sum())
 
 

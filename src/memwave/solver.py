@@ -461,13 +461,12 @@ def discrete_energy(state: WaveState, config: SystemConfig) -> float:
     """Time-staggered leapfrog energy of the u field (linear runs)."""
     if state.u_prev is None:
         raise DomainError("energy needs two time levels")
-    n, dr, dt = config.params.n, config.dr, config.dt
-    r = state.r
+    dr, dt = config.dr, config.dt
     ut = (state.u - state.u_prev) / dt
     ur_now = np.gradient(state.u, dr)
     ur_prev = np.gradient(state.u_prev, dr)
     density = ut**2 + ur_now * ur_prev
-    return observables.radial_integral(density, r, n)
+    return observables.RadialGrid.of(config.params.n, state.r).integral(density)
 
 
 @dataclass

@@ -3,19 +3,24 @@
 The exact 1-d d'Alembert propagator and the Picard iteration built on it
 (local existence by Banach's fixed point), RK4 on the third-order (MGT) form
 of the exponential-kernel equation, the identity F' = w - F/beta, the lower
-bounds on U0 and U, and the Case 1 sum.  pytest does not collect this.
+bounds on U0 and U, the Case 1 sum, the iteration frame's index thresholds
+and divergence certificates, and the non-increasing minorant of a Slow
+kernel.  pytest does not collect this.
 """
 
+import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import simpson
 
 from memwave.errors import ConfigError, DomainError, InsufficientDataError, UnsupportedError
+from memwave.exponents import default_condition_times
 from memwave.iteration import _rat
-from memwave.kernels import Exponential
-from memwave.observables import (FunctionalTrace, _trapezoid_terms, phi_eigenfunction,
-                                 radial_integral, sphere_area)
+from memwave.kernels import (Constant, Custom, DecayTag, Exponential, MemoryKernel,
+                             OscillatingPolynomial, RiemannLiouville, classify_decay)
+from memwave.observables import FunctionalTrace, RadialGrid, _trapezoid_terms, sphere_area
 from memwave.solver import HistoryWeights, SystemConfig, _cone_cut, _laplacian
 
 
@@ -203,13 +208,9 @@ def _cumulative_trapezoid(y, x) -> np.ndarray:
 
 def initial_weighted_integrals(config) -> tuple[float, float]:
     """(integral of u0*Phi, integral of u1*Phi) from the configured data."""
-    n = config.params.n
     r = config.radii()
-    phi = phi_eigenfunction(n, r)
-    return (
-        radial_integral(config.u0(r) * phi, r, n),
-        radial_integral(config.u1(r) * phi, r, n),
-    )
+    grid = RadialGrid.of(config.params.n, r)
+    return grid.integral(config.u0(r) * grid.phi), grid.integral(config.u1(r) * grid.phi)
 
 
 def check_u0_lower_bound(trace: FunctionalTrace, config) -> tuple[bool, float]:
@@ -265,3 +266,164 @@ def sum_formula(j: int, pq):
         raise DomainError("requires pq > 1")
     w = pq ** ((j - 1) // 2)
     return (2 + 3 * (pq - 1)) / (pq - 1) ** 2 * w - (2 * pq + j * (pq - 1)) / (pq - 1) ** 2
+
+
+# Concrete stand-in for the "much smaller than one" slicing-offset regime.
+_SMALLNESS = 0.1
+
+
+class IterationCase(enum.Enum):
+    CASE1 = "case1"  # slow-decay kernels, direct iteration
+    CASE2 = "case2"  # fast-decay kernels, sliced iteration
+
+
+@dataclass(frozen=True)
+class IndexThresholds:
+    j0: int
+    j1: int
+    j1_t: int
+    j2: int
+    j_m: int
+
+    @property
+    def j_start(self) -> int:
+        return max(self.j0, self.j1, self.j1_t, self.j2, self.j_m)
+
+
+def index_thresholds(
+    p: float,
+    q: float,
+    t0: float,
+    L: float,
+    g1_data,
+    g2_data,
+) -> IndexThresholds:
+    """Indices past which the iteration lower bounds take their final shape.
+
+    With the non-constructive constants normalized to one (log 0), the
+    thresholds j0 and j2 that they set are 1 for every p, q > 1.  The kernel
+    data are (g(0), g'(0)) pairs.
+    """
+    if p <= 1.0 or q <= 1.0:
+        raise ConfigError("need p, q > 1")
+    lpq = math.log(p * q)
+
+    def j1_of(data) -> int:
+        g0, gp0 = data
+        if gp0 > 0.0:
+            return 1
+        return max(1, math.ceil(2.0 * math.log(1.0 / g0 - gp0 * L * t0 / (2.0 * g0)) / lpq))
+
+    j1 = j1_of(g1_data)
+    j1_t = j1_of(g2_data)
+    j_m = 1
+    while L * t0 * (p * q) ** (-j_m / 2.0) >= _SMALLNESS:
+        j_m += 1
+    return IndexThresholds(j0=1, j1=j1, j1_t=j1_t, j2=1, j_m=j_m)
+
+
+@dataclass
+class DivergenceCertificate:
+    """Evidence that the iterated lower bound diverges at some time.
+
+    The certificate records the first probed time where the log-base of the
+    doubly exponential bound turns positive (constants normalized to one) and
+    the tail slopes of that log-base in log time for both components.
+    """
+
+    t_first: float
+    branch: str  # "U" or "V", whichever turns positive first
+    u_exponent: float
+    v_exponent: float
+
+
+def divergence_certificate(
+    case: IterationCase,
+    p: float,
+    q: float,
+    n: int,
+    kernels=None,
+) -> DivergenceCertificate | None:
+    """Probe whether the iterated lower bound diverges as the index grows.
+
+    Evaluates the time-dependent base inside the exponential lower bound on
+    ``exponents.default_condition_times``, with the seeds and all
+    non-constructive constants normalized to one (log 0); the bound diverges
+    with the iteration index exactly where that base exceeds one.  Returns
+    None when the base stays below one on the whole probed grid.
+    """
+    case = IterationCase(case)
+    if p <= 1.0 or q <= 1.0:
+        raise ConfigError("need p, q > 1")
+    if kernels is not None:
+        want = DecayTag.SLOW if case is IterationCase.CASE1 else DecayTag.FAST
+        for k in kernels:
+            got = classify_decay(k).tag
+            if got is not want:
+                raise UnsupportedError(
+                    f"{case.value} requires {want.value} kernels, got {got.value}"
+                )
+    times = default_condition_times()
+    logt = np.log(times)
+    pq1 = p * q - 1.0
+
+    if case is IterationCase.CASE1:
+        if kernels is None:
+            raise ConfigError("case1 certificate needs the kernel pair")
+        g1, g2 = kernels
+        lg1 = np.log(np.asarray(g1(times), dtype=float))
+        lg2 = np.log(np.asarray(g2(times), dtype=float))
+        log_b_u = (
+            (-(n - 1) * p / 2.0 - n) * math.log(2.0)
+            + (p * q / pq1) * lg1
+            + (p / pq1) * lg2
+            + (-(n - 1) * p / 2.0 + 2.0 + 3.0 * (p + 1) / pq1) * logt
+        )
+        log_b_v = (
+            (-(n - 1) * q / 2.0 - n) * math.log(2.0)
+            + (q / pq1) * lg1
+            + (p * q / pq1) * lg2
+            + (-(n - 1) * q / 2.0 + 2.0 + 3.0 * (q + 1) / pq1) * logt
+        )
+    else:
+        log_b_u = (
+            (-(2 * n + (n - 1) * p) / 2.0 - ((n + 1) * pq1 + 2 * (p + 1)) / pq1)
+            * math.log(2.0)
+            + (-(n - 1) * p / 2.0 + 1.0 + 2.0 * (p + 1) / pq1) * logt
+        )
+        log_b_v = (
+            (-(2 * n + (n - 1) * q) / 2.0 - ((n + 1) * pq1 + 2 * (q + 1)) / pq1)
+            * math.log(2.0)
+            + (-(n - 1) * q / 2.0 + 1.0 + 2.0 * (q + 1) / pq1) * logt
+        )
+
+    u_exp = (log_b_u[-1] - log_b_u[-2]) / (logt[-1] - logt[-2])
+    v_exp = (log_b_v[-1] - log_b_v[-2]) / (logt[-1] - logt[-2])
+    positive = (log_b_u > 0.0) | (log_b_v > 0.0)
+    if not np.any(positive):
+        return None
+    i = int(np.argmax(positive))
+    branch = "U" if log_b_u[i] > 0.0 else "V"
+    return DivergenceCertificate(float(times[i]), branch, float(u_exp), float(v_exp))
+
+
+def minorant(kernel: MemoryKernel) -> MemoryKernel:
+    """Return a non-increasing kernel bounded above by g everywhere.
+
+    Identity for already monotone Slow kernels; strips the oscillating factor
+    of OscillatingPolynomial; running right-minimum envelope for tabulated
+    kernels.  Fast kernels are rejected.
+    """
+    cls = classify_decay(kernel)
+    if cls.tag is DecayTag.FAST:
+        raise UnsupportedError("minorant is defined only for Slow-class kernels")
+    if isinstance(kernel, OscillatingPolynomial):
+        if kernel.gamma == 0.0:
+            return Constant(1.0)
+        # bare power law t^-gamma, i.e. the fractional kernel rescaled
+        return RiemannLiouville(kernel.gamma, scale=math.gamma(1.0 - kernel.gamma))
+    if isinstance(kernel, Custom):
+        # greatest nonincreasing minorant of the samples: running minimum
+        envelope = np.minimum.accumulate(kernel.values)
+        return Custom(kernel.times, envelope)
+    return kernel

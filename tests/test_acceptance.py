@@ -324,8 +324,8 @@ def test_criterion_11_blowup_demonstration():
         ok &= verdict.T_estimate is not None
         estimates.append(verdict.T_estimate)
     ok &= abs(estimates[0] - estimates[1]) / estimates[1] < 0.10
-    cert = iteration.divergence_certificate(
-        iteration.IterationCase.CASE1, 2.0, 2.0, 1,
+    cert = oracles.divergence_certificate(
+        oracles.IterationCase.CASE1, 2.0, 2.0, 1,
         kernels=(mw.Constant(1.0), mw.Constant(1.0)),
     )
     ok &= cert is not None and cert.u_exponent > 0.0

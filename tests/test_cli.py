@@ -591,7 +591,9 @@ def test_malformed_config_exits_2_at_its_path(tmp_path, capsys, command, changes
     ("sweep", {"sweep.p_range": [2.5, 1.5]},
      "sweep.p_range: sweep p grid must be non-empty and non-decreasing"),
     ("sweep", {"sweep.q_range": [0.5, 2.5]}, "sweep.q_range: sweep powers must exceed 1, got q = 0.5"),
-], ids=["j_max_0", "p_range_reversed", "q_range_below_1"])
+    ("sweep", {"problem.gamma1": 0.5}, "problem.gamma2: give both fractional orders or neither"),
+    ("sweep", {"problem.gamma2": 0.7}, "problem.gamma1: give both fractional orders or neither"),
+], ids=["j_max_0", "p_range_reversed", "q_range_below_1", "gamma2_missing", "gamma1_missing"])
 def test_range_error_exits_2_before_output(tmp_path, capsys, command, changes, message):
     config = _write(tmp_path, _with(_RUNNABLE, changes))
     out = tmp_path / "out"
@@ -635,10 +637,22 @@ def test_resolution_ladder_below_one_exits_2(tmp_path, capsys, levels):
     assert not out.exists()
 
 
-def test_readme_config_validates(tmp_path):
+def _readme_block(language: str) -> str:
+    """The README's one fenced block in the given language."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme[readme.index("```yaml\n") + len("```yaml\n"):]
-    raw = yaml.safe_load(block[:block.index("```")])
+    fence = f"```{language}\n"
+    assert readme.count(fence) == 1, language
+    block = readme[readme.index(fence) + len(fence):]
+    return block[:block.index("```")]
+
+
+def test_readme_config_validates(tmp_path):
+    raw = yaml.safe_load(_readme_block("yaml"))
     resolved, report = validate_config(raw, tmp_path)
     assert report.errors == [] and report.warnings == []
     assert set(resolved) >= {"params", "kernels", "profiles", "system", "sweep", "sequences"}
+
+
+def test_readme_quick_start_runs():
+    # an export the documented quick start relies on cannot go away unnoticed
+    exec(compile(_readme_block("python"), "README.md", "exec"), {})

@@ -8,17 +8,14 @@ import pytest
 
 from memwave.errors import ConfigError, DomainError, UnsupportedError
 from memwave.iteration import (
-    IterationCase,
     case1_closed_form,
     case1_recursion,
     case2_closed_form,
     case2_recursion,
-    divergence_certificate,
-    index_thresholds,
     slicing_sequence,
 )
 from memwave.kernels import Constant, Exponential, RiemannLiouville
-from oracles import sum_formula
+from oracles import IterationCase, divergence_certificate, index_thresholds, sum_formula
 
 PQ_PAIRS = [(Fraction(2), Fraction(2)), (Fraction(2), Fraction(3)),
             (Fraction(3, 2), Fraction(4))]
@@ -176,8 +173,9 @@ def test_index_thresholds_defaults():
 
 
 def test_index_thresholds_exponential_example():
-    # g'(0) = -1, t0 = 1, L = 3 -> j1 = ceil(2 log_{pq}(1 + 3/2)) = 2 at pq = 4
-    th = index_thresholds(2.0, 2.0, 1.0, 3.0, Exponential(1.0), Exponential(1.0))
+    # exp(-t): g(0) = 1, g'(0) = -1; t0 = 1, L = 3
+    # -> j1 = ceil(2 log_{pq}(1 + 3/2)) = 2 at pq = 4
+    th = index_thresholds(2.0, 2.0, 1.0, 3.0, (1.0, -1.0), (1.0, -1.0))
     want = math.ceil(2.0 * math.log(2.5) / math.log(4.0))
     assert th.j1 == want == 2
 

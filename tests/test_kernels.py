@@ -24,8 +24,8 @@ from memwave.kernels import (
     PolynomialShifted,
     RiemannLiouville,
     classify_decay,
-    minorant,
 )
+from oracles import minorant
 
 SMOOTH_FAMILIES = [
     RiemannLiouville(0.5),
@@ -285,15 +285,6 @@ def test_custom_rejects_non_integrable_first_segment():
     with pytest.raises(ConfigError, match="non-integrable"):
         Custom([0.5, 1.0, 2.0], [2.0, 1.0, 0.5])  # 1/t, singularity order exactly 1
     assert Custom([0.5, 1.0, 2.0], [1.5, 1.0, 0.5]).singularity_order < 1.0
-
-
-def test_derivative_at_zero():
-    assert Exponential(1.0).derivative_at_zero() == -1.0
-    assert Exponential(2.0).derivative_at_zero() == -0.5
-    assert Constant(3.0).derivative_at_zero() == 0.0
-    assert PolynomialShifted(0.7).derivative_at_zero() == pytest.approx(-0.7)
-    with pytest.raises(UnsupportedError):
-        RiemannLiouville(0.5).derivative_at_zero()
 
 
 def test_iterated_exponential_depth_one_is_exponential():

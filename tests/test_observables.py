@@ -12,11 +12,11 @@ from memwave.exponents import ProblemParams
 from memwave.kernels import Constant, Exponential, RiemannLiouville
 from memwave.observables import (
     FunctionalTrace,
+    RadialGrid,
     check_u_doubleprime_identity,
     compute_functionals,
     detect_blowup,
     phi_eigenfunction,
-    radial_integral,
     sphere_area,
 )
 from memwave.solver import Profile, SystemConfig, run_simulation
@@ -75,7 +75,7 @@ def test_phi_rejects_unsupported_dimension():
 
 def test_radial_integral_ball_volume():
     r = np.linspace(0.0, 1.0, 4001)
-    vol = radial_integral(np.ones_like(r), r, 3)
+    vol = RadialGrid.of(3, r).integral(np.ones_like(r))
     assert vol == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
 
 
@@ -119,7 +119,7 @@ def test_psi_factorization():
         t = 0.8
 
     row = compute_functionals(S, cfg)
-    phi_weighted = radial_integral(S.u * phi_eigenfunction(1, S.r), S.r, 1)
+    phi_weighted = RadialGrid.of(1, S.r).integral(S.u * phi_eigenfunction(1, S.r))
     assert row["U0"] == pytest.approx(math.exp(-0.8) * phi_weighted, rel=1e-12)
 
 
@@ -139,7 +139,7 @@ def test_functionals_bitwise_equal_numpy_trapezoid(n):
     for name, f in integrands.items():
         want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
         assert row[name] == want, name
-        assert radial_integral(f, r, n) == want, name
+        assert RadialGrid.of(n, r).integral(f) == want, name
 
 
 def test_cumulative_trapezoid_bitwise_equals_scipy():
