@@ -1,7 +1,7 @@
 """Numerical laboratory for blow-up in wave equations with memory forcing.
 
-The package covers the full pipeline: memory-kernel families and their decay
-classification against the 1/t threshold, critical exponents and critical
+The package covers the full pipeline: memory-kernel families, each stating
+its decay class against the 1/t threshold, critical exponents and critical
 curves, exact-rational iteration-frame sequences with closed-form
 cross-validation, a radial finite-difference solver whose memory convolution
 uses singularity-exact product integration, blow-up functionals and detection,
@@ -40,7 +40,6 @@ from .kernels import (
     OscillatingPolynomial,
     PolynomialShifted,
     RiemannLiouville,
-    classify_decay,
 )
 from .observables import (
     BlowupVerdict,

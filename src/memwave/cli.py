@@ -34,7 +34,7 @@ import numpy as np
 import yaml
 
 from . import __version__, iteration, observables
-from .errors import ConfigError
+from .errors import ConfigError, InsufficientDataError
 from .exponents import (
     ProblemParams,
     check_condition_fast,
@@ -53,7 +53,6 @@ from .kernels import (
     OscillatingPolynomial,
     PolynomialShifted,
     RiemannLiouville,
-    classify_decay,
 )
 from .observables import TRACE_COLUMNS, detect_blowup
 from .solver import HistoryWeights, Profile, SystemConfig, run_simulation
@@ -385,14 +384,17 @@ def _describe_config(raw: dict, resolved: dict) -> dict:
 
 
 class OutputDir:
-    """Collects artifact paths and writes manifest, timestamp, and index."""
+    """Collects artifact paths and writes manifest, timestamp, and index.
+    The directory is made for the first artifact, so a command that fails
+    before writing leaves nothing behind."""
 
     def __init__(self, out: Path):
         self.out = out
-        out.mkdir(parents=True, exist_ok=True)
         self.artifacts: list[str] = []
 
     def path(self, name: str) -> Path:
+        if not self.artifacts:
+            self.out.mkdir(parents=True, exist_ok=True)
         self.artifacts.append(name)
         return self.out / name
 
@@ -474,7 +476,12 @@ def cmd_simulate(args, resolved, outdir: OutputDir) -> int:
 def cmd_classify(args, resolved, outdir: OutputDir) -> int:
     kernels = resolved["kernels"]
     params = resolved["params"]
-    decay = [classify_decay(k) for k in kernels]
+    decay = []
+    for name, kernel in zip(("g1", "g2"), kernels):
+        try:
+            decay.append(kernel.decay_class)
+        except InsufficientDataError as exc:  # a tabulated kernel's table is too short
+            raise ConfigError(f"kernels.{name}.samples: {exc}") from exc
     classes = [cls.tag.value for cls in decay]
     _write_csv(
         outdir.path("classification.csv"),
@@ -599,19 +606,6 @@ _COMMANDS = {
     "verify": cmd_verify,
 }
 
-_DEFAULT_CONFIG = {
-    "problem": {"n": 1, "p": 2.0, "q": 2.0},
-    "kernels": {
-        "g1": {"family": "riemann_liouville", "gamma": 0.5},
-        "g2": {"family": "exponential", "beta": 1.0},
-    },
-    "initial": {
-        "u0": {"kind": "gaussian", "amplitude": 1.0, "radius": 1.0},
-        "u1": {"kind": "zero"},
-    },
-    "simulation": {"t_max": 1.0, "dr": 0.02, "mode": "coupled"},
-}
-
 # command -> (the config section it reads beyond ``problem``, its resolved key)
 _REQUIRES = {
     "simulate": ("simulation", "system"),
@@ -652,7 +646,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config is None:
-            raw, base = _DEFAULT_CONFIG, Path.cwd()
+            raw, base = {}, Path.cwd()
         else:
             raw, base = load_config(args.config), args.config.parent
         resolved, report = validate_config(raw, base)

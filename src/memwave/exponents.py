@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, UnsupportedError
-from .kernels import DecayTag, MemoryKernel, classify_decay
+from .kernels import DecayTag, MemoryKernel
 
 __all__ = [
     "ProblemParams",
@@ -177,7 +177,7 @@ def default_condition_times() -> np.ndarray:
 
 
 def _require_class(kernel: MemoryKernel, tag: DecayTag, role: str) -> None:
-    cls = classify_decay(kernel)
+    cls = kernel.decay_class
     if cls.tag is not tag:
         raise ConfigError(
             f"{role} kernel classified {cls.tag.value}, expected {tag.value}"
@@ -189,7 +189,7 @@ def condition_curves(params: ProblemParams, g1: MemoryKernel, g2: MemoryKernel):
 
     log LHS(t) = log(g1 g2 max{g1^(q-1) t^(2q+1/p), g2^(p-1) t^(2p+1/q)}) and
     log RHS(t) = ((n-1)(pq-1)/2 - 3) log t + log of the log-iterate.  A kernel
-    that ``classify_decay`` calls fast enters at the 1/t threshold: its factor
+    whose ``decay_class`` is fast enters at the 1/t threshold: its factor
     1/t moves to the right-hand side and its power folds into the exponent of
     t, so each fast kernel raises the -3 by one.  Every other kernel enters
     through its log g.
@@ -199,7 +199,7 @@ def condition_curves(params: ProblemParams, g1: MemoryKernel, g2: MemoryKernel):
     logt = np.log(times)
     slow_logs, terms = [], []
     for g, power, other in ((g1, q, p), (g2, p, q)):
-        if classify_decay(g).tag is DecayTag.FAST:
+        if g.decay_class.tag is DecayTag.FAST:
             terms.append((power + 1.0 + 1.0 / other) * logt)
         else:
             logg = np.log(np.asarray(g(times), dtype=float))

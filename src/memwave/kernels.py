@@ -1,21 +1,24 @@
-"""Memory kernels g(t), their antiderivatives, and decay classification.
+"""Memory kernels g(t), their antiderivatives, and decay classes.
 
 Every kernel is positive on t > 0, integrable near t = 0 (singularity order
-strictly below 1), and immutable after construction.  A family states the
-closed forms it has; the one generic fallback for G and ∫G is a single-level
-quadrature of Cauchy's repeated-integral formula.  The power laws
-(RiemannLiouville, PolynomialShifted) also supply a sum-of-exponentials fit
-away from t = 0, built with NumPy only, which the solver uses for the old part
-of a long memory convolution.  The decay classification compares the
-large-time behaviour of g against the reference rate 1/t: kernels bounded
-below by c/t are Slow, kernels bounded above by c/t are Fast.  The
-non-increasing minorant of a Slow kernel, which no command runs, lives with
-the test references in ``tests/oracles.py``.
+strictly below 1), and immutable after construction.  A family states what it
+has: the closed forms for G and ∫G, whose one generic fallback is a
+single-level quadrature of Cauchy's repeated-integral formula; a
+sum-of-exponentials fit away from t = 0, built with NumPy only, for the power
+laws (RiemannLiouville, PolynomialShifted), which the solver uses for the old
+part of a long memory convolution; the factor of a one-term recursion of the
+convolution (Exponential, Constant); and its ``decay_class``, the large-time
+behaviour of g against the reference rate 1/t: kernels bounded below by c/t
+are Slow, kernels bounded above by c/t are Fast.  A tabulated kernel is
+classified once, from a log-log slope fit over its last decade of samples.
+The non-increasing minorant of a Slow kernel, which no command runs, lives
+with the test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -35,7 +38,6 @@ __all__ = [
     "Custom",
     "DecayTag",
     "DecayClass",
-    "classify_decay",
 ]
 
 # Floor used when a very fast kernel underflows double precision; keeps g > 0.
@@ -77,14 +79,18 @@ class MemoryKernel:
     """Base class: evaluator g(t) with antiderivatives G and ∫G.
 
     Subclasses set ``singularity_order`` (the s in g ~ t^-s near 0) and
-    supply formulas only: ``_eval`` and, where closed forms exist,
-    ``_antiderivative`` and ``_second_antiderivative``, each called for t > 0
-    only; the public ``antiderivative`` and ``second_antiderivative`` check t.
-    Both fall back on ``_repeated_integral``, one quadrature each, which a
-    family may replace with a better rule.
+    ``decay_class``, and supply formulas only: ``_eval`` and, where closed
+    forms exist, ``_antiderivative`` and ``_second_antiderivative``, each
+    called for t > 0 only; the public ``antiderivative`` and
+    ``second_antiderivative`` check t.  Both fall back on
+    ``_repeated_integral``, one quadrature each, which a family may replace
+    with a better rule.  A family whose g(t + dt) is a fixed multiple of g(t)
+    overrides ``recursion_factor``.
     """
 
     singularity_order: float = 0.0
+    #: the decay of g against 1/t, with the onset time of the bound
+    decay_class: DecayClass
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -123,6 +129,11 @@ class MemoryKernel:
 
         return integrate.quad(lambda s: (t - s) ** k * self._eval(s), 0.0, t,
                               epsrel=1e-12, limit=200)[0]
+
+    def recursion_factor(self, dt: float) -> float | None:
+        """The factor r with g(t + dt) = r g(t) for every t >= 0, which makes
+        the convolution a one-term recursion; None when the family has none."""
+        return None
 
     def exponential_sum(self, t0: float, t1: float):
         """Rates s_k and weights w_k with g(t) ≈ Σ_k w_k exp(-s_k (t - t0))
@@ -204,6 +215,8 @@ class RiemannLiouville(MemoryKernel):
     order 1 - gamma; scale = Gamma(1 - gamma) gives the bare power law t^-gamma.
     """
 
+    decay_class = DecayClass(DecayTag.SLOW)
+
     def __init__(self, gamma: float, scale: float = 1.0):
         if not 0.0 < gamma < 1.0:
             raise ConfigError(
@@ -232,12 +245,15 @@ class RiemannLiouville(MemoryKernel):
 
 
 class PolynomialShifted(MemoryKernel):
-    """g(t) = (1 + t)^-gamma with gamma >= 0; no singularity at t = 0."""
+    """g(t) = (1 + t)^-gamma with gamma >= 0; no singularity at t = 0.
+    Fast for gamma >= 1, otherwise Slow from t = 1 on."""
 
     def __init__(self, gamma: float):
         if gamma < 0.0:
             raise ConfigError(f"PolynomialShifted requires gamma >= 0, got {gamma}", param="gamma")
         self.gamma = gamma
+        self.decay_class = (DecayClass(DecayTag.FAST) if gamma >= 1.0
+                            else DecayClass(DecayTag.SLOW, 1.0))
 
     def _eval(self, t):
         return (1.0 + t) ** (-self.gamma)
@@ -266,6 +282,8 @@ class PolynomialShifted(MemoryKernel):
 class Exponential(MemoryKernel):
     """g(t) = exp(-t / beta) with beta > 0."""
 
+    decay_class = DecayClass(DecayTag.FAST)
+
     def __init__(self, beta: float):
         if beta <= 0.0:
             raise ConfigError(f"Exponential requires beta > 0, got {beta}", param="beta")
@@ -280,6 +298,9 @@ class Exponential(MemoryKernel):
     def _second_antiderivative(self, t):
         return self.beta * t + self.beta**2 * math.expm1(-t / self.beta)
 
+    def recursion_factor(self, dt):
+        return math.exp(-dt / self.beta)
+
 
 class IteratedExponential(MemoryKernel):
     """Very fast decay: log g(t) = -exp^(depth-1)(c t), depth in 1..4.
@@ -290,6 +311,7 @@ class IteratedExponential(MemoryKernel):
     """
 
     MAX_DEPTH = 4
+    decay_class = DecayClass(DecayTag.FAST)
 
     def __init__(self, depth: int, c: float):
         if not 1 <= depth <= self.MAX_DEPTH:
@@ -312,6 +334,8 @@ class IteratedExponential(MemoryKernel):
 class OscillatingPolynomial(MemoryKernel):
     """g(t) = (3 + 2 sin t) t^-gamma, gamma in [0, 1); oscillating but Slow,
     bounded below by the bare power law t^-gamma."""
+
+    decay_class = DecayClass(DecayTag.SLOW)
 
     def __init__(self, gamma: float):
         if not 0.0 <= gamma < 1.0:
@@ -336,6 +360,8 @@ class OscillatingPolynomial(MemoryKernel):
 class Constant(MemoryKernel):
     """g(t) = value > 0."""
 
+    decay_class = DecayClass(DecayTag.SLOW)
+
     def __init__(self, value: float):
         if value <= 0.0:
             raise ConfigError(f"Constant requires value > 0, got {value}", param="value")
@@ -349,6 +375,9 @@ class Constant(MemoryKernel):
 
     def _second_antiderivative(self, t):
         return 0.5 * self.value * t * t
+
+    def recursion_factor(self, dt):
+        return 1.0
 
 
 class Custom(MemoryKernel):
@@ -402,47 +431,26 @@ class Custom(MemoryKernel):
             )
         return np.maximum(out, _TINY)
 
+    @functools.cached_property
+    def decay_class(self) -> DecayClass:
+        """A log-log slope fit over the last decade of samples, with a +-0.05
+        band around slope -1 reported as Indeterminate; computed once."""
+        if len(self.times) < 16:
+            raise InsufficientDataError(
+                f"need at least 16 samples to classify, got {len(self.times)}"
+            )
+        t_max = self.times[-1]
+        window = self.times >= t_max / 10.0
+        if window.sum() < 3:
+            window = np.zeros_like(window, dtype=bool)
+            window[-3:] = True
+        logt = self._logt[window]
+        logg = self._logg[window]
+        slope = np.polyfit(logt, logg, 1)[0]
+        t0 = float(self.times[window][0])
+        if abs(slope + 1.0) <= _SLOPE_BAND:
+            return DecayClass(DecayTag.INDETERMINATE, t0)
+        if slope > -1.0:
+            return DecayClass(DecayTag.SLOW, t0)
+        return DecayClass(DecayTag.FAST, t0)
 
-def classify_decay(kernel: MemoryKernel) -> DecayClass:
-    """Classify a kernel against the 1/t threshold.
-
-    Analytic families are classified in closed form; tabulated kernels get a
-    log-log slope fit over their last decade of samples, with a +-0.05 band
-    around slope -1 reported as Indeterminate.
-    """
-    if isinstance(kernel, (RiemannLiouville, OscillatingPolynomial)):
-        return DecayClass(DecayTag.SLOW, 0.0)
-    if isinstance(kernel, Constant):
-        return DecayClass(DecayTag.SLOW, 0.0)
-    if isinstance(kernel, PolynomialShifted):
-        if kernel.gamma >= 1.0:
-            return DecayClass(DecayTag.FAST, 0.0)
-        return DecayClass(DecayTag.SLOW, 1.0)
-    if isinstance(kernel, Exponential):
-        return DecayClass(DecayTag.FAST, 0.0)
-    if isinstance(kernel, IteratedExponential):
-        return DecayClass(DecayTag.FAST, 0.0)
-    if isinstance(kernel, Custom):
-        return _classify_tabulated(kernel)
-    raise ConfigError(f"unknown kernel family {type(kernel).__name__}")
-
-
-def _classify_tabulated(kernel: Custom) -> DecayClass:
-    if len(kernel.times) < 16:
-        raise InsufficientDataError(
-            f"need at least 16 samples to classify, got {len(kernel.times)}"
-        )
-    t_max = kernel.times[-1]
-    window = kernel.times >= t_max / 10.0
-    if window.sum() < 3:
-        window = np.zeros_like(window, dtype=bool)
-        window[-3:] = True
-    logt = kernel._logt[window]
-    logg = kernel._logg[window]
-    slope = np.polyfit(logt, logg, 1)[0]
-    t0 = float(kernel.times[window][0])
-    if abs(slope + 1.0) <= _SLOPE_BAND:
-        return DecayClass(DecayTag.INDETERMINATE, t0)
-    if slope > -1.0:
-        return DecayClass(DecayTag.SLOW, t0)
-    return DecayClass(DecayTag.FAST, t0)

@@ -43,8 +43,8 @@ def sphere_area(n: int) -> float:
 def phi_eigenfunction(n: int, r):
     """Positive eigenfunction of the Laplacian with eigenvalue one.
 
-    n=1: e^r + e^-r; n=2: the circle average of e^{x.w}, i.e. 2*pi*I0(r) via
-    its power series; n=3: 4*pi*sinh(r)/r with the limit value at r = 0.
+    n=1: e^r + e^-r; n=2: the circle average of e^{x.w}, i.e. 2*pi*I0(r)
+    (``np.i0``); n=3: 4*pi*sinh(r)/r with the limit value at r = 0.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
@@ -52,15 +52,7 @@ def phi_eigenfunction(n: int, r):
     if n == 1:
         out = np.exp(r) + np.exp(-r)
     elif n == 2:
-        x = (r * r) / 4.0
-        term = np.ones_like(x)
-        out = np.ones_like(x)
-        for k in range(1, 200):
-            term = term * x / (k * k)
-            out = out + term
-            if np.all(term <= 1e-12 * out):
-                break
-        out = 2.0 * math.pi * out
+        out = 2.0 * math.pi * np.i0(r)
     elif n == 3:
         with np.errstate(invalid="ignore"):
             out = np.where(r > 1e-8, 4.0 * math.pi * np.sinh(r) / np.where(r > 0, r, 1.0), 4.0 * math.pi * (1.0 + r * r / 6.0))

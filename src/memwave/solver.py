@@ -9,8 +9,9 @@ the lag and are built once per run.  Every product with stored history runs
 over the c(t) cells inside the light cone only, since the history is zero
 outside it.  Costs per step, for M + 1 cells:
 
-- an exponential or constant kernel follows the exact one-term recursion of
-  its convolution, O(M) per step, and keeps one level of history;
+- a kernel with a recursion factor (``MemoryKernel.recursion_factor``:
+  exponential or constant) follows the exact one-term recursion of its
+  convolution, O(M) per step, and keeps one level of history;
 - a RiemannLiouville or PolynomialShifted kernel keeps its latest
   ``WINDOW`` to ``WINDOW + BLOCK - 1`` lags exact, over a window of
   WINDOW + BLOCK history levels, and folds everything older into K modes of
@@ -39,7 +40,7 @@ import numpy as np
 from . import observables
 from .errors import ConfigError, DomainError
 from .exponents import ProblemParams
-from .kernels import Constant, Exponential, MemoryKernel
+from .kernels import Exponential, MemoryKernel
 from .observables import FunctionalTrace
 
 __all__ = [
@@ -192,7 +193,7 @@ class HistoryWeights:
     ``weights(m)`` is [X(m), L[m - 1], ..., L[0]].  X and L are extended
     lazily, one pair of antiderivative values per new grid multiple, so a run
     of N steps builds its weights in O(N) and each call copies m + 1 values.
-    An exponential or constant kernel needs only X(1) and Y(1): its
+    A kernel with a recursion factor needs only X(1) and Y(1): its
     convolution follows the exact one-term recursion in ``update``, O(M) per
     step for M cells, with no stored history.
 
@@ -211,13 +212,9 @@ class HistoryWeights:
             raise ConfigError("dt must be positive")
         self.kernel = kernel
         self.dt = dt
-        #: the factor of the recursion in ``update``: exp(-dt / beta) for an
-        #: exponential kernel, 1 for a constant one; None for every other kernel
-        self.decay = None
-        if isinstance(kernel, Exponential):
-            self.decay = math.exp(-dt / kernel.beta)
-        elif isinstance(kernel, Constant):
-            self.decay = 1.0
+        #: the factor of the recursion in ``update``, or None when the kernel
+        #: has none (``MemoryKernel.recursion_factor``)
+        self.decay = kernel.recursion_factor(dt)
         self._X = [0.0]  # X(l) at index l; index 0 is unused
         self._lag = np.zeros(64)  # L[l], filled for l < len(self._X) - 1
         self._G = self._G2 = 0.0  # G and its antiderivative at the last grid multiple
@@ -333,7 +330,7 @@ class WaveState:
     ``history[i]`` holds those profiles, in one of three layouts chosen by
     ``weights[i]``:
 
-    - its recursion (exponential or constant kernel): only the latest one,
+    - its recursion (a kernel with a recursion factor): only the latest one,
       shape (1, M + 1), and ``modes[i]`` is None;
     - its mode tail: the levels j..m of the exact window, shape
       (WINDOW + BLOCK, M + 1), and ``modes[i]`` is F(j), shape (K, M + 1);

@@ -19,7 +19,7 @@ from memwave.errors import ConfigError, DomainError, InsufficientDataError, Unsu
 from memwave.exponents import default_condition_times
 from memwave.iteration import _rat
 from memwave.kernels import (Constant, Custom, DecayTag, Exponential, MemoryKernel,
-                             OscillatingPolynomial, RiemannLiouville, classify_decay)
+                             OscillatingPolynomial, RiemannLiouville)
 from memwave.observables import FunctionalTrace, RadialGrid, _trapezoid_terms, sphere_area
 from memwave.solver import HistoryWeights, SystemConfig, _cone_cut, _laplacian
 
@@ -358,7 +358,7 @@ def divergence_certificate(
     if kernels is not None:
         want = DecayTag.SLOW if case is IterationCase.CASE1 else DecayTag.FAST
         for k in kernels:
-            got = classify_decay(k).tag
+            got = k.decay_class.tag
             if got is not want:
                 raise UnsupportedError(
                     f"{case.value} requires {want.value} kernels, got {got.value}"
@@ -414,7 +414,7 @@ def minorant(kernel: MemoryKernel) -> MemoryKernel:
     of OscillatingPolynomial; running right-minimum envelope for tabulated
     kernels.  Fast kernels are rejected.
     """
-    cls = classify_decay(kernel)
+    cls = kernel.decay_class
     if cls.tag is DecayTag.FAST:
         raise UnsupportedError("minorant is defined only for Slow-class kernels")
     if isinstance(kernel, OscillatingPolynomial):

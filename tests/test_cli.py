@@ -529,6 +529,45 @@ def test_simulate_non_integrable_custom_table_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _power_law_table(t_max: float, rows: int) -> str:
+    """A (t, t^-0.5) table on a geometric grid from t = 0.1, as CSV text."""
+    t = np.geomspace(0.1, t_max, rows)
+    return "".join(f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), (t**-0.5).tolist()))
+
+
+def test_classify_short_custom_table_exits_2_before_output(tmp_path, capsys):
+    # 5 samples cannot be classified (16 are needed): a path-tagged error, no directory
+    cfg = _custom_table_config(tmp_path, _power_law_table(10.0, 5),
+                               {"family": "exponential", "beta": 1.0})
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "kernels.g1.samples: need at least 16 samples to classify, got 5" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("g2", [{"family": "riemann_liouville", "gamma": 0.5},
+                                {"family": "exponential", "beta": 1.0}],
+                         ids=["slow-slow", "slow-fast"])
+def test_classify_fits_custom_table_once(tmp_path, monkeypatch, g2):
+    cfg = _custom_table_config(tmp_path, _power_law_table(100.0, 40), g2)
+    fits = []
+    polyfit = np.polyfit
+    monkeypatch.setattr(np, "polyfit", lambda *a, **k: fits.append(a) or polyfit(*a, **k))
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+    assert len(fits) == 1
+
+
+def test_verify_without_config_resolves_nothing(tmp_path):
+    out = tmp_path / "ver"
+    assert main(["verify", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {}
+    assert "resolved_simulation" not in manifest
+
+
 def test_sweep_reversed_range_exits_2(tmp_path, capsys):
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["sweep"] = {"p_range": [2.5, 1.5], "q_range": [1.5, 2.5], "resolution": 3}

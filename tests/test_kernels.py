@@ -23,7 +23,6 @@ from memwave.kernels import (
     OscillatingPolynomial,
     PolynomialShifted,
     RiemannLiouville,
-    classify_decay,
 )
 from oracles import minorant
 
@@ -167,7 +166,7 @@ def test_l1_integrability(kernel):
     ],
 )
 def test_analytic_classification(kernel, expected):
-    assert classify_decay(kernel).tag is expected
+    assert kernel.decay_class.tag is expected
 
 
 def _power_law_samples(slope, num=64):
@@ -180,25 +179,42 @@ def _power_law_samples(slope, num=64):
 
 def test_custom_classification_slow():
     k = Custom(*_power_law_samples(-0.5))
-    assert classify_decay(k).tag is DecayTag.SLOW
+    assert k.decay_class.tag is DecayTag.SLOW
 
 
 def test_custom_classification_fast():
     k = Custom(*_power_law_samples(-2.0))
-    assert classify_decay(k).tag is DecayTag.FAST
+    assert k.decay_class.tag is DecayTag.FAST
 
 
 def test_custom_classification_indeterminate():
     k = Custom(*_power_law_samples(-1.0))
-    assert classify_decay(k).tag is DecayTag.INDETERMINATE
+    assert k.decay_class.tag is DecayTag.INDETERMINATE
     k = Custom(*_power_law_samples(-0.97))
-    assert classify_decay(k).tag is DecayTag.INDETERMINATE
+    assert k.decay_class.tag is DecayTag.INDETERMINATE
 
 
 def test_custom_too_few_samples():
     t = np.geomspace(0.1, 10.0, 8)
     with pytest.raises(InsufficientDataError):
-        classify_decay(Custom(t, t**-0.5))
+        Custom(t, t**-0.5).decay_class
+
+
+@pytest.mark.parametrize("kernel, factor", [
+    (Exponential(2.0), math.exp(-0.01 / 2.0)),
+    (Constant(3.0), 1.0),
+    (RiemannLiouville(0.5), None),
+    (PolynomialShifted(1.5), None),
+    (IteratedExponential(1, 0.5), None),
+    (OscillatingPolynomial(0.3), None),
+    (Custom(*_power_law_samples(-0.5)), None),
+], ids=["Exponential", "Constant", "RiemannLiouville", "PolynomialShifted",
+        "IteratedExponential", "OscillatingPolynomial", "Custom"])
+def test_recursion_factor(kernel, factor):
+    assert kernel.recursion_factor(0.01) == factor
+    if factor is not None:  # g(t + dt) = factor * g(t)
+        t = np.linspace(0.0, 5.0, 11)
+        np.testing.assert_allclose(kernel(t + 0.01), factor * kernel(t), rtol=1e-14)
 
 
 def test_custom_interpolation_matches_power_law():
@@ -314,7 +330,7 @@ def test_custom_envelope_is_nonincreasing_minorant(slope):
     g = t**slope * np.exp(rng.uniform(0.0, 0.5, size=t.size))
     g[0] = g[1]  # integrable at t = 0
     k = Custom(t, g)
-    if classify_decay(k).tag is DecayTag.FAST:
+    if k.decay_class.tag is DecayTag.FAST:
         return
     m = minorant(k)
     assert np.all(np.diff(np.asarray(m(t))) <= 1e-12)

@@ -57,6 +57,14 @@ def test_phi_circle_mean_oracle():
                                                       rel=1e-9)
 
 
+def test_phi_circle_mean_matches_mpmath_bessel():
+    # n = 2 is 2 pi I0(r); a truncated power series was off by 1.9e-14
+    mpmath = pytest.importorskip("mpmath")
+    r = 0.0025 * np.arange(2001)
+    want = np.array([float(2 * mpmath.pi * mpmath.besseli(0, x)) for x in r])
+    assert np.max(np.abs(phi_eigenfunction(2, r) / want - 1.0)) <= 1e-15
+
+
 def test_phi_sphere_mean_oracle():
     # n = 3: the sphere mean of e^{x.w} is 4 pi sinh(r)/r
     r = 0.7
