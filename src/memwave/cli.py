@@ -667,7 +667,7 @@ def main(argv=None) -> int:
     try:
         status = _COMMANDS[args.command](args, resolved, outdir)
     except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except FloatingPointError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

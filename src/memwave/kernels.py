@@ -2,17 +2,22 @@
 
 Every kernel is positive on t > 0, integrable near t = 0 (singularity order
 strictly below 1), and immutable after construction.  A family states what it
-has: the closed forms for G and ∫G, whose one generic fallback is a
-single-level quadrature of Cauchy's repeated-integral formula; a
-sum-of-exponentials fit away from t = 0, built with NumPy only, for the power
-laws (RiemannLiouville, PolynomialShifted), which the solver uses for the old
-part of a long memory convolution; the factor of a one-term recursion of the
-convolution (Exponential, Constant); and its ``decay_class``, the large-time
-behaviour of g against the reference rate 1/t: kernels bounded below by c/t
-are Slow, kernels bounded above by c/t are Fast.  A tabulated kernel is
-classified once, from a log-log slope fit over its last decade of samples.
-The non-increasing minorant of a Slow kernel, which no command runs, lives
-with the test references in ``tests/oracles.py``.
+has: closed forms for G and ∫G, or a Gauss rule for them, all in NumPy.  The
+tabulated kernel's log-log interpolant is a power law on each segment, so its
+G and ∫G are closed forms too; the oscillating polynomial takes its t^-gamma
+singularity into Gauss-Jacobi weights; the one generic fallback, which the
+iterated exponential uses, is a composite Gauss-Legendre rule for Cauchy's
+repeated-integral formula.  Each rule's node table is built on first use
+and kept.  A family also states a sum-of-exponentials fit away from t = 0,
+built with NumPy only, for the power laws (RiemannLiouville,
+PolynomialShifted), which the solver uses for the old part of a long memory
+convolution; the factor of a one-term recursion of the convolution
+(Exponential, Constant); and its ``decay_class``, the large-time behaviour of
+g against the reference rate 1/t: kernels bounded below by c/t are Slow,
+kernels bounded above by c/t are Fast.  A tabulated kernel is classified once,
+from a log-log slope fit over its last decade of samples.  The non-increasing
+minorant of a Slow kernel, which no command runs, lives with the test
+references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -59,6 +64,8 @@ SOE_MAX_TERMS = 64
 _JACOBI_NODES = 20
 _LEGENDRE_NODES = 24
 _SOE_CUTOFF = 40.0
+#: nodes of each Gauss rule behind G and ∫G, per panel for Gauss-Legendre
+_KERNEL_NODES = 24
 
 
 class DecayTag(enum.Enum):
@@ -82,15 +89,23 @@ class MemoryKernel:
     ``decay_class``, and supply formulas only: ``_eval`` and, where closed
     forms exist, ``_antiderivative`` and ``_second_antiderivative``, each
     called for t > 0 only; the public ``antiderivative`` and
-    ``second_antiderivative`` check t.  Both fall back on
-    ``_repeated_integral``, one quadrature each, which a family may replace
-    with a better rule.  A family whose g(t + dt) is a fixed multiple of g(t)
-    overrides ``recursion_factor``.
+    ``second_antiderivative`` check t.  Both fall back on the moments
+    M_j(t) = ∫_0^t s^j g(s) ds, as G = M_0 and ∫G = t M_0 - M_1.  The generic
+    ``_moments`` is the 24-point Gauss-Legendre rule on panels of
+    ``panel_width`` over [0, min(t, support_end)], which needs g smooth
+    there; a family may replace it with a better rule.  A family whose
+    g(t + dt) is a fixed multiple of g(t) overrides ``recursion_factor``.
     """
 
     singularity_order: float = 0.0
     #: the decay of g against 1/t, with the onset time of the bound
     decay_class: DecayClass
+    #: the panel width of the generic rule
+    panel_width: float = 1.0
+    #: the time past which g adds nothing to G in double precision
+    support_end: float = math.inf
+    #: the last t given to ``_moments`` and what it returned
+    _last_moments = (None, None)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -117,18 +132,22 @@ class MemoryKernel:
         return 0.0 if t == 0.0 else self._second_antiderivative(t)
 
     def _antiderivative(self, t: float) -> float:
-        return self._repeated_integral(t, 0)
+        return self._moments_at(t)[0]
 
     def _second_antiderivative(self, t: float) -> float:
-        return self._repeated_integral(t, 1)
+        # Cauchy's formula for repeated integration: ∫_0^t (t - s) g(s) ds
+        m0, m1 = self._moments_at(t)
+        return t * m0 - m1
 
-    def _repeated_integral(self, t: float, k: int) -> float:
-        """∫_0^t (t - s)^k g(s) ds for t > 0: G(t) for k = 0 and, by Cauchy's
-        formula for repeated integration, ∫_0^t G for k = 1."""
-        from scipy import integrate  # on first use: closed-form kernels never load scipy
+    def _moments_at(self, t: float) -> tuple[float, float]:
+        # the history weights ask for G(t) and then ∫G(t): one rule serves both
+        if self._last_moments[0] != t:
+            self._last_moments = (t, self._moments(t))
+        return self._last_moments[1]
 
-        return integrate.quad(lambda s: (t - s) ** k * self._eval(s), 0.0, t,
-                              epsrel=1e-12, limit=200)[0]
+    def _moments(self, t: float) -> tuple[float, float]:
+        """M_0(t) and M_1(t), M_j(t) = ∫_0^t s^j g(s) ds, for t > 0."""
+        return _panel_moments(self._eval, 0.0, min(t, self.support_end), self.panel_width)
 
     def recursion_factor(self, dt: float) -> float | None:
         """The factor r with g(t + dt) = r g(t) for every t >= 0, which makes
@@ -142,9 +161,11 @@ class MemoryKernel:
         return None
 
 
+@functools.cache
 def _gauss_jacobi(n: int, beta: float):
     """Nodes and weights on [0, 1] for the weight x^beta, beta > -1: the
-    Golub-Welsch eigenproblem of the Jacobi matrix of P^(0, beta)."""
+    Golub-Welsch eigenproblem of the Jacobi matrix of P^(0, beta).  Built
+    once per (n, beta) and shared, so read-only."""
     k = np.arange(1, n, dtype=float)
     s = 2.0 * k + beta
     diag = np.empty(n)
@@ -152,7 +173,30 @@ def _gauss_jacobi(n: int, beta: float):
     diag[1:] = beta * beta / (s * (s + 2.0))
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    return 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+    nodes, weights = 0.5 * (1.0 + x), v[0] ** 2 / (beta + 1.0)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _panel_moments(g, a: float, b: float, width: float) -> tuple[float, float]:
+    """∫_a^b g(s) ds and ∫_a^b s g(s) ds, a < b, by the
+    ``_KERNEL_NODES``-point Gauss-Legendre rule on the panels
+    [a + i width, a + (i + 1) width] that meet [a, b], the last one cut at b;
+    g takes an array of nodes.  A whole panel's values do not depend on b and
+    their sums are correctly rounded, so for g >= 0 neither integral
+    decreases as b grows."""
+    x, w = _gauss_jacobi(_KERNEL_NODES, 0.0)  # weight x^0: Gauss-Legendre
+    lo = a + width * np.arange(math.ceil((b - a) / width))
+    h = np.minimum(width, b - lo)
+    s = lo[:, None] + h[:, None] * x
+    hgw = h[:, None] * g(s) * w
+    return math.fsum(hgw.sum(axis=1)), math.fsum((hgw * s).sum(axis=1))
+
+
+def _power_integral(b, log_x):
+    """∫_1^x u^(b - 1) du = expm1(b log x) / b, which is log x at b = 0."""
+    b, log_x = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(log_x, dtype=float))
+    return np.divide(np.expm1(b * log_x), b, out=log_x.copy(), where=b != 0.0)
 
 
 def _power_law_sum(gamma: float, x0: float, x1: float):
@@ -320,6 +364,13 @@ class IteratedExponential(MemoryKernel):
             raise ConfigError(f"IteratedExponential requires c > 0, got {c}", param="c")
         self.depth = depth
         self.c = c
+        # log g reaches its -700 floor at c t = log^(depth-1)(700); past that
+        # G stays constant, so the generic rule stops there
+        self.panel_width = 0.25 / c
+        end = 700.0
+        for _ in range(depth - 1):
+            end = math.log(end)
+        self.support_end = end / c
 
     def _log_g(self, t):
         tower = self.c * np.asarray(t, dtype=float)
@@ -348,13 +399,17 @@ class OscillatingPolynomial(MemoryKernel):
     def _eval(self, t):
         return (3.0 + 2.0 * np.sin(t)) * t ** (-self.gamma)
 
-    def _repeated_integral(self, t, k):
-        # QUADPACK's algebraic weight s^-gamma (t - s)^k takes both the
-        # endpoint singularity and the Cauchy factor out of the integrand
-        from scipy import integrate
-
-        return integrate.quad(lambda s: 3.0 + 2.0 * math.sin(s), 0.0, t, weight="alg",
-                              wvar=(-self.gamma, k), epsrel=1e-12, limit=200)[0]
+    def _moments(self, t):
+        # on [0, min(t, 1)] the singularity s^-gamma is the Gauss-Jacobi weight;
+        # past s = 1 the integrand is smooth, for Gauss-Legendre panels of 2
+        head = min(t, 1.0)
+        x, w = _gauss_jacobi(_KERNEL_NODES, -self.gamma)
+        hw = head ** (1.0 - self.gamma) * w * (3.0 + 2.0 * np.sin(head * x))
+        m0, m1 = float(hw.sum()), head * float(hw @ x)
+        if t > 1.0:
+            tail = _panel_moments(self._eval, 1.0, t, 2.0)
+            m0, m1 = m0 + tail[0], m1 + tail[1]
+        return m0, m1
 
 
 class Constant(MemoryKernel):
@@ -385,7 +440,9 @@ class Custom(MemoryKernel):
 
     Samples must have strictly increasing positive times and positive values.
     Outside the tabulated range the first/last segment's power law is
-    extended.
+    extended.  The interpolant is v_i (s / t_i)^a_i on each segment, so
+    ∫_0^t s^j g(s) ds, j = 0, 1, is a sum of closed forms, and G = that sum
+    for j = 0 and ∫G = t G - that sum for j = 1.
     """
 
     def __init__(self, times, values):
@@ -413,6 +470,14 @@ class Custom(MemoryKernel):
             )
         self.singularity_order = max(0.0, -slopes[0])
         self._slopes = slopes
+        # row j, column i: ∫_0^t_i s^j g(s) ds, from the extended first segment
+        # below times[0] and one power law per segment after it
+        j = np.array([[0.0], [1.0]])
+        self._masses = np.cumsum(np.hstack((
+            values[0] * times[0] ** (j + 1) / (slopes[0] + 1 + j),
+            values[:-1] * times[:-1] ** (j + 1) * _power_integral(slopes + 1 + j,
+                                                                  np.diff(self._logt)),
+        )), axis=1)
 
     def _eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -430,6 +495,17 @@ class Custom(MemoryKernel):
                 hi, np.exp(self._logg[-1] + self._slopes[-1] * (logt - self._logt[-1])), out
             )
         return np.maximum(out, _TINY)
+
+    def _moments(self, t):
+        j = np.array([0.0, 1.0])
+        i = int(np.searchsorted(self.times, t, side="right")) - 1
+        if i < 0:
+            m = self._masses[:, 0] * (t / self.times[0]) ** (self._slopes[0] + 1 + j)
+        else:
+            a = self._slopes[min(i, len(self._slopes) - 1)]
+            m = self._masses[:, i] + self.values[i] * self.times[i] ** (j + 1) * _power_integral(
+                a + 1 + j, math.log(t / self.times[i]))
+        return float(m[0]), float(m[1])
 
     @functools.cached_property
     def decay_class(self) -> DecayClass:

@@ -245,18 +245,24 @@ def test_sweep_streams_rows(tmp_path):
     assert peak < 1_000_000
 
 
-def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
-    """The scipy modules a fresh interpreter has loaded after running code;
-    a subprocess, since the test session itself has imported scipy."""
+def _run_fresh(code: str, cwd: Path) -> str:
+    """Run code in a fresh interpreter that imports this memwave, and return
+    its stdout; a subprocess, since the test session itself has imported
+    scipy."""
     src = str(Path(memwave.__file__).resolve().parents[1])
     path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    script = (code + "\nimport json, sys\n"
-              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
-    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env,
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return done.stdout
+
+
+def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
+    """The scipy modules a fresh interpreter has loaded after running code."""
+    script = (code + "\nimport json, sys\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    return json.loads(_run_fresh(script, cwd).strip().splitlines()[-1])
 
 
 def test_import_cli_leaves_scipy_unloaded(tmp_path):
@@ -264,14 +270,15 @@ def test_import_cli_leaves_scipy_unloaded(tmp_path):
 
 
 def test_package_exports_are_consistent():
-    # listed names exist, the package exports only listed names, the solver has no scipy
+    # listed names exist, the package exports only listed names, no module names scipy
     for info in pkgutil.iter_modules(memwave.__path__):
         module = importlib.import_module(f"memwave.{info.name}")
         assert all(hasattr(module, name) for name in getattr(module, "__all__", ())), info.name
     for name, obj in vars(memwave).items():
         if not name.startswith("_") and not inspect.ismodule(obj):
             assert name in sys.modules[obj.__module__].__all__, name
-    assert "scipy" not in Path(memwave.solver.__file__).read_text()
+    for path in Path(memwave.__file__).parent.glob("*.py"):
+        assert "scipy" not in path.read_text(), path.name
 
 
 _EXPONENTIAL = {"family": "exponential", "beta": 1.0}
@@ -279,8 +286,8 @@ _EXPONENTIAL = {"family": "exponential", "beta": 1.0}
 
 @pytest.mark.parametrize("kernels, simulation, loads_scipy", [
     pytest.param({}, {}, False, id="exponential-params0-False"),
-    pytest.param({"g2": {"family": "oscillating_polynomial", "gamma": 0.3}}, {}, True,
-                 id="oscillating_polynomial-params1-True"),
+    pytest.param({"g2": {"family": "oscillating_polynomial", "gamma": 0.3}}, {}, False,
+                 id="oscillating_polynomial-params1-False"),
     # 111 steps: past the exact window, so the riemann_liouville row builds
     # and runs its sum-of-exponentials tail, in coupled and in single mode
     pytest.param({}, {"t_max": 2.0}, False, id="exponential-mode-tail"),
@@ -288,8 +295,7 @@ _EXPONENTIAL = {"family": "exponential", "beta": 1.0}
     pytest.param({"g1": _EXPONENTIAL}, {"t_max": 2.0, "mode": "mgt"}, False, id="mgt"),
 ])
 def test_simulate_loads_scipy_only_for_quadrature(tmp_path, kernels, simulation, loads_scipy):
-    # closed-form kernels (riemann_liouville + exponential) never need scipy;
-    # a quadrature-backed kernel loads it on its first antiderivative
+    # no family needs scipy: closed forms, or Gauss rules in NumPy
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["kernels"].update(kernels)
     cfg["simulation"].update(simulation)
@@ -308,6 +314,29 @@ def test_closed_form_commands_leave_scipy_unloaded(tmp_path):
     code = "import memwave.cli\n" + "".join(
         f"assert memwave.cli.main({argv!r}) == 0\n" for argv in runs)
     assert _scipy_modules_after(code, tmp_path) == []
+
+
+def test_every_command_runs_with_scipy_blocked(tmp_path):
+    # with scipy unimportable, the kernels without closed forms (two Gauss
+    # rules, the tabulated power laws) and every other command still run;
+    # importing the package builds no Gauss table
+    generic = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    generic["kernels"] = {"g1": {"family": "oscillating_polynomial", "gamma": 0.3},
+                          "g2": {"family": "iterated_exponential", "depth": 2, "c": 1.0}}
+    custom = _custom_table_config(tmp_path, _power_law_table(10.0, 20),
+                                  {"family": "exponential", "beta": 1.0})
+    cfg = {**MINIMAL, "sweep": {"p_range": [1.1, 3.0], "q_range": [1.1, 3.0], "resolution": 9}}
+    paths = {name: str(_write(tmp_path, c, f"{name}.yaml"))
+             for name, c in (("generic", generic), ("custom", custom), ("cfg", cfg))}
+    runs = [["simulate", "--config", paths["generic"], "--out", "generic"],
+            ["simulate", "--config", paths["custom"], "--out", "custom"]]
+    runs += [[command, "--config", paths["cfg"], "--out", command]
+             for command in ("classify", "sweep", "sequences")] + [["verify", "--out", "verify"]]
+    code = ("import sys\nsys.modules['scipy'] = None\nimport memwave.cli\n"
+            "assert memwave.kernels._gauss_jacobi.cache_info().currsize == 0\n"
+            + "".join(f"assert memwave.cli.main({argv!r}) == 0, {argv[0]!r}\n" for argv in runs))
+    _run_fresh(code, tmp_path)
+    assert (tmp_path / "generic" / "verdict.json").exists()
 
 
 @pytest.mark.parametrize("swapped, classes", [(False, ["slow", "fast"]), (True, ["fast", "slow"])],
@@ -542,7 +571,7 @@ def test_classify_short_custom_table_exits_2_before_output(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["classify", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "kernels.g1.samples: need at least 16 samples to classify, got 5" in err
+    assert err.startswith("error: kernels.g1.samples: need at least 16 samples to classify, got 5")
     assert "Traceback" not in err
     assert not out.exists()
 

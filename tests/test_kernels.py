@@ -1,6 +1,10 @@
 """Kernel families: closed-form values, antiderivatives, classification."""
 
+import bisect
+import functools
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +27,9 @@ from memwave.kernels import (
     OscillatingPolynomial,
     PolynomialShifted,
     RiemannLiouville,
+    _gauss_jacobi,
 )
+from memwave.solver import HistoryWeights
 from oracles import minorant
 
 SMOOTH_FAMILIES = [
@@ -371,3 +377,123 @@ def test_exponential_sum_that_misses_its_bound_warns():
     # (1 + t)^-10 over [0.03, 20] spans 13 decades: no 64 terms reach 1e-11
     with pytest.warns(RuntimeWarning, match="whole history"):
         assert PolynomialShifted(10.0).exponential_sum(0.03, 20.0) is None
+
+
+# -- the NumPy rules behind G and its integral ---------------------------------
+
+# the 20-point table that took QUADPACK seconds and hundreds of warnings
+TABLE_T = np.geomspace(0.1, 100.0, 20)
+TABLE_G = (3.0 + 2.0 * np.sin(TABLE_T)) * TABLE_T**-0.3
+# logs that are 0, 1, 2, 4 and 8 times log 2, so the log-log slopes come out
+# exactly -0.5, -1, -2, -2
+SLOPE_T = np.array([0.25, 1.0, 2.0, 4.0, 16.0])
+SLOPE_G = np.array([1.0, 0.5, 0.25, 2.0**-4, 2.0**-8])
+
+
+@functools.cache
+def _depth4_moments(c):
+    """∫ g and ∫ s g for IteratedExponential(4, c) over [0, e], 30 digits,
+    where log g reaches its -700 floor at s = e: past e, g adds nothing to G
+    in double precision."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        end = mpmath.log(mpmath.log(mpmath.log(700))) / c
+
+        def g(s):
+            return mpmath.exp(-mpmath.exp(mpmath.exp(mpmath.exp(c * s))))
+
+        nodes = mpmath.linspace(0, end, 17)
+        return tuple(mpmath.quad(lambda s: s**j * g(s), nodes) for j in (0, 1))
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0])
+@pytest.mark.parametrize("t", [4.0, 6.0, 30.0])
+def test_depth4_iterated_exponential_keeps_its_mass(c, t):
+    # nearly all of g lies below s = 0.5/c; QUADPACK over [0, t] lost up to 93%
+    # of it.  G is about 1e-9, so the tolerance is relative only
+    m0, m1 = _depth4_moments(c)
+    kernel = IteratedExponential(4, c)
+    assert kernel.antiderivative(t) == pytest.approx(float(m0), rel=1e-12, abs=0.0)
+    assert kernel.second_antiderivative(t) == pytest.approx(float(t * m0 - m1), rel=1e-12,
+                                                         abs=0.0)
+
+
+def test_depth4_history_weights_keep_mass_and_sign():
+    m0, _ = _depth4_moments(3.0)
+    w = HistoryWeights(IteratedExponential(4, 3.0), 0.05).weights(1200)
+    assert w.sum() == pytest.approx(float(m0), rel=1e-10, abs=0.0)
+    # past the floor, rounding may leave a weight a hair below zero
+    assert w.min() >= -1e-12 * w.sum()
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    ALL_FAMILIES + [IteratedExponential(4, 3.0), Custom(TABLE_T, TABLE_G), Custom(SLOPE_T, SLOPE_G)],
+    ids=lambda k: repr(type(k).__name__),
+)
+def test_antiderivatives_never_decrease(kernel):
+    t = np.geomspace(1e-3, 1e3, 600)
+    assert np.all(np.diff([kernel.antiderivative(x) for x in t]) >= 0.0)
+    assert np.all(np.diff([kernel.second_antiderivative(x) for x in t]) >= 0.0)
+
+
+def _power_law_antiderivatives(times, values, t):
+    """G(t) and ∫_0^t G, 30 digits, for the power law through each pair of
+    neighbouring samples, the end ones extended to 0 and to infinity."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        T = [mpmath.mpf(float(x)) for x in times]
+        V = [mpmath.mpf(float(x)) for x in values]
+        t = mpmath.mpf(float(t))
+
+        def g(s):
+            i = min(max(bisect.bisect(T, s) - 1, 0), len(T) - 2)
+            return V[i] * (s / T[i]) ** (mpmath.log(V[i + 1] / V[i]) / mpmath.log(T[i + 1] / T[i]))
+
+        cuts = [mpmath.mpf(0)] + [x for x in T if x < t] + [t]
+        return (float(mpmath.quad(g, cuts)),
+                float(mpmath.quad(lambda s: (t - s) * g(s), cuts)))
+
+
+@pytest.mark.parametrize("times, values", [(TABLE_T, TABLE_G), (SLOPE_T, SLOPE_G)],
+                         ids=["oscillating-table", "slopes-1-2"])
+@pytest.mark.parametrize("t", [0.01, 0.2, 1.0, 3.7, 16.0, 100.0, 400.0])
+def test_custom_antiderivatives_match_power_law(times, values, t):
+    kernel = Custom(times, values)
+    G, G2 = _power_law_antiderivatives(times, values, t)
+    assert kernel.antiderivative(t) == pytest.approx(G, rel=1e-12)
+    assert kernel.second_antiderivative(t) == pytest.approx(G2, rel=1e-12)
+
+
+def test_custom_exact_slopes_minus_one_and_minus_two():
+    # a + 1 = 0 and a + 2 = 0 on these segments: the closed forms' log limits
+    kernel = Custom(SLOPE_T, SLOPE_G)
+    assert kernel._slopes.tolist() == [-0.5, -1.0, -2.0, -2.0]
+    w = HistoryWeights(kernel, 0.05).weights(400)  # t = 20, past the last sample
+    assert w.min() > 0.0
+    assert w.sum() == pytest.approx(kernel.antiderivative(20.0), rel=1e-13)
+
+
+def test_custom_weights_build_fast_without_warning():
+    kernel = Custom(TABLE_T, TABLE_G)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        w = HistoryWeights(kernel, 0.009).weights(222)
+        elapsed = time.perf_counter() - start
+    assert elapsed < 0.1
+    assert w.min() > 0.0
+    assert w.sum() == pytest.approx(kernel.antiderivative(222 * 0.009), rel=1e-13)
+
+
+def test_gauss_tables_built_once(monkeypatch):
+    # a run needs one Gauss-Jacobi table per gamma and one Gauss-Legendre
+    # table; building them on every call cost more than the rest of the run
+    _gauss_jacobi.cache_clear()
+    builds = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: builds.append(a.shape) or eigh(a))
+    for kernel in (OscillatingPolynomial(0.3), IteratedExponential(2, 1.0),
+                   OscillatingPolynomial(0.3)):
+        HistoryWeights(kernel, 0.009).weights(222)
+    assert builds == [(24, 24), (24, 24)]
