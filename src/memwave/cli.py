@@ -244,7 +244,7 @@ def load_config(path: Path) -> dict:
     with open(path) as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        raise ConfigError("top level must be a mapping")
     return raw
 
 
@@ -357,15 +357,8 @@ def _describe_config(raw: dict, resolved: dict) -> dict:
     params = resolved.get("params")
     desc = {"tool_version": __version__, "config": raw}
     if params is not None:
-        desc["resolved_problem"] = {
-            "n": params.n,
-            "p": params.p,
-            "q": params.q,
-            "gamma1": params.gamma1,
-            "gamma2": params.gamma2,
-            "r_depth": params.r_depth,
-            "sobolev_violated": params.sobolev_violated,
-        }
+        desc["resolved_problem"] = {**dataclasses.asdict(params),
+                                    "sobolev_violated": params.sobolev_violated}
     system = resolved.get("system")
     if system is not None:
         desc["resolved_simulation"] = {
@@ -413,13 +406,11 @@ class OutputDir:
 def write_snapshot(path: Path, n: int, dr: float, t: float, fields) -> None:
     """Flat binary snapshot: 4-byte magic, u32 version, u32 n, u64 M, f64 dr,
     f64 t, then one little-endian f64 row of length M+1 per field."""
-    arrays = [np.asarray(f, dtype="<f8") for f in fields if f is not None]
-    M = arrays[0].size - 1
+    fields = np.asarray(fields, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<IIQdd", SNAPSHOT_VERSION, n, M, dr, t))
-        for arr in arrays:
-            fh.write(arr.tobytes())
+        fh.write(struct.pack("<IIQdd", SNAPSHOT_VERSION, n, fields.shape[-1] - 1, dr, t))
+        fh.write(fields.tobytes())
 
 
 def read_snapshot(path: Path):
@@ -449,24 +440,26 @@ def cmd_simulate(args, resolved, outdir: OutputDir) -> int:
         result = run_simulation(cfg)
         results.append(result)
         suffix = "" if ladder == 1 else f"_level{level}"
-        trace = tuple(getattr(result.trace, c) for c in TRACE_COLUMNS)
-        _write_csv(outdir.path(f"trace{suffix}.csv"), TRACE_COLUMNS, [trace])
+        _write_csv(outdir.path(f"trace{suffix}.csv"), TRACE_COLUMNS, [result.trace.table().T])
         verdict = detect_blowup(result.trace, cfg)
         with open(outdir.path(f"verdict{suffix}.json"), "w") as fh:
             json.dump(verdict.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
-        for t_snap, fields in sorted(result.snapshots.items()):
+        for t_snap, (t, fields) in sorted(result.snapshots.items()):
             name = f"snapshot{suffix}_{FLOAT_FMT % t_snap}.bin"
-            write_snapshot(outdir.path(name), cfg.params.n, cfg.dr, t_snap, fields)
+            write_snapshot(outdir.path(name), cfg.params.n, cfg.dr, t, fields)
         if result.trace.stop_trigger == "nonfinite" and not verdict.blew_up:
             return 3
     if ladder > 1:
+        # dt halves at each level, so fine row 2i and coarse row i share a
+        # step time; rows pair by index, since accumulated times differ in
+        # the last bit
         gaps = []
         for coarse, fine in zip(results, results[1:]):
-            k = min(len(coarse.trace), len(fine.trace))
-            a = coarse.trace.column("maxnorm_u")[:k]
-            b = fine.trace.column("maxnorm_u")[:k]
-            gaps.append(float(np.max(np.abs(a - b))))
+            a = coarse.trace.column("maxnorm_u")
+            b = fine.trace.column("maxnorm_u")[::2]
+            k = min(a.size, b.size)
+            gaps.append(float(np.max(np.abs(a[:k] - b[:k]))))
         levels = list(range(ladder))
         _write_csv(outdir.path("ladder.csv"), ["coarse_level", "fine_level", "trace_gap"],
                    [(levels[:-1], levels[1:], gaps)])
@@ -649,10 +642,10 @@ def main(argv=None) -> int:
             raw, base = {}, Path.cwd()
         else:
             raw, base = load_config(args.config), args.config.parent
-        resolved, report = validate_config(raw, base)
     except (ConfigError, OSError, yaml.YAMLError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        print(f"error: {args.config}: {exc}", file=sys.stderr)
         return 2
+    resolved, report = validate_config(raw, base)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if report.errors:
@@ -661,7 +654,7 @@ def main(argv=None) -> int:
         return 2
     section, key = _REQUIRES.get(args.command, (None, None))
     if key is not None and key not in resolved:
-        print(f"{args.command} requires a '{section}' section", file=sys.stderr)
+        print(f"error: {section}: missing, and {args.command} requires it", file=sys.stderr)
         return 2
     outdir = OutputDir(args.out)
     try:

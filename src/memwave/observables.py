@@ -10,7 +10,7 @@ and U, which no command runs, live with the test references in ``tests/oracles.p
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -96,39 +96,33 @@ class RadialGrid:
 
 @dataclass
 class FunctionalTrace:
-    """Time series of the blow-up functionals along a run."""
+    """Time series of the blow-up functionals along a run: one row per
+    recorded step, a tuple of floats in ``TRACE_COLUMNS`` order."""
 
-    t: list = field(default_factory=list)
-    U: list = field(default_factory=list)
-    V: list = field(default_factory=list)
-    U0: list = field(default_factory=list)
-    V0: list = field(default_factory=list)
-    Lp_v: list = field(default_factory=list)
-    Lq_u: list = field(default_factory=list)
-    maxnorm_u: list = field(default_factory=list)
-    maxnorm_v: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
     stop_trigger: str = "reached_tmax"
     t_stop: float = math.nan
 
     def __len__(self):
-        return len(self.t)
+        return len(self.rows)
 
-    def append(self, row: dict) -> None:
-        for name in TRACE_COLUMNS:
-            getattr(self, name).append(float(row[name]))
+    def table(self) -> np.ndarray:
+        """The rows as one (len, len(TRACE_COLUMNS)) array."""
+        return np.array(self.rows, dtype=float).reshape(-1, len(TRACE_COLUMNS))
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray(getattr(self, name), dtype=float)
+        return self.table()[:, TRACE_COLUMNS.index(name)]
 
     @property
     def dt(self) -> float:
-        if len(self.t) < 2:
+        if len(self.rows) < 2:
             raise InsufficientDataError("trace has fewer than two samples")
-        return self.t[1] - self.t[0]
+        return self.rows[1][0] - self.rows[0][0]
 
 
-def compute_functionals(state, config, grid: RadialGrid | None = None) -> dict:
-    """One trace row from a solver state (duck-typed: r, u, v, t).
+def compute_functionals(state, config, grid: RadialGrid | None = None) -> tuple:
+    """One trace row, in ``TRACE_COLUMNS`` order, from a solver state
+    (duck-typed: r, u, v, t).
 
     ``grid`` is ``RadialGrid.of(n, state.r)``; a run passes it once for all
     its rows.
@@ -140,17 +134,17 @@ def compute_functionals(state, config, grid: RadialGrid | None = None) -> dict:
         grid = RadialGrid.of(config.params.n, state.r)
     psi = math.exp(-state.t) * grid.phi
     abs_u, abs_v = np.abs(u), np.abs(v)
-    return {
-        "t": state.t,
-        "U": grid.integral(u),
-        "V": grid.integral(v),
-        "U0": grid.integral(u * psi),
-        "V0": grid.integral(v * psi),
-        "Lp_v": grid.integral(abs_v ** p),
-        "Lq_u": grid.integral(abs_u ** q),
-        "maxnorm_u": float(abs_u.max()),
-        "maxnorm_v": float(abs_v.max()),
-    }
+    return (
+        float(state.t),
+        grid.integral(u),
+        grid.integral(v),
+        grid.integral(u * psi),
+        grid.integral(v * psi),
+        grid.integral(abs_v ** p),
+        grid.integral(abs_u ** q),
+        float(abs_u.max()),
+        float(abs_v.max()),
+    )
 
 
 def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p: float) -> float:
@@ -165,7 +159,6 @@ def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p
 
     if len(trace) < 16:
         raise InsufficientDataError("need at least 16 recorded samples")
-    t = trace.column("t")
     dt = trace.dt
     U = trace.column("U")
     lp = trace.column("Lp_v")
@@ -191,14 +184,10 @@ class BlowupVerdict:
     fit_r2: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "blew_up": self.blew_up,
-            "t_stop": self.t_stop,
-            "T_estimate": self.T_estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "trigger": self.trigger,
-        }
+        """The fields ``verdict.json`` records: all but ``fit_r2``."""
+        record = asdict(self)
+        del record["fit_r2"]
+        return record
 
 
 def detect_blowup(

@@ -142,9 +142,11 @@ class SystemConfig:
         if not 0.0 < self.cfl < bound:
             raise ConfigError(f"cfl must lie in (0, {bound:.6g}) for n = {self.params.n}",
                               param="cfl")
-        if self.dr <= 0.0 or self.t_max <= 0.0:
-            raise ConfigError("dr and t_max must be positive",
-                              param="dr" if self.dr <= 0.0 else "t_max")
+        if self.dr <= 0.0:
+            raise ConfigError("dr must be positive", param="dr")
+        if self.n_steps < 1:
+            raise ConfigError(f"t_max must span at least one step, dt = {self.dt:g}",
+                              param="t_max")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}",
                               param="record_every")
@@ -169,7 +171,10 @@ class SystemConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_max / self.dt))
+        """The last step at or before t_max.  The slack keeps a whole quotient
+        whole where the division rounds it down (0.36 / 0.018 gives
+        19.999999999999996)."""
+        return int(self.t_max / self.dt + 1e-9)
 
     @property
     def n_cells(self) -> int:
@@ -469,7 +474,8 @@ def discrete_energy(state: WaveState, config: SystemConfig) -> float:
 @dataclass
 class SimulationResult:
     """A finished run; ``trace.stop_trigger`` and ``trace.t_stop`` say why
-    and when it stopped."""
+    and when it stopped.  ``snapshots`` maps each requested time to the time
+    reached and a copy of ``WaveState.fields``."""
 
     config: SystemConfig
     trace: FunctionalTrace
@@ -481,9 +487,10 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     state = initial_state(config)
     trace = FunctionalTrace()
     grid = observables.RadialGrid.of(config.params.n, state.r)
-    trace.append(observables.compute_functionals(state, config, grid))
+    trace.rows.append(observables.compute_functionals(state, config, grid))
+    # the step nearest each requested time; one at t_max is the last step
     snapshot_steps = {
-        int(round(ts / config.dt)): ts for ts in config.snapshot_times
+        min(round(ts / config.dt), config.n_steps): ts for ts in config.snapshot_times
     }
     snapshots = {}
     for _ in range(config.n_steps):
@@ -494,12 +501,9 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
             trace.stop_trigger = "nonfinite"
             break
         if state.step % config.record_every == 0:
-            trace.append(observables.compute_functionals(state, config, grid))
+            trace.rows.append(observables.compute_functionals(state, config, grid))
         if state.step in snapshot_steps:
-            snapshots[snapshot_steps[state.step]] = (
-                state.u.copy(),
-                None if state.v is None else state.v.copy(),
-            )
+            snapshots[snapshot_steps[state.step]] = (state.t, state.fields.copy())
         if peak > config.maxnorm_threshold:
             trace.stop_trigger = "maxnorm"
             break

@@ -267,7 +267,7 @@ def test_criterion_09_mgt_equivalence():
     for dr in (0.02, 0.01):
         cfg = SystemConfig(params, (mw.Exponential(1.0),) * 2, u0=Profile("gaussian", 0.5, 1.0),
                            u1=Profile("zero"), t_max=2.0, dr=dr, mode="single")
-        a = run_simulation(cfg).trace.maxnorm_u[-1]
+        a = run_simulation(cfg).trace.column("maxnorm_u")[-1]
         b = np.max(np.abs(oracles.mgt_reference(cfg)))
         gaps.append(abs(a - b) / abs(a))
     ok = gaps[0] < 0.02

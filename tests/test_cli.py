@@ -219,6 +219,22 @@ def test_simulate_resolution_ladder(tmp_path):
     assert (out / "ladder.csv").exists()
 
 
+def test_ladder_compares_the_same_times(tmp_path):
+    # dt halves at each level, so the gap pairs fine row 2i with coarse row
+    # i; pairing rows by index compared t with t / 2 and read 0.28 here
+    cfg = _write(tmp_path, {**MINIMAL, "simulation": {"t_max": 0.2, "dr": 0.05}})
+    out = tmp_path / "ladder"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--resolution-ladder", "2"]) == 0
+    coarse, fine = (np.loadtxt(out / f"trace_level{k}.csv", delimiter=",", skiprows=1)
+                    for k in (0, 1))
+    fine = fine[::2][: len(coarse)]
+    np.testing.assert_allclose(fine[:, 0], coarse[: len(fine), 0], rtol=1e-12)
+    gap = np.max(np.abs(fine[:, 7] - coarse[: len(fine), 7]))
+    (row,) = np.loadtxt(out / "ladder.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert row[2] == gap and gap < 1e-3
+
+
 def test_sweep_grid(tmp_path):
     cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
     cfg["sweep"] = {"p_range": [1.5, 2.5], "q_range": [1.5, 2.5], "resolution": 2}
@@ -439,9 +455,24 @@ def test_snapshot_written_by_simulate(tmp_path):
     out = tmp_path / "snap"
     assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
     snaps = list(out.glob("snapshot_*.bin"))
-    assert len(snaps) == 1
+    assert [p.name for p in snaps] == ["snapshot_0.20000000000000001.bin"]
     n, dr, t, fields = read_snapshot(snaps[0])
-    assert n == 1 and t == pytest.approx(0.2) and len(fields) == 2
+    # the file is named for the requested time, the header holds the time
+    # reached: step 11 of dt = 0.018
+    assert n == 1 and t == pytest.approx(11 * 0.018, rel=1e-12) and len(fields) == 2
+
+
+def test_snapshot_at_t_max_written_by_simulate(tmp_path):
+    # t_max = 0.4 is 22.2 steps of dt = 0.018: the run stops at step 22 and
+    # a snapshot requested at t_max is taken there
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["simulation"]["snapshot_times"] = [0.4]
+    out = tmp_path / "snap"
+    assert main(["simulate", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+    (snap,) = out.glob("snapshot_*.bin")
+    _, _, t, _ = read_snapshot(snap)
+    assert t == pytest.approx(22 * 0.018, rel=1e-12)
+    assert t == json.loads((out / "verdict.json").read_text())["t_stop"]
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +648,7 @@ MALFORMED = [
      "simulation.snapshot_times"),
     ("simulate", {"simulation.linear": "no"}, "simulation.linear"),
     ("simulate", {"simulation.record_every": 0}, "simulation.record_every"),
+    ("simulate", {"simulation.t_max": 0.015}, "simulation.t_max"),  # below dt = 0.018
     ("simulate", {"problem.n": "abc"}, "problem.n"),
     ("simulate", {"problem.n": 4}, "simulation"),
     ("simulate", {"initial.u0.amplitude": "abc"}, "initial.u0.amplitude"),
@@ -667,6 +699,30 @@ def test_range_error_exits_2_before_output(tmp_path, capsys, command, changes, m
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [None, "[1, 2]\n", "problem: [\n"],
+                         ids=["missing_file", "not_a_mapping", "bad_yaml"])
+def test_unloadable_config_exits_2_at_its_path(tmp_path, capsys, text):
+    config = tmp_path / "cfg.yaml"
+    if text is not None:
+        config.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: "), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, section", [
+    ("simulate", "simulation"), ("classify", "kernels"), ("sweep", "sweep"),
+])
+def test_missing_section_exits_2_at_its_path(tmp_path, capsys, command, section):
+    config = _write(tmp_path, {"problem": MINIMAL["problem"]})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {section}: missing, and {command} requires it\n"
     assert not out.exists()
 
 

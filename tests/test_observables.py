@@ -11,6 +11,7 @@ from memwave.errors import InsufficientDataError, UnsupportedError
 from memwave.exponents import ProblemParams
 from memwave.kernels import Constant, Exponential, RiemannLiouville
 from memwave.observables import (
+    TRACE_COLUMNS,
     FunctionalTrace,
     RadialGrid,
     check_u_doubleprime_identity,
@@ -98,8 +99,7 @@ def test_compute_functionals_zero_state():
         t = 0.3
 
     row = compute_functionals(S, cfg)
-    for key in ("U", "V", "U0", "V0", "Lp_v", "Lq_u", "maxnorm_u", "maxnorm_v"):
-        assert row[key] == 0.0
+    assert row == (0.3,) + (0.0,) * 8
 
 
 def test_u0_at_time_zero_is_phi_weighted_data():
@@ -111,7 +111,7 @@ def test_u0_at_time_zero_is_phi_weighted_data():
         v = cfg.v0(r)
         t = 0.0
 
-    row = compute_functionals(S, cfg)
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg)))
     i0, _ = initial_weighted_integrals(cfg)
     assert row["U0"] == pytest.approx(i0, rel=1e-12)
 
@@ -126,7 +126,7 @@ def test_psi_factorization():
         v = cfg.v0(r)
         t = 0.8
 
-    row = compute_functionals(S, cfg)
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg)))
     phi_weighted = RadialGrid.of(1, S.r).integral(S.u * phi_eigenfunction(1, S.r))
     assert row["U0"] == pytest.approx(math.exp(-0.8) * phi_weighted, rel=1e-12)
 
@@ -143,7 +143,8 @@ def test_functionals_bitwise_equal_numpy_trapezoid(n):
     psi = math.exp(-state.t) * phi_eigenfunction(n, r)
     integrands = {"U": state.u, "V": state.v, "U0": state.u * psi, "V0": state.v * psi,
                   "Lp_v": np.abs(state.v) ** p, "Lq_u": np.abs(state.u) ** q}
-    row = compute_functionals(state, SimpleNamespace(params=ProblemParams(n, p, q)))
+    config = SimpleNamespace(params=ProblemParams(n, p, q))
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config)))
     for name, f in integrands.items():
         want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
         assert row[name] == want, name
@@ -163,10 +164,9 @@ def test_cumulative_trapezoid_bitwise_equals_scipy():
 def test_trace_append_and_columns():
     trace = FunctionalTrace()
     for t in (0.0, 0.1, 0.2):
-        trace.append({c: t for c in
-                      ("t", "U", "V", "U0", "V0", "Lp_v", "Lq_u",
-                       "maxnorm_u", "maxnorm_v")})
+        trace.rows.append((t,) * len(TRACE_COLUMNS))
     assert len(trace) == 3
+    assert trace.table().shape == (3, len(TRACE_COLUMNS))
     assert trace.dt == pytest.approx(0.1)
     assert np.array_equal(trace.column("U"), [0.0, 0.1, 0.2])
 
@@ -252,8 +252,8 @@ def test_detect_blowup_single_constant_kernel():
     (list(range(10, 0, -1)), 1.0, None, None),
 ], ids=["seven-finite-samples", "eight-samples-poor-fit", "last-four-window", "falling-maxnorm"])
 def test_detect_blowup_fit_exits(maxnorm, decades, T_estimate, fit_r2):
-    trace = FunctionalTrace(t=[float(k) for k in range(10)], maxnorm_u=[float(m) for m in maxnorm],
-                            stop_trigger="maxnorm", t_stop=9.0)
+    rows = [(float(k), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(m), 0.0) for k, m in enumerate(maxnorm)]
+    trace = FunctionalTrace(rows, stop_trigger="maxnorm", t_stop=9.0)
     verdict = detect_blowup(trace, SimpleNamespace(params=PARAMS), growth_decades=decades)
     for got, want in ((verdict.T_estimate, T_estimate), (verdict.fit_r2, fit_r2)):
         assert got == (None if want is None else pytest.approx(want, rel=1e-12))

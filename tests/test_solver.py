@@ -17,7 +17,6 @@ from memwave.kernels import (
     PolynomialShifted,
     RiemannLiouville,
 )
-from memwave.observables import TRACE_COLUMNS
 from memwave.solver import (
     HistoryWeights,
     Profile,
@@ -262,6 +261,21 @@ def test_run_simulation_linear_reaches_tmax():
     assert len(res.trace) > 10
 
 
+@pytest.mark.parametrize("t_max, dr, n, steps", [
+    (0.36, 0.02, 1, 20),  # 0.36 / 0.018 is 19.999999999999996
+    (0.4, 0.02, 1, 22),
+    (4.0, 0.0025, 2, 1777),  # 1777.8 steps; rounding took 1778, to t = 4.0005
+])
+def test_run_stops_at_the_last_step_before_t_max(t_max, dr, n, steps):
+    cfg = _config(params=ProblemParams(n, 2.0, 2.0), t_max=t_max, dr=dr, linear=True)
+    assert cfg.n_steps == steps
+    assert cfg.n_steps * cfg.dt <= t_max * (1 + 1e-12) < (cfg.n_steps + 1) * cfg.dt
+    if steps < 100:
+        trace = run_simulation(cfg).trace
+        assert len(trace) == steps + 1
+        assert trace.t_stop == pytest.approx(steps * cfg.dt, rel=1e-12)
+
+
 # trace end points recorded from the per-mode drivers that preceded the
 # stepping loop every mode now shares; any change to the floating-point
 # operations shows here
@@ -293,7 +307,7 @@ def test_run_simulation_pinned_trace(name):
     trace = run_simulation(cfg).trace
     assert len(trace) == rows
     assert trace.stop_trigger == "reached_tmax"
-    got = tuple(getattr(trace, col)[-1] for col in TRACE_COLUMNS)
+    got = trace.rows[-1]
     assert got == pytest.approx(last, rel=1e-12)
 
 
@@ -460,8 +474,7 @@ def test_memory_run_matches_direct_convolution(monkeypatch):
     (trace, memory), (want, want_memory) = runs
     assert memory.shape == (cfg.n_steps, 2, cfg.radii().size)
     np.testing.assert_allclose(memory, want_memory, rtol=1e-12, atol=0.0)
-    for col in TRACE_COLUMNS:
-        np.testing.assert_allclose(getattr(trace, col), getattr(want, col), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(trace.table(), want.table(), rtol=1e-12, atol=0.0)
 
 
 def test_nonfinite_field_stops_the_run(monkeypatch):
@@ -479,15 +492,16 @@ def test_nonfinite_field_stops_the_run(monkeypatch):
     trace = run_simulation(cfg).trace
     assert trace.stop_trigger == "nonfinite"
     assert trace.t_stop == pytest.approx(6 * cfg.dt, rel=1e-12)
-    assert len(trace) == 6 and np.all(np.isfinite(trace.maxnorm_u))
+    assert len(trace) == 6 and np.all(np.isfinite(trace.column("maxnorm_u")))
 
 
 def test_run_simulation_snapshot_capture():
     cfg = _config(t_max=0.5, snapshot_times=(0.25,))
     res = run_simulation(cfg)
     assert len(res.snapshots) == 1
-    (u, v), = res.snapshots.values()
-    assert u.shape == cfg.radii().shape and v is None
+    (t, fields), = res.snapshots.values()
+    assert fields.shape == (1, cfg.radii().size)
+    assert t == pytest.approx(0.25, abs=cfg.dt / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +593,7 @@ def test_mgt_mode_is_single_mode(dr, linear):
     single = run_simulation(_config(mode="single", **common)).trace
     mgt = run_simulation(_config(mode="mgt", **common)).trace
     assert mgt.stop_trigger == single.stop_trigger == "reached_tmax"
-    for col in TRACE_COLUMNS:
-        assert np.array_equal(getattr(mgt, col), getattr(single, col)), col
+    assert np.array_equal(mgt.table(), single.table())
 
 
 def _mgt_single_orders(linear):
@@ -594,7 +607,7 @@ def _mgt_single_orders(linear):
                       u1=Profile("zero"), t_max=2.0, dr=dr, linear=linear)
         single = run_simulation(cfg).trace
         assert single.stop_trigger == "reached_tmax"
-        gaps.append(abs(single.maxnorm_u[-1] - np.max(np.abs(mgt_reference(cfg)))))
+        gaps.append(abs(single.column("maxnorm_u")[-1] - np.max(np.abs(mgt_reference(cfg)))))
     return gaps, np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
 
 
@@ -619,8 +632,8 @@ def test_linear_mgt_matches_linear_single_mode_at_second_order():
 def test_mgt_linear_drops_the_nonlinearity():
     common = dict(mode="mgt", kernels=(Exponential(1.0),) * 2,
                   u0=Profile("cosine_bump", 0.5, 1.0), u1=Profile("zero"), t_max=2.0, dr=0.02)
-    nonlinear = run_simulation(_config(**common)).trace.maxnorm_u[-1]
-    linear = run_simulation(_config(linear=True, **common)).trace.maxnorm_u[-1]
+    nonlinear = run_simulation(_config(**common)).trace.column("maxnorm_u")[-1]
+    linear = run_simulation(_config(linear=True, **common)).trace.column("maxnorm_u")[-1]
     assert abs(nonlinear - linear) > 1e-3, (nonlinear, linear)
 
 
@@ -628,9 +641,9 @@ def test_mgt_run_keeps_snapshots():
     cfg = _config(mode="mgt", kernels=(Exponential(1.0), Exponential(1.0)),
                   t_max=0.5, snapshot_times=(0.25,))
     res = run_simulation(cfg)
-    (u, v), = res.snapshots.values()
-    assert u.shape == cfg.radii().shape and v is None
-    assert np.max(np.abs(u)) > 0.0
+    (_, fields), = res.snapshots.values()
+    assert fields.shape == (1, cfg.radii().size)
+    assert np.max(np.abs(fields)) > 0.0
 
 
 def test_conv_derivative_identity_zero():
