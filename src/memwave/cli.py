@@ -421,7 +421,11 @@ def read_snapshot(path: Path):
     version, n, M, dr, t = struct.unpack_from("<IIQdd", blob, 4)
     if version != SNAPSHOT_VERSION:
         raise ConfigError(f"{path}: unsupported snapshot version {version}")
-    payload = np.frombuffer(blob, dtype="<f8", offset=4 + struct.calcsize("<IIQdd"))
+    offset = 4 + struct.calcsize("<IIQdd")
+    if (len(blob) - offset) % (8 * (M + 1)):
+        raise ConfigError(f"{path}: truncated snapshot, {len(blob) - offset} payload bytes "
+                          f"are not whole fields of {M + 1} values")
+    payload = np.frombuffer(blob, dtype="<f8", offset=offset)
     fields = [payload[i : i + M + 1] for i in range(0, payload.size, M + 1)]
     return n, dr, t, fields
 
@@ -561,11 +565,15 @@ def _verify_checks():
     for n in range(2, 7):
         gap = abs(generalized_strauss(n, 1 - 1e-8) - strauss_exponent(n))
         yield f"strauss_limit_n{n}", gap < 1e-6, f"gap {gap:.3e}"
-    for kernel in (RiemannLiouville(0.5), Exponential(1.0), Constant(1.0),
-                   PolynomialShifted(0.4)):
-        hw = HistoryWeights(kernel, 0.01)
-        got = float(hw.weights(100) @ np.ones(101))
-        want = kernel.antiderivative(1.0)
+    # the weights' sum at t = 1 against a G that did not build them: the
+    # closed forms, and three families' G by hand
+    root = 4.0 ** np.arange(-4, 3)  # samples of t^-1/2, exact in binary
+    closed = (RiemannLiouville(0.5), Exponential(1.0), Constant(1.0), PolynomialShifted(0.4))
+    for kernel, want in (*((k, k.antiderivative(1.0)) for k in closed),
+                         (OscillatingPolynomial(0.0), 3.0 + 2.0 * (1.0 - math.cos(1.0))),
+                         (IteratedExponential(1, 1.0), -math.expm1(-1.0)),
+                         (Custom(root, root**-0.5), 2.0)):
+        got = float(HistoryWeights(kernel, 0.01).weights(100) @ np.ones(101))
         name = type(kernel).__name__.lower()
         yield f"quadrature_{name}", abs(got - want) < 1e-10, f"error {abs(got - want):.3e}"
     ok = True

@@ -1,23 +1,26 @@
 """Memory kernels g(t), their antiderivatives, and decay classes.
 
 Every kernel is positive on t > 0, integrable near t = 0 (singularity order
-strictly below 1), and immutable after construction.  A family states what it
-has: closed forms for G and ∫G, or a Gauss rule for them, all in NumPy.  The
-tabulated kernel's log-log interpolant is a power law on each segment, so its
-G and ∫G are closed forms too; the oscillating polynomial takes its t^-gamma
-singularity into Gauss-Jacobi weights; the one generic fallback, which the
-iterated exponential uses, is a composite Gauss-Legendre rule for Cauchy's
-repeated-integral formula.  Each rule's node table is built on first use
-and kept.  A family also states a sum-of-exponentials fit away from t = 0,
-built with NumPy only, for the power laws (RiemannLiouville,
-PolynomialShifted), which the solver uses for the old part of a long memory
-convolution; the factor of a one-term recursion of the convolution
-(Exponential, Constant); and its ``decay_class``, the large-time behaviour of
-g against the reference rate 1/t: kernels bounded below by c/t are Slow,
-kernels bounded above by c/t are Fast.  A tabulated kernel is classified once,
-from a log-log slope fit over its last decade of samples.  The non-increasing
-minorant of a Slow kernel, which no command runs, lives with the test
-references in ``tests/oracles.py``.
+strictly below 1), and immutable after construction.  One Gauss rule,
+``_piece_moments``, integrates g and (s - lo) g over the pieces of an
+interval; a family states what the rule needs: its ``leading_power`` (g ~
+s^leading_power at 0, taken into Gauss-Jacobi weights on the first piece),
+its ``breakpoints``, the ``panel_width`` of its pieces and its
+``support_end``.  The history weights of every family and the ∫G of every
+family but the tabulated one come from that rule; closed forms remain for G
+where a family has one, and for the tabulated kernel's G and ∫G, whose
+log-log interpolant is a power law on each segment.  Each rule's node table
+is built on first use and kept.  A family also states a sum-of-exponentials
+fit away from t = 0, built with NumPy only, for the power laws
+(RiemannLiouville, PolynomialShifted), which the solver uses for the old part
+of a long memory convolution; the factor of a one-term recursion of the
+convolution (Exponential, Constant, PolynomialShifted(0)); and its
+``decay_class``, the large-time behaviour of g against the reference rate
+1/t: kernels bounded below by c/t are Slow, kernels bounded above by c/t are
+Fast.  A tabulated kernel is classified once, from a log-log slope fit over
+its last decade of samples.  The non-increasing minorant of a Slow kernel,
+which no command runs, lives with the test references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ SOE_MAX_TERMS = 64
 _JACOBI_NODES = 20
 _LEGENDRE_NODES = 24
 _SOE_CUTOFF = 40.0
-#: nodes of each Gauss rule behind G and ∫G, per panel for Gauss-Legendre
+#: nodes of the Gauss rule behind the history weights and ∫G, per piece
 _KERNEL_NODES = 24
 
 
@@ -85,27 +88,30 @@ class DecayClass:
 class MemoryKernel:
     """Base class: evaluator g(t) with antiderivatives G and ∫G.
 
-    Subclasses set ``singularity_order`` (the s in g ~ t^-s near 0) and
-    ``decay_class``, and supply formulas only: ``_eval`` and, where closed
-    forms exist, ``_antiderivative`` and ``_second_antiderivative``, each
-    called for t > 0 only; the public ``antiderivative`` and
-    ``second_antiderivative`` check t.  Both fall back on the moments
-    M_j(t) = ∫_0^t s^j g(s) ds, as G = M_0 and ∫G = t M_0 - M_1.  The generic
-    ``_moments`` is the 24-point Gauss-Legendre rule on panels of
-    ``panel_width`` over [0, min(t, support_end)], which needs g smooth
-    there; a family may replace it with a better rule.  A family whose
-    g(t + dt) is a fixed multiple of g(t) overrides ``recursion_factor``.
+    Subclasses set ``decay_class`` and supply formulas only: ``_eval`` and,
+    where a closed form exists, ``_antiderivative``, called for t > 0 only;
+    the public ``antiderivative`` and ``second_antiderivative`` check t.  Both
+    fall back on the moments M_j(t) = ∫_0^t s^j g(s) ds, as G = M_0 and
+    ∫G = t M_0 - M_1, which ``_moments`` takes from ``step_moments``.  A
+    family whose g(t + dt) is a fixed multiple of g(t) overrides
+    ``recursion_factor``.
     """
 
-    singularity_order: float = 0.0
     #: the decay of g against 1/t, with the onset time of the bound
     decay_class: DecayClass
-    #: the panel width of the generic rule
+    #: the a in g(s) ~ s^a as s -> 0, a > -1: the weight of the first piece
+    leading_power: float = 0.0
+    #: times where g is not smooth, at which every interval is cut
+    breakpoints = ()
+    #: the width of the pieces the rule cuts a long interval into
     panel_width: float = 1.0
     #: the time past which g adds nothing to G in double precision
     support_end: float = math.inf
-    #: the last t given to ``_moments`` and what it returned
-    _last_moments = (None, None)
+
+    @property
+    def singularity_order(self) -> float:
+        """The s in g ~ t^-s near 0, or 0 where g is bounded there."""
+        return max(0.0, -self.leading_power)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -126,28 +132,47 @@ class MemoryKernel:
         return 0.0 if t == 0.0 else self._antiderivative(t)
 
     def second_antiderivative(self, t: float) -> float:
-        """∫_0^t G(τ) dτ; smooth even for singular kernels."""
+        """∫_0^t G(τ) dτ = ∫_0^t (t - s) g(s) ds, Cauchy's formula for
+        repeated integration; smooth even for singular kernels."""
         if t < 0.0:
             raise DomainError("argument must be nonnegative")
-        return 0.0 if t == 0.0 else self._second_antiderivative(t)
-
-    def _antiderivative(self, t: float) -> float:
-        return self._moments_at(t)[0]
-
-    def _second_antiderivative(self, t: float) -> float:
-        # Cauchy's formula for repeated integration: ∫_0^t (t - s) g(s) ds
-        m0, m1 = self._moments_at(t)
+        if t == 0.0:
+            return 0.0
+        m0, m1 = self._moments(t)
         return t * m0 - m1
 
-    def _moments_at(self, t: float) -> tuple[float, float]:
-        # the history weights ask for G(t) and then ∫G(t): one rule serves both
-        if self._last_moments[0] != t:
-            self._last_moments = (t, self._moments(t))
-        return self._last_moments[1]
+    def _antiderivative(self, t: float) -> float:
+        return self._moments(t)[0]
 
     def _moments(self, t: float) -> tuple[float, float]:
-        """M_0(t) and M_1(t), M_j(t) = ∫_0^t s^j g(s) ds, for t > 0."""
-        return _panel_moments(self._eval, 0.0, min(t, self.support_end), self.panel_width)
+        """M_0(t) and M_1(t), M_j(t) = ∫_0^t s^j g(s) ds, for t > 0: the sums
+        over the panels [(k - 1) w, k w] that meet [0, t], w = ``panel_width``,
+        the last one cut at t.  A whole panel's moments do not depend on t and
+        their sums are correctly rounded, so for g >= 0 neither moment
+        decreases as t grows."""
+        w = self.panel_width
+        m0, m1 = self.step_moments(w, 1, math.ceil(t / w), stop=t)
+        return w * math.fsum(m0), w * w * math.fsum(m1 + np.arange(m0.size) * m0)
+
+    def step_moments(self, dt: float, first: int, last: int, stop: float = math.inf):
+        """∫ g(s) ds / dt and ∫ (s - lo) g(s) ds / dt^2 over each step
+        [lo, hi] = [(l - 1) dt, l dt], l = first..last, cut off at
+        min(stop, ``support_end``), past which both are zero.  The steps are
+        integrated in units of dt, so that each is exactly one unit wide, by
+        ``_piece_moments`` on the pieces that the breakpoints and the
+        multiples of ``panel_width`` cut them into.  A step's moments do not
+        depend on the other steps."""
+        grid = np.arange(first - 1, last + 1, dtype=float)
+        end = min(last, min(stop, self.support_end) / dt)
+        ratio = self.panel_width / dt
+        inner = np.concatenate((ratio * np.arange(1, math.ceil(end / ratio)),
+                                np.divide(self.breakpoints, dt)))
+        cuts = np.union1d(np.minimum(grid, end), inner[(inner > grid[0]) & (inner < end)])
+        m0, m1 = _piece_moments(lambda u: self._eval(dt * u), cuts, self.leading_power)
+        owner = np.searchsorted(grid, cuts[:-1], side="right") - 1
+        return (np.bincount(owner, weights=m0, minlength=grid.size - 1),
+                np.bincount(owner, weights=m1 + (cuts[:-1] - grid[owner]) * m0,
+                            minlength=grid.size - 1))
 
     def recursion_factor(self, dt: float) -> float | None:
         """The factor r with g(t + dt) = r g(t) for every t >= 0, which makes
@@ -178,19 +203,23 @@ def _gauss_jacobi(n: int, beta: float):
     return nodes, weights
 
 
-def _panel_moments(g, a: float, b: float, width: float) -> tuple[float, float]:
-    """∫_a^b g(s) ds and ∫_a^b s g(s) ds, a < b, by the
-    ``_KERNEL_NODES``-point Gauss-Legendre rule on the panels
-    [a + i width, a + (i + 1) width] that meet [a, b], the last one cut at b;
-    g takes an array of nodes.  A whole panel's values do not depend on b and
-    their sums are correctly rounded, so for g >= 0 neither integral
-    decreases as b grows."""
-    x, w = _gauss_jacobi(_KERNEL_NODES, 0.0)  # weight x^0: Gauss-Legendre
-    lo = a + width * np.arange(math.ceil((b - a) / width))
-    h = np.minimum(width, b - lo)
-    s = lo[:, None] + h[:, None] * x
-    hgw = h[:, None] * g(s) * w
-    return math.fsum(hgw.sum(axis=1)), math.fsum((hgw * s).sum(axis=1))
+def _piece_moments(g, cuts, power: float = 0.0):
+    """∫ g(s) ds and ∫ (s - lo) g(s) ds over each piece [lo, hi] of the
+    increasing cuts, by the ``_KERNEL_NODES``-point Gauss-Legendre rule; a
+    first piece that starts at 0 takes the Gauss-Jacobi weight s^power
+    instead, so g ~ s^power there costs no accuracy.  g takes an array of
+    nodes, one row per piece, and may add leading axes, which the results
+    keep."""
+    lo, h = cuts[:-1, None], np.diff(cuts)[:, None]
+    x, w = _gauss_jacobi(_KERNEL_NODES, 0.0)
+    x, w = np.tile(x, (h.size, 1)), np.tile(w, (h.size, 1))
+    if cuts[0] == 0.0:
+        # ∫_0^h g = h ∫_0^1 x^power (x^-power g(h x)) dx
+        xj, wj = _gauss_jacobi(_KERNEL_NODES, power)
+        x[0], w[0] = xj, wj * xj**-power
+    offset = h * x
+    hwg = h * w * g(lo + offset)
+    return hwg.sum(axis=-1), (hwg * offset).sum(axis=-1)
 
 
 def _power_integral(b, log_x):
@@ -217,11 +246,11 @@ def _power_law_sum(gamma: float, x0: float, x1: float):
     lo = 1.0 / x1  # below lo, e^(-s x) is smooth on the whole interval
     y, wy = _gauss_jacobi(_JACOBI_NODES, gamma - 1.0)
     nodes, weights = [lo * y], [lo**gamma * wy]
-    u, wu = np.polynomial.legendre.leggauss(_LEGENDRE_NODES)
+    u, wu = _gauss_jacobi(_LEGENDRE_NODES, 0.0)  # weight x^0: Gauss-Legendre
     while lo * x0 < _SOE_CUTOFF + 2.0 * gamma:
-        s = lo * (1.5 + 0.5 * u)
+        s = lo * (1.0 + u)
         nodes.append(s)
-        weights.append(0.5 * lo * wu * s ** (gamma - 1.0))
+        weights.append(lo * wu * s ** (gamma - 1.0))
         lo *= 2.0
     s = np.concatenate(nodes)
     # square roots of the weights of the terms once shifted to x0
@@ -270,7 +299,7 @@ class RiemannLiouville(MemoryKernel):
             raise ConfigError("scale must be positive", param="scale")
         self.gamma = gamma
         self.scale = scale
-        self.singularity_order = gamma
+        self.leading_power = -gamma
         self._norm = scale / math.gamma(1.0 - gamma)
 
     def _eval(self, t):
@@ -278,10 +307,6 @@ class RiemannLiouville(MemoryKernel):
 
     def _antiderivative(self, t):
         return self._norm * t ** (1.0 - self.gamma) / (1.0 - self.gamma)
-
-    def _second_antiderivative(self, t):
-        g = self.gamma
-        return self._norm * t ** (2.0 - g) / ((1.0 - g) * (2.0 - g))
 
     def exponential_sum(self, t0, t1):
         fit = _power_law_sum(self.gamma, t0, t1)
@@ -308,13 +333,9 @@ class PolynomialShifted(MemoryKernel):
             return math.log1p(t)
         return (((1.0 + t) ** (1.0 - g)) - 1.0) / (1.0 - g)
 
-    def _second_antiderivative(self, t):
-        g = self.gamma
-        if g == 1.0:
-            return (1.0 + t) * math.log1p(t) - t
-        if g == 2.0:
-            return t - math.log1p(t)
-        return ((((1.0 + t) ** (2.0 - g)) - 1.0) / (2.0 - g) - t) / (1.0 - g)
+    def recursion_factor(self, dt):
+        # gamma = 0 is the constant kernel 1
+        return 1.0 if self.gamma == 0.0 else None
 
     def exponential_sum(self, t0, t1):
         # (1 + t)^-gamma is the power law at x = 1 + t, and t - t0 = x - (1 + t0)
@@ -338,9 +359,6 @@ class Exponential(MemoryKernel):
 
     def _antiderivative(self, t):
         return self.beta * -math.expm1(-t / self.beta)
-
-    def _second_antiderivative(self, t):
-        return self.beta * t + self.beta**2 * math.expm1(-t / self.beta)
 
     def recursion_factor(self, dt):
         return math.exp(-dt / self.beta)
@@ -394,22 +412,10 @@ class OscillatingPolynomial(MemoryKernel):
                 f"OscillatingPolynomial requires gamma in [0, 1), got {gamma}", param="gamma"
             )
         self.gamma = gamma
-        self.singularity_order = gamma
+        self.leading_power = -gamma
 
     def _eval(self, t):
         return (3.0 + 2.0 * np.sin(t)) * t ** (-self.gamma)
-
-    def _moments(self, t):
-        # on [0, min(t, 1)] the singularity s^-gamma is the Gauss-Jacobi weight;
-        # past s = 1 the integrand is smooth, for Gauss-Legendre panels of 2
-        head = min(t, 1.0)
-        x, w = _gauss_jacobi(_KERNEL_NODES, -self.gamma)
-        hw = head ** (1.0 - self.gamma) * w * (3.0 + 2.0 * np.sin(head * x))
-        m0, m1 = float(hw.sum()), head * float(hw @ x)
-        if t > 1.0:
-            tail = _panel_moments(self._eval, 1.0, t, 2.0)
-            m0, m1 = m0 + tail[0], m1 + tail[1]
-        return m0, m1
 
 
 class Constant(MemoryKernel):
@@ -427,9 +433,6 @@ class Constant(MemoryKernel):
 
     def _antiderivative(self, t):
         return self.value * t
-
-    def _second_antiderivative(self, t):
-        return 0.5 * self.value * t * t
 
     def recursion_factor(self, dt):
         return 1.0
@@ -461,14 +464,15 @@ class Custom(MemoryKernel):
         self._logt = np.log(times)
         self._logg = np.log(values)
         slopes = np.diff(self._logg) / np.diff(self._logt)
-        # Extrapolation below the first sample uses the first segment slope;
-        # that slope also defines the reported singularity order.
+        # Extrapolation below the first sample uses the first segment slope,
+        # so that slope is the leading power, and the samples are breakpoints
         if slopes[0] <= -1.0:
             raise ConfigError(
                 f"first segment slope {slopes[0]:g} makes the kernel non-integrable at t = 0"
                 " (need log-log slope > -1)"
             )
-        self.singularity_order = max(0.0, -slopes[0])
+        self.leading_power = float(slopes[0])
+        self.breakpoints = times
         self._slopes = slopes
         # row j, column i: ∫_0^t_i s^j g(s) ds, from the extended first segment
         # below times[0] and one power law per segment after it

@@ -10,8 +10,9 @@ over the c(t) cells inside the light cone only, since the history is zero
 outside it.  Costs per step, for M + 1 cells:
 
 - a kernel with a recursion factor (``MemoryKernel.recursion_factor``:
-  exponential or constant) follows the exact one-term recursion of its
-  convolution, O(M) per step, and keeps one level of history;
+  exponential, constant or PolynomialShifted(0)) follows the exact one-term
+  recursion of its convolution, O(M) per step, and keeps one level of
+  history;
 - a RiemannLiouville or PolynomialShifted kernel keeps its latest
   ``WINDOW`` to ``WINDOW + BLOCK - 1`` lags exact, over a window of
   WINDOW + BLOCK history levels, and folds everything older into K modes of
@@ -40,7 +41,7 @@ import numpy as np
 from . import observables
 from .errors import ConfigError, DomainError
 from .exponents import ProblemParams
-from .kernels import Exponential, MemoryKernel
+from .kernels import Exponential, MemoryKernel, _piece_moments
 from .observables import FunctionalTrace
 
 __all__ = [
@@ -48,7 +49,6 @@ __all__ = [
     "SystemConfig",
     "WaveState",
     "HistoryWeights",
-    "exponential_moments",
     "SimulationResult",
     "initial_state",
     "step",
@@ -189,18 +189,19 @@ class HistoryWeights:
 
     For step m the weights w satisfy sum_k w_k f(t_k) = integral of
     g(t_m - tau) f(tau) over [0, t_m], exactly whenever f is piecewise linear
-    on the step grid.  Built from the kernel antiderivative G and its own
-    antiderivative, so singular kernels lose no accuracy.
+    on the step grid.  Built from the moments of g over each step, so
+    singular kernels lose no accuracy.
 
     The weights are Toeplitz in the lag.  The interval whose kernel arguments
     are (l - 1) dt and l dt contributes X(l) to its left node and Y(l) to its
     right node, so with the lag weights L[0] = Y(1), L[l] = X(l) + Y(l + 1),
-    ``weights(m)`` is [X(m), L[m - 1], ..., L[0]].  X and L are extended
-    lazily, one pair of antiderivative values per new grid multiple, so a run
-    of N steps builds its weights in O(N) and each call copies m + 1 values.
-    A kernel with a recursion factor needs only X(1) and Y(1): its
-    convolution follows the exact one-term recursion in ``update``, O(M) per
-    step for M cells, with no stored history.
+    ``weights(m)`` is [X(m), L[m - 1], ..., L[0]].  X and Y come from one
+    ``MemoryKernel.step_moments`` call over the step grid, for the row's
+    ``levels`` lags at first and for twice as many each time a call asks for
+    more, so a run of N steps builds its weights in O(N) and each call copies
+    m + 1 values.  A kernel with a recursion factor needs only X(1) and Y(1):
+    its convolution follows the exact one-term recursion in ``update``, O(M)
+    per step for M cells, with no stored history.
 
     Given the run's ``n_steps``, a kernel with a sum-of-exponentials fit
     g(t) ≈ Σ_k w_k exp(-s_k (t - WINDOW dt)) on [WINDOW dt, n_steps dt]
@@ -220,9 +221,8 @@ class HistoryWeights:
         #: the factor of the recursion in ``update``, or None when the kernel
         #: has none (``MemoryKernel.recursion_factor``)
         self.decay = kernel.recursion_factor(dt)
-        self._X = [0.0]  # X(l) at index l; index 0 is unused
-        self._lag = np.zeros(64)  # L[l], filled for l < len(self._X) - 1
-        self._G = self._G2 = 0.0  # G and its antiderivative at the last grid multiple
+        self._X = self._Y = np.zeros(1)  # X(l) and Y(l) at index l; index 0 is unused
+        self._lag = np.zeros(0)  # L[l] for l < len(self._X) - 1
         self.rates = None
         #: history levels the row keeps: 1 for a recursion, WINDOW + BLOCK for
         #: a mode tail, n_steps otherwise
@@ -238,8 +238,11 @@ class HistoryWeights:
         self.levels = WINDOW + BLOCK
         # sample j + i enters F(j + BLOCK) as the left node of interval i, whose
         # right end lies BLOCK - 1 - i steps back, and as the right node of
-        # interval i - 1; each interval is integrated exactly
-        x, y = exponential_moments(rates * dt)
+        # interval i - 1; each interval is integrated by the kernels' rule, on
+        # [0, 1] in units of dt, where every s_k dt is below 3
+        m0, m1 = _piece_moments(lambda u: np.exp(-np.multiply.outer(rates * dt, u)),
+                                np.array([0.0, 1.0]))
+        x, y = m1[:, 0], m0[:, 0] - m1[:, 0]
         lags = dt * np.arange(BLOCK + 1)
         decay = np.exp(-np.outer(rates, lags[-2::-1]))
         self._block = np.zeros((rates.size, BLOCK + 1))
@@ -249,28 +252,19 @@ class HistoryWeights:
         # row d - WINDOW: the mode weights w_k exp(-s_k (d - WINDOW) dt)
         self._lead = weights * np.exp(-np.outer(lags[:-1], rates))
 
-    def _extend(self, m: int) -> None:
-        dt = self.dt
-        while len(self._X) <= m:
-            l = len(self._X)
-            t = l * dt
-            G = self.kernel.antiderivative(t)
-            G2 = self.kernel.second_antiderivative(t)
-            # zeroth and first moments of g(s) over s in [(l - 1) dt, l dt]
-            s, s_prev = dt * l, dt * (l - 1)
-            m0 = G - self._G
-            m1 = s * G - s_prev * self._G - (G2 - self._G2)
-            x = (m1 - s_prev * m0) / dt
-            y = (s * m0 - m1) / dt
-            if l > self._lag.size:
-                self._lag = np.concatenate((self._lag, np.zeros(self._lag.size)))
-            self._lag[l - 1] = y if l == 1 else self._X[l - 1] + y
-            self._X.append(x)
-            self._G, self._G2 = G, G2
+    def _tabulate(self, m: int) -> None:
+        """Make X(l) and Y(l) known for every lag l <= m."""
+        done = self._X.size - 1
+        if m <= done:
+            return
+        m0, m1 = self.kernel.step_moments(self.dt, done + 1, max(m, self.levels, 2 * done))
+        self._X = np.concatenate((self._X, self.dt * m1))
+        self._Y = np.concatenate((self._Y, self.dt * (m0 - m1)))
+        self._lag = np.concatenate((self._Y[1:2], self._X[1:-1] + self._Y[2:]))
 
     def weights(self, m: int) -> np.ndarray:
         """Weight vector of length m+1 for the convolution at t = m*dt."""
-        self._extend(m)
+        self._tabulate(m)
         w = np.empty(m + 1)
         w[0] = self._X[m]
         w[1:] = self._lag[:m][::-1]
@@ -289,8 +283,8 @@ class HistoryWeights:
         by decay and adds X(1) and Y(1) times the last interval's samples."""
         if self.decay is not None:
             if m > 0:
-                self._extend(1)
-                memory[:] = self.decay * memory + self._X[1] * history[0] + self._lag[0] * f
+                self._tabulate(1)
+                memory[:] = self.decay * memory + self._X[1] * history[0] + self._Y[1] * f
             history[0] = f
             return
         d = m  # the exact product covers the levels m - d..m
@@ -304,23 +298,6 @@ class HistoryWeights:
         memory[:c] = self.weights(d) @ history[: d + 1, :c]
         if d < m:  # the part over [0, t_j], from F(j)
             memory[:c] += self._lead[d - WINDOW] @ modes[:, :c]
-
-
-def exponential_moments(z):
-    """∫_0^1 e^(-z x) x dx and ∫_0^1 e^(-z x) (1 - x) dx for z >= 0: the
-    product-integration weights, over dt, of a step of exp(-s t) with
-    z = s dt.  Below z = 1 a Taylor series replaces the closed forms, which
-    cancel as z -> 0."""
-    z = np.asarray(z, dtype=float)
-    low, big = np.minimum(z, 1.0), np.maximum(z, 1.0)
-    left = right = 0.0
-    for n in range(24, -1, -1):  # Horner; the 25th term is below 1e-25 at z = 1
-        left = 1.0 / (math.factorial(n) * (n + 2)) - low * left
-        right = 1.0 / (math.factorial(n) * (n + 1) * (n + 2)) - low * right
-    em1 = np.expm1(-big)
-    small = z < 1.0
-    return (np.where(small, left, (-em1 - big * np.exp(-big)) / big**2),
-            np.where(small, right, (big + em1) / big**2))
 
 
 @dataclass

@@ -4,22 +4,27 @@ The exact 1-d d'Alembert propagator and the Picard iteration built on it
 (local existence by Banach's fixed point), RK4 on the third-order (MGT) form
 of the exponential-kernel equation, the identity F' = w - F/beta, the lower
 bounds on U0 and U, the Case 1 sum, the iteration frame's index thresholds
-and divergence certificates, and the non-increasing minorant of a Slow
-kernel.  pytest does not collect this.
+and divergence certificates, the non-increasing minorant of a Slow kernel,
+and 40-digit step weights of every kernel family.  pytest does not collect
+this.
 """
 
+import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 from scipy.integrate import simpson
 
 from memwave.errors import ConfigError, DomainError, InsufficientDataError, UnsupportedError
 from memwave.exponents import default_condition_times
 from memwave.iteration import _rat
-from memwave.kernels import (Constant, Custom, DecayTag, Exponential, MemoryKernel,
-                             OscillatingPolynomial, RiemannLiouville)
+from memwave.kernels import (Constant, Custom, DecayTag, Exponential, IteratedExponential,
+                             MemoryKernel, OscillatingPolynomial, PolynomialShifted,
+                             RiemannLiouville)
 from memwave.observables import FunctionalTrace, RadialGrid, _trapezoid_terms, sphere_area
 from memwave.solver import HistoryWeights, SystemConfig, _cone_cut, _laplacian
 
@@ -427,3 +432,48 @@ def minorant(kernel: MemoryKernel) -> MemoryKernel:
         envelope = np.minimum.accumulate(kernel.values)
         return Custom(kernel.times, envelope)
     return kernel
+
+
+def _mp_kernel(kernel):
+    """g of a kernel family in mpmath arithmetic, from its parameters."""
+    mpf = mpmath.mpf
+    if isinstance(kernel, RiemannLiouville):
+        norm = mpf(kernel.scale) / mpmath.gamma(1 - mpf(kernel.gamma))
+        return lambda s: norm * s ** -mpf(kernel.gamma)
+    if isinstance(kernel, PolynomialShifted):
+        return lambda s: (1 + s) ** -mpf(kernel.gamma)
+    if isinstance(kernel, Exponential):
+        return lambda s: mpmath.exp(-s / mpf(kernel.beta))
+    if isinstance(kernel, Constant):
+        return lambda s: mpf(kernel.value)
+    if isinstance(kernel, OscillatingPolynomial):
+        return lambda s: (3 + 2 * mpmath.sin(s)) * s ** -mpf(kernel.gamma)
+    if isinstance(kernel, IteratedExponential):
+        def tower(s):
+            x = mpf(kernel.c) * s
+            for _ in range(kernel.depth - 1):
+                x = mpmath.exp(x)
+            return mpmath.exp(-x)
+        return tower
+    T = [mpf(float(x)) for x in kernel.times]
+    V = [mpf(float(x)) for x in kernel.values]
+
+    def power_law(s):  # the segment's power law, the end ones extended
+        i = min(max(bisect.bisect(T, s) - 1, 0), len(T) - 2)
+        return V[i] * (s / T[i]) ** (mpmath.log(V[i + 1] / V[i]) / mpmath.log(T[i + 1] / T[i]))
+    return power_law
+
+
+@functools.cache
+def step_weights_reference(kernel, dt: float, lag: int) -> tuple[float, float]:
+    """X(lag) and Y(lag) of ``HistoryWeights``, ∫ (s - lo) g(s) ds / dt and
+    ∫ (hi - s) g(s) ds / dt over [lo, hi] = [(lag - 1) dt, lag dt], by
+    40-digit quadrature cut at a tabulated kernel's sample times."""
+    with mpmath.workdps(40):
+        g = _mp_kernel(kernel)
+        h = mpmath.mpf(dt)
+        lo, hi = (lag - 1) * h, lag * h
+        cuts = [lo, *(mpmath.mpf(float(t)) for t in getattr(kernel, "times", ())
+                      if lo < t < hi), hi]
+        return (float(mpmath.quad(lambda s: (s - lo) * g(s), cuts) / h),
+                float(mpmath.quad(lambda s: (hi - s) * g(s), cuts) / h))

@@ -18,7 +18,9 @@ import pytest
 import yaml
 
 import memwave
+from memwave import kernels
 from memwave.cli import _write_csv, main, read_snapshot, validate_config, write_snapshot
+from memwave.errors import ConfigError
 from memwave.exponents import ProblemParams, check_condition_slow, condition_curves
 from memwave.kernels import Exponential, RiemannLiouville
 
@@ -281,6 +283,20 @@ def _scipy_modules_after(code: str, cwd: Path) -> list[str]:
     return json.loads(_run_fresh(script, cwd).strip().splitlines()[-1])
 
 
+def test_power_law_simulate_leaves_numpy_polynomial_unloaded(tmp_path):
+    # the sum-of-exponentials fit takes its Gauss-Legendre nodes from the one
+    # table, so a run with a fitted tail never imports numpy.polynomial
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["simulation"]["t_max"] = 1.5
+    path = _write(tmp_path, cfg)
+    argv = ["simulate", "--config", str(path), "--out", "o"]
+    code = ("import sys\nimport memwave.cli\n"
+            f"assert memwave.cli.main({argv!r}) == 0\n"
+            "assert 'numpy.polynomial' not in sys.modules, 'numpy.polynomial'\n")
+    _run_fresh(code, tmp_path)
+    assert (tmp_path / "o" / "verdict.json").exists()
+
+
 def test_import_cli_leaves_scipy_unloaded(tmp_path):
     assert _scipy_modules_after("import memwave.cli", tmp_path) == []
 
@@ -416,6 +432,16 @@ def test_sequences_case2(tmp_path):
     assert header.startswith("j,theta")
 
 
+def test_verify_quadrature_rows_cover_every_family(tmp_path):
+    out = tmp_path / "ver"
+    assert main(["verify", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "verify.csv").read_text().splitlines()]
+    checked = {name.removeprefix("quadrature_") for name, passed, _ in rows
+               if name.startswith("quadrature_") and passed == "true"}
+    assert checked == {name.lower() for name in kernels.__all__
+                       if name not in ("MemoryKernel", "DecayTag", "DecayClass")}
+
+
 def test_verify_default_golden_path(tmp_path):
     out = tmp_path / "ver"
     assert main(["verify", "--out", str(out)]) == 0
@@ -446,6 +472,15 @@ def test_snapshot_roundtrip(tmp_path):
     assert (n, dr, t) == (3, 0.1, 0.5)
     assert len(fields) == 2
     assert np.array_equal(fields[0], u) and np.array_equal(fields[1], v)
+
+
+def test_truncated_snapshot_is_rejected_at_its_path(tmp_path):
+    # three values short, the last field came back with 8 cells instead of 11
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, 1, 0.1, 0.5, np.ones((2, 11)))
+    path.write_bytes(path.read_bytes()[:-24])
+    with pytest.raises(ConfigError, match=f"{path}: truncated"):
+        read_snapshot(path)
 
 
 def test_snapshot_written_by_simulate(tmp_path):

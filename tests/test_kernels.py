@@ -30,7 +30,7 @@ from memwave.kernels import (
     _gauss_jacobi,
 )
 from memwave.solver import HistoryWeights
-from oracles import minorant
+from oracles import minorant, step_weights_reference
 
 SMOOTH_FAMILIES = [
     RiemannLiouville(0.5),
@@ -211,11 +211,12 @@ def test_custom_too_few_samples():
     (Constant(3.0), 1.0),
     (RiemannLiouville(0.5), None),
     (PolynomialShifted(1.5), None),
+    (PolynomialShifted(0.0), 1.0),
     (IteratedExponential(1, 0.5), None),
     (OscillatingPolynomial(0.3), None),
     (Custom(*_power_law_samples(-0.5)), None),
 ], ids=["Exponential", "Constant", "RiemannLiouville", "PolynomialShifted",
-        "IteratedExponential", "OscillatingPolynomial", "Custom"])
+        "PolynomialShifted-gamma0", "IteratedExponential", "OscillatingPolynomial", "Custom"])
 def test_recursion_factor(kernel, factor):
     assert kernel.recursion_factor(0.01) == factor
     if factor is not None:  # g(t + dt) = factor * g(t)
@@ -272,6 +273,21 @@ def test_second_antiderivative_closed_forms():
             assert kernel.second_antiderivative(t) == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("kernel", [Exponential(2.0), PolynomialShifted(0.5)],
+                         ids=lambda k: type(k).__name__)
+def test_second_antiderivative_keeps_its_digits_at_small_t(kernel):
+    # the closed forms beta t + beta^2 expm1(-t/beta) and the PolynomialShifted
+    # one cancel at small t: 9.8e-13 and 1.7e-8 off at t = 1e-4
+    mpmath = pytest.importorskip("mpmath")
+    t = 1e-4
+    with mpmath.workdps(40):
+        g = {Exponential: lambda s: mpmath.exp(-s / 2),
+             PolynomialShifted: lambda s: (1 + s) ** mpmath.mpf(-0.5)}[type(kernel)]
+        T = mpmath.mpf(t)
+        want = float(mpmath.quad(lambda s: (T - s) * g(s), [0, T]))
+    assert kernel.second_antiderivative(t) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("gamma", [0.3, 0.5])
 @pytest.mark.parametrize("t", [0.009, 0.5, 2.0])
 def test_oscillating_antiderivatives_match_power_series(gamma, t):
@@ -290,8 +306,8 @@ def test_oscillating_antiderivatives_match_power_series(gamma, t):
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_generic_antiderivatives_match_exponential(c):
-    # oracle: IteratedExponential(1, c) is exp(-c t), whose G and integral of G
-    # Exponential states in closed form
+    # oracle: IteratedExponential(1, c) is exp(-c t), whose G Exponential
+    # states in closed form, and whose ∫G the rule gives on other panels
     generic, closed = IteratedExponential(1, c), Exponential(1.0 / c)
     for t in (0.009, 0.5, 2.0, 10.0):
         assert generic.antiderivative(t) == pytest.approx(closed.antiderivative(t), rel=1e-12)
@@ -484,6 +500,44 @@ def test_custom_weights_build_fast_without_warning():
     assert elapsed < 0.1
     assert w.min() > 0.0
     assert w.sum() == pytest.approx(kernel.antiderivative(222 * 0.009), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [RiemannLiouville(0.5), PolynomialShifted(0.5), Exponential(1.0), Constant(1.0),
+     OscillatingPolynomial(0.3), IteratedExponential(2, 1.0), Custom(TABLE_T, TABLE_G)],
+    ids=lambda k: type(k).__name__,
+)
+def test_step_weights_match_mpmath(kernel):
+    # simulate-blowup's time step; differencing G and ∫G at neighbouring grid
+    # points lost about l^2 ulps at lag l (3.3e-7 relative for the depth-2
+    # tower at lag 1000)
+    dt = 0.00225
+    hw = HistoryWeights(kernel, dt)
+    hw.weights(1000)
+    for lag in (1, 2, 10, 100, 1000):
+        X, Y = step_weights_reference(kernel, dt, lag)
+        assert hw._X[lag] == pytest.approx(X, rel=1e-13, abs=0.0), lag
+        assert hw._Y[lag] == pytest.approx(Y, rel=1e-13, abs=0.0), lag
+
+
+def test_gauss_legendre_table_matches_mpmath():
+    # the one Gauss-Legendre table, from the Golub-Welsch eigenproblem, against
+    # the roots of P_24 on [-1, 1] by Newton's method at 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    x, w = _gauss_jacobi(24, 0.0)
+
+    def derivative(u):  # P_24'(u) from P_23 and P_24
+        return 24 * (mpmath.legendre(23, u) - u * mpmath.legendre(24, u)) / (1 - u**2)
+
+    with mpmath.workdps(50):
+        for node, weight in zip(x, w):
+            u = 2 * mpmath.mpf(float(node)) - 1
+            for _ in range(6):
+                u -= mpmath.legendre(24, u) / derivative(u)
+            dp = derivative(u)
+            assert node == pytest.approx(float((1 + u) / 2), rel=1e-13, abs=0.0)
+            assert weight == pytest.approx(float(1 / ((1 - u**2) * dp**2)), rel=1e-13, abs=0.0)
 
 
 def test_gauss_tables_built_once(monkeypatch):

@@ -11,6 +11,7 @@ from memwave.errors import ConfigError, UnsupportedError
 from memwave.exponents import ProblemParams
 from memwave.kernels import (
     Constant,
+    Custom,
     Exponential,
     IteratedExponential,
     OscillatingPolynomial,
@@ -26,7 +27,13 @@ from memwave.solver import (
     run_simulation,
     step,
 )
-from oracles import conv_derivative_identity, dalembert_reference, mgt_reference, picard_iterate
+from oracles import (
+    conv_derivative_identity,
+    dalembert_reference,
+    mgt_reference,
+    picard_iterate,
+    step_weights_reference,
+)
 
 PARAMS = ProblemParams(1, 2.0, 2.0)
 
@@ -148,37 +155,35 @@ def test_convolve_history_length_mismatch():
         hw.weights(5) @ np.ones(4)
 
 
-def _vectorised_weights(kernel, dt, m):
-    """The one-pass construction that the Toeplitz lag form replaced, kept as
-    the oracle: the lag form must reproduce it bit for bit."""
-    w = np.zeros(m + 1)
-    if m == 0:
-        return w
-    # s_j = (m - j) dt is the kernel argument at node j
-    s = dt * np.arange(m, -1, -1.0)
-    G = np.array([kernel.antiderivative(j * dt) for j in range(m, -1, -1)])
-    G2 = np.array([kernel.second_antiderivative(j * dt) for j in range(m, -1, -1)])
-    m0 = G[:-1] - G[1:]
-    m1 = s[:-1] * G[:-1] - s[1:] * G[1:] - (G2[:-1] - G2[1:])
-    w[:-1] += (m1 - s[1:] * m0) / dt
-    w[1:] += (s[:-1] * m0 - m1) / dt
-    return w
-
-
 @pytest.mark.parametrize("kernel", [
     RiemannLiouville(0.5),
     PolynomialShifted(0.5),
     PolynomialShifted(2.0),
     Exponential(1.0),
     OscillatingPolynomial(0.0),
+    Constant(0.7),
+    IteratedExponential(2, 1.0),
+    Custom(np.geomspace(0.005, 10.0, 12), np.geomspace(0.005, 10.0, 12) ** -0.4),
 ], ids=lambda k: type(k).__name__)
 @pytest.mark.parametrize("order", [(0, 1, 2, 3, 17, 500), (500, 3, 17, 0, 2, 1)],
                          ids=["sequential", "shuffled"])
 def test_weights_match_vectorised_formula(kernel, order):
+    # however the lag table grows, weights(m) is [X(m), L[m - 1], ..., L[0]]
+    # with L[0] = Y(1), L[l] = X(l) + Y(l + 1), from the exact step integrals
     dt = 0.01
     hw = HistoryWeights(kernel, dt)
     for m in order:
-        assert np.array_equal(hw.weights(m), _vectorised_weights(kernel, dt, m))
+        w = hw.weights(m)
+        assert w.size == m + 1
+        if m == 0:
+            assert w.tolist() == [0.0]
+            continue
+        assert w[0] == pytest.approx(step_weights_reference(kernel, dt, m)[0], rel=1e-13)
+        for l in {0, 1, 2, 16, m - 1} & set(range(m)):
+            want = step_weights_reference(kernel, dt, l + 1)[1]
+            if l > 0:
+                want += step_weights_reference(kernel, dt, l)[0]
+            assert w[m - l] == pytest.approx(want, rel=1e-13), l
 
 
 @pytest.mark.parametrize("kernel", [Exponential(0.05), Exponential(1.0), Exponential(20.0),
@@ -402,7 +407,7 @@ def test_initial_state_history_layouts():
     long_run = {**MEMORY_RUN, "t_max": 2.0, "mode": "single"}
     cfg = _config(**long_run)
     n_steps, cells = cfg.n_steps, cfg.radii().size
-    for kernel, rows in ((Constant(0.7), 1), (Exponential(1.0), 1),
+    for kernel, rows in ((Constant(0.7), 1), (Exponential(1.0), 1), (PolynomialShifted(0.0), 1),
                          (RiemannLiouville(0.5), solver.WINDOW + solver.BLOCK),
                          (PolynomialShifted(0.5), solver.WINDOW + solver.BLOCK),
                          (OscillatingPolynomial(0.3), n_steps)):
@@ -445,16 +450,43 @@ def test_fit_that_misses_its_bound_keeps_the_whole_history(monkeypatch):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-def test_exponential_moments_match_mpmath():
+@pytest.mark.parametrize("kernel", [RiemannLiouville(0.5), RiemannLiouville(0.05),
+                                    PolynomialShifted(0.7)],
+                         ids=lambda k: f"{type(k).__name__}{k.gamma}")
+def test_mode_tail_block_matches_mpmath(kernel):
+    # sample j + i enters F(j + BLOCK) through the intervals on either side of
+    # it: dt times ∫_0^1 x e^(-z x) dx and ∫_0^1 (1 - x) e^(-z x) dx, z = s dt,
+    # each decayed to the block's end
     mpmath = pytest.importorskip("mpmath")
-    z = np.array([1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0, 10.0, 50.0])
-    left, right = solver.exponential_moments(z)
-    with mpmath.workdps(60):
-        for zk, x, y in zip(z, left, right):
-            q = mpmath.mpf(zk)
-            e = mpmath.exp(-q)
-            assert x == pytest.approx(float((1 - (1 + q) * e) / q**2), rel=1e-14, abs=0.0), zk
-            assert y == pytest.approx(float((q - 1 + e) / q**2), rel=1e-14, abs=0.0), zk
+    dt = 0.00225
+    hw = HistoryWeights(kernel, dt, 2666)  # simulate-blowup's time step and horizon
+    assert np.max(hw.rates) * dt < 2.7
+    B = solver.BLOCK
+    with mpmath.workdps(40):
+        h = mpmath.mpf(dt)
+        for s, row in zip(hw.rates, hw._block):
+            s = mpmath.mpf(float(s))
+            z, e = s * h, mpmath.exp(-s * h)
+            left, right = (1 - (1 + z) * e) / z**2, (z - 1 + e) / z**2
+            for i, got in enumerate(row):
+                want = 0
+                if i < B:
+                    want += h * left * mpmath.exp(-s * (B - 1 - i) * h)
+                if i > 0:
+                    want += h * right * mpmath.exp(-s * (B - i) * h)
+                assert got == pytest.approx(float(want), rel=1e-13, abs=0.0), i
+
+
+def test_polynomial_shifted_zero_is_the_constant_kernel():
+    # (1 + t)^0 is the constant kernel 1: the same recursion, bit for bit
+    cfgs = [_config(**{**MEMORY_RUN, "kernels": (k, k)})
+            for k in (PolynomialShifted(0.0), Constant(1.0))]
+    states = [initial_state(cfg) for cfg in cfgs]
+    assert all(s.weights[0].decay == 1.0 and s.history[0].shape[0] == 1 for s in states)
+    for _ in range(cfgs[0].n_steps):
+        a, b = (step(state, cfg) for state, cfg in zip(states, cfgs))
+        assert np.array_equal(a.memory, b.memory) and np.array_equal(a.fields, b.fields)
+    assert np.max(a.memory) > 0.0
 
 
 def test_memory_run_matches_direct_convolution(monkeypatch):
