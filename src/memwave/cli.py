@@ -9,7 +9,8 @@ a manifest (resolved config, no timestamp), a timestamp file (the only
 timestamped artifact), the data files, and an index listing all outputs.
 Every CSV goes through one block writer, ``_write_csv``: a table is a header
 plus blocks of columns, each block formatted by one ``%`` template and written
-in one call (``sweep`` streams one block per p value).  Floats carry 17
+in one call (``sweep`` streams one block per p value, and formats one range
+of p values per usable CPU, each in its own process).  Floats carry 17
 significant digits (``%.17g``), rows end in ``\r\n`` and str cells are
 quoted as ``csv.writer`` quotes them, so repeated runs are byte-identical.
 
@@ -331,7 +332,62 @@ def _column(col):
     return "%s", cells
 
 
-def _write_csv(path: Path, header, blocks) -> None:
+def _write_blocks(fh, blocks) -> None:
+    """Write each block of a table, formatted by one ``%`` template."""
+    for block in blocks:
+        parts, columns = zip(*map(_column, block))
+        varying = [c for c in columns if c is not None]
+        rows = len(varying[0]) if varying else 1
+        # row-major cell values: column k fills every len(varying)-th slot
+        cells = [None] * (rows * len(varying))
+        for k, column in enumerate(varying):
+            cells[k :: len(varying)] = column
+        fh.write(((",".join(parts) + "\r\n") * rows) % tuple(cells))
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where ``_write_csv`` cannot
+    fork writers and splice their parts."""
+    import os
+
+    if not (hasattr(os, "fork") and hasattr(os, "copy_file_range")):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_writer(part: Path, blocks) -> int:
+    """Fork a child that writes the blocks into the file ``part`` and exits
+    with status 0, or 1 after printing its traceback; return its pid."""
+    import os
+    import warnings
+
+    with warnings.catch_warnings():
+        # Python 3.12 warns about a fork while a second thread exists, and
+        # NumPy's OpenBLAS pool starts one at import.  The child calls no BLAS
+        # routine and takes no lock that a parked BLAS thread could hold: it
+        # evaluates ufuncs, formats text and writes one file.
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid:
+        return pid
+    status = 1
+    try:
+        with open(part, "w", newline="") as fh:
+            _write_blocks(fh, blocks)
+        status = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _write_csv(path: Path, header, blocks, forked=()) -> None:
     """Write a CSV table given as blocks of equal-length columns.
 
     A column is a sequence of floats (written with ``FLOAT_FMT``), of bools
@@ -340,17 +396,44 @@ def _write_csv(path: Path, header, blocks) -> None:
     ``%`` template with the scalars baked in, so its rows are formatted and
     written in one call; the bytes are those of ``csv.writer`` over
     ``FLOAT_FMT``-formatted cells.
+
+    Each item of ``forked`` is a further iterable of blocks, in table order
+    after ``blocks``.  A forked child writes each into the hidden part file
+    ``.<name>.part<k>`` beside ``path`` while this process writes the header
+    and ``blocks``; the parts are then appended in order and removed, so the
+    file is whole when this returns and its bytes do not depend on the split.
+    However this returns, every child is reaped and every part removed; a
+    failed child raises ChildProcessError.
     """
-    with open(path, "w", newline="") as fh:
-        for block in chain([header], blocks):
-            parts, columns = zip(*map(_column, block))
-            varying = [c for c in columns if c is not None]
-            rows = len(varying[0]) if varying else 1
-            # row-major cell values: column k fills every len(varying)-th slot
-            cells = [None] * (rows * len(varying))
-            for k, column in enumerate(varying):
-                cells[k :: len(varying)] = column
-            fh.write(((",".join(parts) + "\r\n") * rows) % tuple(cells))
+    import os
+
+    parts = [path.with_name(f".{path.name}.part{k}") for k in range(1, len(forked) + 1)]
+    children = {}  # pid -> its part file, in table order, until reaped
+    try:
+        for part, part_blocks in zip(parts, forked):
+            children[_fork_writer(part, part_blocks)] = part
+        with open(path, "w", newline="") as fh:
+            _write_blocks(fh, chain([header], blocks))
+            # the parts go in at the descriptor's offset, the end of what is
+            # flushed (an O_APPEND descriptor makes copy_file_range fail)
+            fh.flush()
+            for pid, part in list(children.items()):
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[pid]
+                if status:
+                    raise ChildProcessError(f"writer of {part.name} exited with status {status}")
+                with open(part, "rb") as src:
+                    while os.copy_file_range(src.fileno(), fh.fileno(), 1 << 30):
+                        pass
+    finally:
+        if children:  # an exception left writers running: stop them
+            import signal
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for part in parts:
+            part.unlink(missing_ok=True)
 
 
 def _describe_config(raw: dict, resolved: dict) -> dict:
@@ -518,14 +601,20 @@ def cmd_sweep(args, resolved, outdir: OutputDir) -> int:
     ps, qs = resolved["sweep"]
     region = region_from_grids(params.n, params.gamma1, params.gamma2, ps, qs)
     # one block per p value, evaluated as it is written; the q cells are
-    # formatted once for the whole run
+    # formatted once for the whole run.  The p rows are cut into one
+    # contiguous range per usable CPU, each formatted by its own process
+    # (``_write_csv``), so %.17g runs on every CPU and each process holds one
+    # block at a time; the bytes are the same for any count.
     q_text = [FLOAT_FMT % q for q in qs.tolist()]
     branch = region.branch.value
-    _write_csv(
-        outdir.path("region.csv"),
-        ["p", "q", "branch", "satisfied", "margin"],
-        ((p, q_text, branch, margin > 0.0, margin) for p, margin in region.margin_rows()),
-    )
+
+    def blocks(p_values):
+        part = dataclasses.replace(region, p_values=p_values)
+        return ((p, q_text, branch, margin > 0.0, margin) for p, margin in part.margin_rows())
+
+    ranges = [blocks(p_values) for p_values in np.array_split(ps, min(ps.size, _usable_cpus()))]
+    _write_csv(outdir.path("region.csv"), ["p", "q", "branch", "satisfied", "margin"],
+               ranges[0], ranges[1:])
     return 0
 
 

@@ -339,8 +339,6 @@ class PolynomialShifted(MemoryKernel):
 
     def exponential_sum(self, t0, t1):
         # (1 + t)^-gamma is the power law at x = 1 + t, and t - t0 = x - (1 + t0)
-        if self.gamma == 0.0:
-            return np.zeros(1), np.ones(1)
         return _power_law_sum(self.gamma, 1.0 + t0, 1.0 + t1)
 
 

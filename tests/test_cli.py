@@ -18,7 +18,7 @@ import pytest
 import yaml
 
 import memwave
-from memwave import kernels
+from memwave import exponents, kernels
 from memwave.cli import _write_csv, main, read_snapshot, validate_config, write_snapshot
 from memwave.errors import ConfigError
 from memwave.exponents import ProblemParams, check_condition_slow, condition_curves
@@ -261,6 +261,58 @@ def test_sweep_streams_rows(tmp_path):
         tracemalloc.stop()
     assert status == 0
     assert peak < 1_000_000
+
+
+_FORKS = hasattr(os, "fork") and hasattr(os, "copy_file_range")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_region_bytes_do_not_depend_on_cpu_count(tmp_path):
+    # each in a fresh interpreter: pinned to one CPU (no child), on every CPU
+    # the machine gives, and told of three CPUs (more writers than cores,
+    # ranges of 22, 21 and 21 rows); at resolution 1 each count is capped at
+    # the one p row
+    setups = {"pinned": "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n",
+              "unpinned": "",
+              "three": "os.sched_getaffinity = lambda pid: {0, 1, 2}\n"}
+    configs = {res: str(_write(tmp_path, {"problem": _SLOW_SWEEP, "sweep": {
+        "p_range": [1.1, 4.0], "q_range": [1.1, 4.0], "resolution": res}}, f"r{res}.yaml"))
+        for res in (64, 1)}
+    for name, setup in setups.items():
+        _run_fresh("import os\nimport memwave.cli\n" + setup + "".join(
+            f"assert memwave.cli.main(['sweep', '--config', {path!r}, '--out', "
+            f"'{name}{res}']) == 0\n" for res, path in configs.items()), tmp_path)
+    for res in configs:
+        region = [(tmp_path / f"{name}{res}" / "region.csv").read_bytes() for name in setups]
+        assert region[0].count(b"\r\n") == res * res + 1
+        assert region[1] == region[0] and region[2] == region[0]
+    assert not list(tmp_path.glob("*/.region.csv.part*"))
+
+
+@pytest.mark.skipif(not _FORKS, reason="sweep writes from one process here")
+@pytest.mark.parametrize("failing", ["child", "parent"])
+def test_sweep_failed_writer_leaves_no_part_or_child(tmp_path, monkeypatch, failing):
+    # two ranges of five p rows on any machine; the forked child inherits the
+    # patched alpha_wm, which fails on its range or on the parent's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    last_of_first = np.linspace(1.1, 4.0, 10)[4]
+    alpha_wm = exponents.alpha_wm
+
+    def failing_alpha_wm(p, *args):
+        if (p > last_of_first) == (failing == "child"):
+            raise RuntimeError(f"no alpha at p = {p}")
+        return alpha_wm(p, *args)
+
+    monkeypatch.setattr(exponents, "alpha_wm", failing_alpha_wm)
+    path = _write(tmp_path, {"problem": _SLOW_SWEEP, "sweep": {
+        "p_range": [1.1, 4.0], "q_range": [1.1, 4.0], "resolution": 10}})
+    out = tmp_path / "s"
+    with pytest.raises(ChildProcessError if failing == "child" else RuntimeError):
+        main(["sweep", "--config", str(path), "--out", str(out)])
+    assert not list(out.glob(".region.csv.part*"))
+    assert not (out / "manifest.json").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _run_fresh(code: str, cwd: Path) -> str:
