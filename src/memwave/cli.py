@@ -10,7 +10,8 @@ timestamped artifact), the data files, and an index listing all outputs.
 Every CSV goes through one block writer, ``_write_csv``: a table is a header
 plus blocks of columns, each block formatted by one ``%`` template and written
 in one call (``sweep`` streams one block per p value, and formats one range
-of p values per usable CPU, each in its own process).  Floats carry 17
+of p values per usable CPU, each in its own process).  A table is written
+under a hidden name and renamed onto its own once whole.  Floats carry 17
 significant digits (``%.17g``), rows end in ``\r\n`` and str cells are
 quoted as ``csv.writer`` quotes them, so repeated runs are byte-identical.
 
@@ -397,22 +398,24 @@ def _write_csv(path: Path, header, blocks, forked=()) -> None:
     written in one call; the bytes are those of ``csv.writer`` over
     ``FLOAT_FMT``-formatted cells.
 
-    Each item of ``forked`` is a further iterable of blocks, in table order
-    after ``blocks``.  A forked child writes each into the hidden part file
-    ``.<name>.part<k>`` beside ``path`` while this process writes the header
-    and ``blocks``; the parts are then appended in order and removed, so the
-    file is whole when this returns and its bytes do not depend on the split.
+    The table is written into the hidden part file ``.<name>.part0`` beside
+    ``path`` and moved onto ``path`` (``os.replace``) once it is whole, so
+    ``path`` never holds a fragment.  Each item of ``forked`` is a further
+    iterable of blocks, in table order after ``blocks``.  A forked child
+    writes each into the part file ``.<name>.part<k>``, k >= 1, while this
+    process writes the header and ``blocks`` into part 0; the parts are then
+    appended to part 0 in order, so the bytes do not depend on the split.
     However this returns, every child is reaped and every part removed; a
     failed child raises ChildProcessError.
     """
     import os
 
-    parts = [path.with_name(f".{path.name}.part{k}") for k in range(1, len(forked) + 1)]
+    parts = [path.with_name(f".{path.name}.part{k}") for k in range(len(forked) + 1)]
     children = {}  # pid -> its part file, in table order, until reaped
     try:
-        for part, part_blocks in zip(parts, forked):
+        for part, part_blocks in zip(parts[1:], forked):
             children[_fork_writer(part, part_blocks)] = part
-        with open(path, "w", newline="") as fh:
+        with open(parts[0], "w", newline="") as fh:
             _write_blocks(fh, chain([header], blocks))
             # the parts go in at the descriptor's offset, the end of what is
             # flushed (an O_APPEND descriptor makes copy_file_range fail)
@@ -425,6 +428,7 @@ def _write_csv(path: Path, header, blocks, forked=()) -> None:
                 with open(part, "rb") as src:
                     while os.copy_file_range(src.fileno(), fh.fileno(), 1 << 30):
                         pass
+        os.replace(parts[0], path)
     finally:
         if children:  # an exception left writers running: stop them
             import signal
@@ -654,11 +658,12 @@ def _verify_checks():
     for n in range(2, 7):
         gap = abs(generalized_strauss(n, 1 - 1e-8) - strauss_exponent(n))
         yield f"strauss_limit_n{n}", gap < 1e-6, f"gap {gap:.3e}"
-    # the weights' sum at t = 1 against a G that did not build them: the
-    # closed forms, and three families' G by hand
+    # the weights' sum at t = 1 against G(1) by hand
     root = 4.0 ** np.arange(-4, 3)  # samples of t^-1/2, exact in binary
-    closed = (RiemannLiouville(0.5), Exponential(1.0), Constant(1.0), PolynomialShifted(0.4))
-    for kernel, want in (*((k, k.antiderivative(1.0)) for k in closed),
+    for kernel, want in ((RiemannLiouville(0.5), 2.0 / math.sqrt(math.pi)),
+                         (Exponential(1.0), -math.expm1(-1.0)),
+                         (Constant(1.0), 1.0),
+                         (PolynomialShifted(0.4), (2.0**0.6 - 1.0) / 0.6),
                          (OscillatingPolynomial(0.0), 3.0 + 2.0 * (1.0 - math.cos(1.0))),
                          (IteratedExponential(1, 1.0), -math.expm1(-1.0)),
                          (Custom(root, root**-0.5), 2.0)):

@@ -6,21 +6,19 @@ strictly below 1), and immutable after construction.  One Gauss rule,
 interval; a family states what the rule needs: its ``leading_power`` (g ~
 s^leading_power at 0, taken into Gauss-Jacobi weights on the first piece),
 its ``breakpoints``, the ``panel_width`` of its pieces and its
-``support_end``.  The history weights of every family and the ∫G of every
-family but the tabulated one come from that rule; closed forms remain for G
-where a family has one, and for the tabulated kernel's G and ∫G, whose
-log-log interpolant is a power law on each segment.  Each rule's node table
-is built on first use and kept.  A family also states a sum-of-exponentials
-fit away from t = 0, built with NumPy only, for the power laws
-(RiemannLiouville, PolynomialShifted), which the solver uses for the old part
-of a long memory convolution; the factor of a one-term recursion of the
-convolution (Exponential, Constant, PolynomialShifted(0)); and its
-``decay_class``, the large-time behaviour of g against the reference rate
-1/t: kernels bounded below by c/t are Slow, kernels bounded above by c/t are
-Fast.  A tabulated kernel is classified once, from a log-log slope fit over
-its last decade of samples.  The non-increasing minorant of a Slow kernel,
-which no command runs, lives with the test references in
-``tests/oracles.py``.
+``support_end``.  Every integral of g comes from that rule: the history
+weights, and G and ∫G of every family; no family states a closed form for
+either.  Each rule's node table is built on first use and kept.  A family
+also states a sum-of-exponentials fit away from t = 0, built with NumPy
+only, for the power laws (RiemannLiouville, PolynomialShifted), which the
+solver uses for the old part of a long memory convolution; the factor of a
+one-term recursion of the convolution (Exponential, Constant,
+PolynomialShifted(0)); and its ``decay_class``, the large-time behaviour of
+g against the reference rate 1/t: kernels bounded below by c/t are Slow,
+kernels bounded above by c/t are Fast.  A tabulated kernel is classified
+once, from a log-log slope fit over its last decade of samples.  The
+non-increasing minorant of a Slow kernel, which no command runs, lives with
+the test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -67,7 +65,7 @@ SOE_MAX_TERMS = 64
 _JACOBI_NODES = 20
 _LEGENDRE_NODES = 24
 _SOE_CUTOFF = 40.0
-#: nodes of the Gauss rule behind the history weights and ∫G, per piece
+#: nodes of the Gauss rule behind the history weights, G and ∫G, per piece
 _KERNEL_NODES = 24
 
 
@@ -88,13 +86,13 @@ class DecayClass:
 class MemoryKernel:
     """Base class: evaluator g(t) with antiderivatives G and ∫G.
 
-    Subclasses set ``decay_class`` and supply formulas only: ``_eval`` and,
-    where a closed form exists, ``_antiderivative``, called for t > 0 only;
-    the public ``antiderivative`` and ``second_antiderivative`` check t.  Both
-    fall back on the moments M_j(t) = ∫_0^t s^j g(s) ds, as G = M_0 and
-    ∫G = t M_0 - M_1, which ``_moments`` takes from ``step_moments``.  A
-    family whose g(t + dt) is a fixed multiple of g(t) overrides
-    ``recursion_factor``.
+    Subclasses set ``decay_class`` and supply ``_eval``, called for t > 0
+    only, and what the rule needs.  The public ``antiderivative`` and
+    ``second_antiderivative`` check t and take G = M_0 and ∫G = t M_0 - M_1
+    from the moments M_j(t) = ∫_0^t s^j g(s) ds of ``_moments``, for every
+    family; no command calls them, and they stay public because
+    ``perfbench`` times them.  A family whose g(t + dt) is a fixed
+    multiple of g(t) overrides ``recursion_factor``.
     """
 
     #: the decay of g against 1/t, with the onset time of the bound
@@ -126,10 +124,10 @@ class MemoryKernel:
         raise NotImplementedError
 
     def antiderivative(self, t: float) -> float:
-        """G(t) = ∫_0^t g, with G(0) = 0."""
+        """G(t) = ∫_0^t g = M_0(t), with G(0) = 0."""
         if t < 0.0:
             raise DomainError("antiderivative argument must be nonnegative")
-        return 0.0 if t == 0.0 else self._antiderivative(t)
+        return 0.0 if t == 0.0 else self._moments(t)[0]
 
     def second_antiderivative(self, t: float) -> float:
         """∫_0^t G(τ) dτ = ∫_0^t (t - s) g(s) ds, Cauchy's formula for
@@ -141,29 +139,32 @@ class MemoryKernel:
         m0, m1 = self._moments(t)
         return t * m0 - m1
 
-    def _antiderivative(self, t: float) -> float:
-        return self._moments(t)[0]
-
     def _moments(self, t: float) -> tuple[float, float]:
         """M_0(t) and M_1(t), M_j(t) = ∫_0^t s^j g(s) ds, for t > 0: the sums
-        over the panels [(k - 1) w, k w] that meet [0, t], w = ``panel_width``,
-        the last one cut at t.  A whole panel's moments do not depend on t and
-        their sums are correctly rounded, so for g >= 0 neither moment
-        decreases as t grows."""
-        w = self.panel_width
-        m0, m1 = self.step_moments(w, 1, math.ceil(t / w), stop=t)
-        return w * math.fsum(m0), w * w * math.fsum(m1 + np.arange(m0.size) * m0)
+        of ``_piece_moments`` over [0, min(t, ``support_end``)] cut at the
+        dyadic points w 2^-k, k = 1..60, below w = ``panel_width``, at the
+        multiples of w above it and at the breakpoints.  The dyadic pieces keep
+        a g that changes on a scale far below w, or a power law between
+        breakpoints decades apart, as exact as a panel.  Every piece below t
+        is fixed and the sums are correctly rounded, so for g >= 0 neither
+        moment decreases as t grows."""
+        w, end = self.panel_width, min(t, self.support_end)
+        inner = np.concatenate((w * 0.5 ** np.arange(1, 61), w * np.arange(1, math.ceil(end / w)),
+                                self.breakpoints))
+        cuts = np.union1d((0.0, end), inner[inner < end])
+        m0, m1 = _piece_moments(self._eval, cuts, self.leading_power)
+        return math.fsum(m0), math.fsum(m1 + cuts[:-1] * m0)
 
-    def step_moments(self, dt: float, first: int, last: int, stop: float = math.inf):
+    def step_moments(self, dt: float, first: int, last: int):
         """∫ g(s) ds / dt and ∫ (s - lo) g(s) ds / dt^2 over each step
         [lo, hi] = [(l - 1) dt, l dt], l = first..last, cut off at
-        min(stop, ``support_end``), past which both are zero.  The steps are
+        ``support_end``, past which both are zero.  The steps are
         integrated in units of dt, so that each is exactly one unit wide, by
         ``_piece_moments`` on the pieces that the breakpoints and the
         multiples of ``panel_width`` cut them into.  A step's moments do not
         depend on the other steps."""
         grid = np.arange(first - 1, last + 1, dtype=float)
-        end = min(last, min(stop, self.support_end) / dt)
+        end = min(last, self.support_end / dt)
         ratio = self.panel_width / dt
         inner = np.concatenate((ratio * np.arange(1, math.ceil(end / ratio)),
                                 np.divide(self.breakpoints, dt)))
@@ -220,12 +221,6 @@ def _piece_moments(g, cuts, power: float = 0.0):
     offset = h * x
     hwg = h * w * g(lo + offset)
     return hwg.sum(axis=-1), (hwg * offset).sum(axis=-1)
-
-
-def _power_integral(b, log_x):
-    """∫_1^x u^(b - 1) du = expm1(b log x) / b, which is log x at b = 0."""
-    b, log_x = np.broadcast_arrays(np.asarray(b, dtype=float), np.asarray(log_x, dtype=float))
-    return np.divide(np.expm1(b * log_x), b, out=log_x.copy(), where=b != 0.0)
 
 
 def _power_law_sum(gamma: float, x0: float, x1: float):
@@ -305,9 +300,6 @@ class RiemannLiouville(MemoryKernel):
     def _eval(self, t):
         return self._norm * t ** (-self.gamma)
 
-    def _antiderivative(self, t):
-        return self._norm * t ** (1.0 - self.gamma) / (1.0 - self.gamma)
-
     def exponential_sum(self, t0, t1):
         fit = _power_law_sum(self.gamma, t0, t1)
         return None if fit is None else (fit[0], self._norm * fit[1])
@@ -326,12 +318,6 @@ class PolynomialShifted(MemoryKernel):
 
     def _eval(self, t):
         return (1.0 + t) ** (-self.gamma)
-
-    def _antiderivative(self, t):
-        g = self.gamma
-        if g == 1.0:
-            return math.log1p(t)
-        return (((1.0 + t) ** (1.0 - g)) - 1.0) / (1.0 - g)
 
     def recursion_factor(self, dt):
         # gamma = 0 is the constant kernel 1
@@ -354,9 +340,6 @@ class Exponential(MemoryKernel):
 
     def _eval(self, t):
         return np.exp(-t / self.beta)
-
-    def _antiderivative(self, t):
-        return self.beta * -math.expm1(-t / self.beta)
 
     def recursion_factor(self, dt):
         return math.exp(-dt / self.beta)
@@ -429,9 +412,6 @@ class Constant(MemoryKernel):
     def _eval(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value) if np.ndim(t) else self.value
 
-    def _antiderivative(self, t):
-        return self.value * t
-
     def recursion_factor(self, dt):
         return 1.0
 
@@ -441,9 +421,8 @@ class Custom(MemoryKernel):
 
     Samples must have strictly increasing positive times and positive values.
     Outside the tabulated range the first/last segment's power law is
-    extended.  The interpolant is v_i (s / t_i)^a_i on each segment, so
-    ∫_0^t s^j g(s) ds, j = 0, 1, is a sum of closed forms, and G = that sum
-    for j = 0 and ∫G = t G - that sum for j = 1.
+    extended.  The interpolant is v_i (s / t_i)^a_i on each segment; the
+    sample times are breakpoints of the rule.
     """
 
     def __init__(self, times, values):
@@ -472,14 +451,6 @@ class Custom(MemoryKernel):
         self.leading_power = float(slopes[0])
         self.breakpoints = times
         self._slopes = slopes
-        # row j, column i: ∫_0^t_i s^j g(s) ds, from the extended first segment
-        # below times[0] and one power law per segment after it
-        j = np.array([[0.0], [1.0]])
-        self._masses = np.cumsum(np.hstack((
-            values[0] * times[0] ** (j + 1) / (slopes[0] + 1 + j),
-            values[:-1] * times[:-1] ** (j + 1) * _power_integral(slopes + 1 + j,
-                                                                  np.diff(self._logt)),
-        )), axis=1)
 
     def _eval(self, t):
         t = np.asarray(t, dtype=float)
@@ -497,17 +468,6 @@ class Custom(MemoryKernel):
                 hi, np.exp(self._logg[-1] + self._slopes[-1] * (logt - self._logt[-1])), out
             )
         return np.maximum(out, _TINY)
-
-    def _moments(self, t):
-        j = np.array([0.0, 1.0])
-        i = int(np.searchsorted(self.times, t, side="right")) - 1
-        if i < 0:
-            m = self._masses[:, 0] * (t / self.times[0]) ** (self._slopes[0] + 1 + j)
-        else:
-            a = self._slopes[min(i, len(self._slopes) - 1)]
-            m = self._masses[:, i] + self.values[i] * self.times[i] ** (j + 1) * _power_integral(
-                a + 1 + j, math.log(t / self.times[i]))
-        return float(m[0]), float(m[1])
 
     @functools.cached_property
     def decay_class(self) -> DecayClass:

@@ -5,8 +5,8 @@ The exact 1-d d'Alembert propagator and the Picard iteration built on it
 of the exponential-kernel equation, the identity F' = w - F/beta, the lower
 bounds on U0 and U, the Case 1 sum, the iteration frame's index thresholds
 and divergence certificates, the non-increasing minorant of a Slow kernel,
-and 40-digit step weights of every kernel family.  pytest does not collect
-this.
+the closed-form G of the kernel families that have one, and 40-digit step
+weights of every kernel family.  pytest does not collect this.
 """
 
 import bisect
@@ -432,6 +432,30 @@ def minorant(kernel: MemoryKernel) -> MemoryKernel:
         envelope = np.minimum.accumulate(kernel.values)
         return Custom(kernel.times, envelope)
     return kernel
+
+
+def closed_form_antiderivative(kernel, t: float) -> float:
+    """G(t) = ∫_0^t g of a kernel family in closed form, from its parameters:
+    PolynomialShifted's in its expm1/log1p form, which keeps its digits at
+    small t, and OscillatingPolynomial's, (3 + 2 sin s) s^-gamma, integrated
+    term by term.  IteratedExponential has one at depth 1 only."""
+    if isinstance(kernel, RiemannLiouville):
+        return kernel.scale * t ** (1 - kernel.gamma) / math.gamma(2 - kernel.gamma)
+    if isinstance(kernel, PolynomialShifted):
+        a = 1.0 - kernel.gamma
+        return math.log1p(t) if a == 0.0 else math.expm1(a * math.log1p(t)) / a
+    if isinstance(kernel, Exponential):
+        return -kernel.beta * math.expm1(-t / kernel.beta)
+    if isinstance(kernel, Constant):
+        return kernel.value * t
+    if isinstance(kernel, IteratedExponential) and kernel.depth == 1:
+        return -math.expm1(-kernel.c * t) / kernel.c
+    if isinstance(kernel, OscillatingPolynomial):
+        a = 1.0 - kernel.gamma
+        return math.fsum([3.0 * t**a / a] + [
+            2.0 * (-1) ** j * t ** (2 * j + 1 + a) / (math.factorial(2 * j + 1) * (2 * j + 1 + a))
+            for j in range(30)])
+    raise UnsupportedError(f"no closed-form G for {kernel!r}")
 
 
 def _mp_kernel(kernel):

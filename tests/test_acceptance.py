@@ -140,7 +140,7 @@ def test_criterion_04_quadrature_oracles():
         hw = HistoryWeights(kernel, 0.01)
         for m in (10, 100):
             got = hw.weights(m) @ np.ones(m + 1)
-            want = kernel.antiderivative(m * 0.01)
+            want = oracles.closed_form_antiderivative(kernel, m * 0.01)
             ok &= abs(got - want) <= 1e-10 * max(1.0, abs(want))
     hw = HistoryWeights(mw.RiemannLiouville(0.5), 1.0 / 256.0)
     got = hw.weights(256) @ np.ones(257)

@@ -289,30 +289,46 @@ def test_region_bytes_do_not_depend_on_cpu_count(tmp_path):
     assert not list(tmp_path.glob("*/.region.csv.part*"))
 
 
-@pytest.mark.skipif(not _FORKS, reason="sweep writes from one process here")
-@pytest.mark.parametrize("failing", ["child", "parent"])
-def test_sweep_failed_writer_leaves_no_part_or_child(tmp_path, monkeypatch, failing):
-    # two ranges of five p rows on any machine; the forked child inherits the
-    # patched alpha_wm, which fails on its range or on the parent's
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def _failing_sweep(tmp_path, monkeypatch, cpus, failing):
+    """Run a 10 x 10 sweep on the given CPUs whose alpha_wm raises on the
+    forked child's range (the last five p rows of two) or, as an error or as
+    an interrupt, on the command process's; check that it leaves no
+    region.csv, no part file and no manifest.  A forked child inherits the
+    patched alpha_wm."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
     last_of_first = np.linspace(1.1, 4.0, 10)[4]
     alpha_wm = exponents.alpha_wm
 
     def failing_alpha_wm(p, *args):
         if (p > last_of_first) == (failing == "child"):
-            raise RuntimeError(f"no alpha at p = {p}")
+            raise KeyboardInterrupt if failing == "interrupt" else RuntimeError(p)
         return alpha_wm(p, *args)
 
     monkeypatch.setattr(exponents, "alpha_wm", failing_alpha_wm)
     path = _write(tmp_path, {"problem": _SLOW_SWEEP, "sweep": {
         "p_range": [1.1, 4.0], "q_range": [1.1, 4.0], "resolution": 10}})
     out = tmp_path / "s"
-    with pytest.raises(ChildProcessError if failing == "child" else RuntimeError):
+    error = {"child": ChildProcessError, "parent": RuntimeError, "interrupt": KeyboardInterrupt}
+    with pytest.raises(error[failing]):
         main(["sweep", "--config", str(path), "--out", str(out)])
+    assert not (out / "region.csv").exists()
     assert not list(out.glob(".region.csv.part*"))
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.skipif(not _FORKS, reason="sweep writes from one process here")
+@pytest.mark.parametrize("failing", ["child", "parent", "interrupt"])
+def test_sweep_failed_writer_leaves_no_part_or_child(tmp_path, monkeypatch, failing):
+    # two ranges of five p rows on any machine
+    _failing_sweep(tmp_path, monkeypatch, {0, 1}, failing)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", ["parent", "interrupt"])
+def test_sweep_failed_on_one_cpu_leaves_no_region(tmp_path, monkeypatch, failing):
+    # one range, written by the command process alone
+    _failing_sweep(tmp_path, monkeypatch, {0}, failing)
 
 
 def _run_fresh(code: str, cwd: Path) -> str:

@@ -30,7 +30,7 @@ from memwave.kernels import (
     _gauss_jacobi,
 )
 from memwave.solver import HistoryWeights
-from oracles import minorant, step_weights_reference
+from oracles import closed_form_antiderivative, minorant, step_weights_reference
 
 SMOOTH_FAMILIES = [
     RiemannLiouville(0.5),
@@ -306,14 +306,50 @@ def test_oscillating_antiderivatives_match_power_series(gamma, t):
 
 @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
 def test_generic_antiderivatives_match_exponential(c):
-    # oracle: IteratedExponential(1, c) is exp(-c t), whose G Exponential
-    # states in closed form, and whose ∫G the rule gives on other panels
-    generic, closed = IteratedExponential(1, c), Exponential(1.0 / c)
+    # oracle: IteratedExponential(1, c) is exp(-c t), whose G is
+    # -expm1(-c t) / c and whose ∫G is (c t + expm1(-c t)) / c^2
+    generic = IteratedExponential(1, c)
     for t in (0.009, 0.5, 2.0, 10.0):
-        assert generic.antiderivative(t) == pytest.approx(closed.antiderivative(t), rel=1e-12)
+        assert generic.antiderivative(t) == pytest.approx(
+            closed_form_antiderivative(generic, t), rel=1e-12)
         assert generic.second_antiderivative(t) == pytest.approx(
-            closed.second_antiderivative(t), rel=1e-12
-        )
+            (c * t + math.expm1(-c * t)) / c**2, rel=1e-12)
+
+
+def _mp_antiderivatives(kernel, t):
+    """G(t) and ∫_0^t G, 40 digits, from the closed forms in mpmath: for
+    PolynomialShifted, Exponential, and t^-0.5 (a Custom table of it)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        if isinstance(kernel, PolynomialShifted):
+            a = 1 - mpmath.mpf(kernel.gamma)
+            G = ((1 + t) ** a - 1) / a
+            return G, (((1 + t) ** (a + 1) - 1) / (a + 1) - t) / a
+        if isinstance(kernel, Exponential):
+            b = mpmath.mpf(kernel.beta)
+            G = b * -mpmath.expm1(-t / b)
+            return G, b * (t - G)
+        return 2 * mpmath.sqrt(t), mpmath.mpf(4) / 3 * t**1.5
+
+
+@pytest.mark.parametrize("kernel, t_range", [
+    (PolynomialShifted(0.5), (1e-6, 500.0)),
+    (PolynomialShifted(2.5), (1e-6, 500.0)),
+    (Exponential(1e-3), (1e-5, 50.0)),
+    (Exponential(1e-2), (1e-5, 50.0)),
+    # samples two decades apart: t^-0.5 on [0.01, 1] is one piece but for
+    # the dyadic cuts
+    (Custom([0.01, 1.0, 100.0], [10.0, 1.0, 0.1]), (1e-4, 1e3)),
+], ids=["PolynomialShifted-0.5", "PolynomialShifted-2.5", "Exponential-1e-3",
+        "Exponential-1e-2", "Custom-sparse"])
+def test_antiderivatives_match_mpmath(kernel, t_range):
+    # ((1 + t)^(1 - gamma) - 1) / (1 - gamma) lost 1.2e-10 to cancellation at
+    # t = 1e-6, and unit panels lost 44% of ∫G for Exponential(1e-3)
+    for t in np.geomspace(*t_range, 25):
+        G, G2 = _mp_antiderivatives(kernel, t)
+        assert kernel.antiderivative(t) == pytest.approx(float(G), rel=1e-13, abs=0.0), t
+        assert kernel.second_antiderivative(t) == pytest.approx(float(G2), rel=1e-13, abs=0.0), t
 
 
 def test_custom_rejects_non_integrable_first_segment():
@@ -487,7 +523,8 @@ def test_custom_exact_slopes_minus_one_and_minus_two():
     assert kernel._slopes.tolist() == [-0.5, -1.0, -2.0, -2.0]
     w = HistoryWeights(kernel, 0.05).weights(400)  # t = 20, past the last sample
     assert w.min() > 0.0
-    assert w.sum() == pytest.approx(kernel.antiderivative(20.0), rel=1e-13)
+    assert w.sum() == pytest.approx(_power_law_antiderivatives(SLOPE_T, SLOPE_G, 20.0)[0],
+                                    rel=1e-13)
 
 
 def test_custom_weights_build_fast_without_warning():
@@ -499,7 +536,8 @@ def test_custom_weights_build_fast_without_warning():
         elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     assert w.min() > 0.0
-    assert w.sum() == pytest.approx(kernel.antiderivative(222 * 0.009), rel=1e-13)
+    assert w.sum() == pytest.approx(_power_law_antiderivatives(TABLE_T, TABLE_G, 222 * 0.009)[0],
+                                    rel=1e-13)
 
 
 @pytest.mark.parametrize(
