@@ -44,7 +44,6 @@ from .kernels import (
 from .observables import (
     BlowupVerdict,
     FunctionalTrace,
-    check_u_doubleprime_identity,
     detect_blowup,
     phi_eigenfunction,
 )

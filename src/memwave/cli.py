@@ -505,10 +505,12 @@ def read_snapshot(path: Path):
     blob = Path(path).read_bytes()
     if blob[:4] != SNAPSHOT_MAGIC:
         raise ConfigError(f"{path}: bad snapshot magic")
+    offset = 4 + struct.calcsize("<IIQdd")
+    if len(blob) < offset:
+        raise ConfigError(f"{path}: truncated snapshot header, {len(blob)} of {offset} bytes")
     version, n, M, dr, t = struct.unpack_from("<IIQdd", blob, 4)
     if version != SNAPSHOT_VERSION:
         raise ConfigError(f"{path}: unsupported snapshot version {version}")
-    offset = 4 + struct.calcsize("<IIQdd")
     if (len(blob) - offset) % (8 * (M + 1)):
         raise ConfigError(f"{path}: truncated snapshot, {len(blob) - offset} payload bytes "
                           f"are not whole fields of {M + 1} values")
@@ -764,9 +766,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     outdir.finalize(_describe_config(raw, resolved))
     return status
 

@@ -1,10 +1,12 @@
-"""Blow-up functionals, the U'' identity check, and blow-up detection.
+"""Blow-up functionals and blow-up detection.
 
 Everything here is pure post-processing over recorded traces or states: the
-space averages U, V, their test-function-weighted variants U0, V0, the second
-derivative identity that ties U'' to the memory convolution of the spatial
-p-norm, and a heuristic blow-up-time extrapolation.  The lower bounds on U0
-and U, which no command runs, live with the test references in ``tests/oracles.py``.
+space averages U, V, their test-function-weighted variants U0, V0, the
+spatial norms of the nonlinearities, and the blow-up verdict with a
+heuristic blow-up-time extrapolation.  The checks that no command runs (the
+U'' identity that ties U'' to the memory convolution of the spatial p-norm,
+and the lower bounds on U0 and U) live with the test references in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientDataError, UnsupportedError
-from .kernels import MemoryKernel
+from .errors import UnsupportedError
 
 __all__ = [
     "FunctionalTrace",
@@ -24,7 +25,6 @@ __all__ = [
     "sphere_area",
     "RadialGrid",
     "compute_functionals",
-    "check_u_doubleprime_identity",
     "detect_blowup",
 ]
 
@@ -113,16 +113,10 @@ class FunctionalTrace:
     def column(self, name: str) -> np.ndarray:
         return self.table()[:, TRACE_COLUMNS.index(name)]
 
-    @property
-    def dt(self) -> float:
-        if len(self.rows) < 2:
-            raise InsufficientDataError("trace has fewer than two samples")
-        return self.rows[1][0] - self.rows[0][0]
 
-
-def compute_functionals(state, config, grid: RadialGrid | None = None) -> tuple:
+def compute_functionals(state, config, grid: RadialGrid) -> tuple:
     """One trace row, in ``TRACE_COLUMNS`` order, from a solver state
-    (duck-typed: r, u, v, t).
+    (duck-typed: u, v, t).
 
     ``grid`` is ``RadialGrid.of(n, state.r)``; a run passes it once for all
     its rows.
@@ -130,8 +124,6 @@ def compute_functionals(state, config, grid: RadialGrid | None = None) -> tuple:
     p, q = config.params.p, config.params.q
     u = state.u
     v = state.v if state.v is not None else state.u
-    if grid is None:
-        grid = RadialGrid.of(config.params.n, state.r)
     psi = math.exp(-state.t) * grid.phi
     abs_u, abs_v = np.abs(u), np.abs(v)
     return (
@@ -145,32 +137,6 @@ def compute_functionals(state, config, grid: RadialGrid | None = None) -> tuple:
         float(abs_u.max()),
         float(abs_v.max()),
     )
-
-
-def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p: float) -> float:
-    """Residual of U'' = (g * spatial p-norm of v)(t), both sides discrete.
-
-    U'' by second central differences on the uniformly recorded trace, the
-    right side by product-integration convolution of the recorded Lp_v column.
-    Returns max |U'' - rhs| over the middle 80% of the window, normalized by
-    the max of |rhs| there.
-    """
-    from .solver import HistoryWeights  # local import to avoid a cycle
-
-    if len(trace) < 16:
-        raise InsufficientDataError("need at least 16 recorded samples")
-    dt = trace.dt
-    U = trace.column("U")
-    lp = trace.column("Lp_v")
-    upp = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / dt**2
-    rhs = HistoryWeights(kernel, dt).convolve(lp[:-1])[1:]
-    k = len(upp)
-    lo, hi = int(0.1 * k), int(math.ceil(0.9 * k))
-    resid = np.abs(upp[lo:hi] - rhs[lo:hi])
-    scale = np.max(np.abs(rhs[lo:hi]))
-    if scale == 0.0:
-        return float(np.max(resid))
-    return float(np.max(resid) / scale)
 
 
 @dataclass
@@ -190,6 +156,16 @@ class BlowupVerdict:
         return record
 
 
+def _growing(trace: FunctionalTrace) -> bool:
+    """Whether U and the peak max(maxnorm_u, maxnorm_v) do not decrease over
+    the last four rows where both are finite."""
+    U = trace.column("U")
+    peak = np.maximum(trace.column("maxnorm_u"), trace.column("maxnorm_v"))
+    finite = np.isfinite(U) & np.isfinite(peak)
+    last = np.stack((U[finite], peak[finite]))[:, -4:]
+    return last.shape[1] == 4 and bool(np.all(np.diff(last) >= 0.0))
+
+
 def detect_blowup(
     trace: FunctionalTrace,
     config,
@@ -204,8 +180,12 @@ def detect_blowup(
     the first-order power-ODE heuristic; memory forcing steepens the rate
     (for g constant the matching exponent is (p-1)/3), so the exponent is a
     parameter rather than a constant.
+
+    A ``nonfinite`` stop is blow-up only if the run was growing when its
+    fields overflowed (``_growing``); otherwise the run failed.
     """
-    blew_up = trace.stop_trigger in ("maxnorm", "nonfinite")
+    blew_up = trace.stop_trigger == "maxnorm" or (
+        trace.stop_trigger == "nonfinite" and _growing(trace))
     verdict = BlowupVerdict(blew_up, trace.t_stop, trace.stop_trigger)
     if not blew_up:
         return verdict

@@ -27,8 +27,9 @@ outside it.  Costs per step, for M + 1 cells:
 Every mode runs this one scheme.  Mgt mode is the Moore-Gibson-Thompson form
 beta u_ttt + u_tt - lap u - beta lap u_t = beta |u|^p of the single equation
 with g1 = exp(-t / beta), so it runs the single-mode layout.  The d'Alembert,
-Picard and third-order RK4 references that tests compare the scheme against
-live in ``tests/oracles.py``.
+Picard and third-order RK4 references that tests compare the scheme against,
+and the leapfrog energy and light-cone support checks, live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import observables
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 from .exponents import ProblemParams
 from .kernels import Exponential, MemoryKernel, _piece_moments
 from .observables import FunctionalTrace
@@ -53,7 +54,6 @@ __all__ = [
     "initial_state",
     "step",
     "run_simulation",
-    "discrete_energy",
 ]
 
 #: numerical support halo, in grid cells, added to the light-cone radius
@@ -270,11 +270,6 @@ class HistoryWeights:
         w[1:] = self._lag[:m][::-1]
         return w
 
-    def convolve(self, samples) -> np.ndarray:
-        """The convolution at every grid time of samples recorded at t_0,
-        t_1, ...: row m is ``weights(m) @ samples[: m + 1]``."""
-        return np.array([self.weights(m) @ samples[: m + 1] for m in range(len(samples))])
-
     def update(self, memory, history, modes, f, m: int, c: int) -> None:
         """Record the samples f at t_m in a forced row's ``history`` (laid out
         as in ``WaveState``) and bring its ``memory`` up to t_m, in place;
@@ -342,17 +337,6 @@ class WaveState:
     @property
     def v(self) -> np.ndarray | None:
         return self.fields[1] if len(self.fields) == 2 else None
-
-    @property
-    def u_prev(self) -> np.ndarray | None:
-        return None if self.prev is None else self.prev[0]
-
-    def support_violation(self, config: SystemConfig) -> float:
-        """Largest wave-field magnitude outside the allowed light cone."""
-        c = _cone_cut(self.r, self.t, config)
-        if c == self.r.size:
-            return 0.0
-        return float(np.max(np.abs(self.fields[:, c:])))
 
 
 def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
@@ -436,25 +420,12 @@ def step(state: WaveState, config: SystemConfig) -> WaveState:
     return state
 
 
-def discrete_energy(state: WaveState, config: SystemConfig) -> float:
-    """Time-staggered leapfrog energy of the u field (linear runs)."""
-    if state.u_prev is None:
-        raise DomainError("energy needs two time levels")
-    dr, dt = config.dr, config.dt
-    ut = (state.u - state.u_prev) / dt
-    ur_now = np.gradient(state.u, dr)
-    ur_prev = np.gradient(state.u_prev, dr)
-    density = ut**2 + ur_now * ur_prev
-    return observables.RadialGrid.of(config.params.n, state.r).integral(density)
-
-
 @dataclass
 class SimulationResult:
     """A finished run; ``trace.stop_trigger`` and ``trace.t_stop`` say why
     and when it stopped.  ``snapshots`` maps each requested time to the time
     reached and a copy of ``WaveState.fields``."""
 
-    config: SystemConfig
     trace: FunctionalTrace
     snapshots: dict = field(default_factory=dict)
 
@@ -485,5 +456,5 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
             trace.stop_trigger = "maxnorm"
             break
     trace.t_stop = state.t
-    return SimulationResult(config, trace, snapshots)
+    return SimulationResult(trace, snapshots)
 

@@ -2,7 +2,9 @@
 
 The exact 1-d d'Alembert propagator and the Picard iteration built on it
 (local existence by Banach's fixed point), RK4 on the third-order (MGT) form
-of the exponential-kernel equation, the identity F' = w - F/beta, the lower
+of the exponential-kernel equation, the leapfrog energy and the light-cone
+support of a solver state, the product-integration convolution of a whole
+sample series, the identities F' = w - F/beta and U'' = g * Lp_v, the lower
 bounds on U0 and U, the Case 1 sum, the iteration frame's index thresholds
 and divergence certificates, the non-increasing minorant of a Slow kernel,
 the closed-form G of the kernel families that have one, and 40-digit step
@@ -26,7 +28,7 @@ from memwave.kernels import (Constant, Custom, DecayTag, Exponential, IteratedEx
                              MemoryKernel, OscillatingPolynomial, PolynomialShifted,
                              RiemannLiouville)
 from memwave.observables import FunctionalTrace, RadialGrid, _trapezoid_terms, sphere_area
-from memwave.solver import HistoryWeights, SystemConfig, _cone_cut, _laplacian
+from memwave.solver import HistoryWeights, SystemConfig, WaveState, _cone_cut, _laplacian
 
 
 def margin_plane(region) -> np.ndarray:
@@ -67,6 +69,40 @@ def dalembert_reference(u0, u1, source, t: float, x: float, resolution: float = 
             )
         val += 0.5 * float(simpson(inner, x=s_nodes))
     return val
+
+
+def convolve(weights: HistoryWeights, samples) -> np.ndarray:
+    """The convolution at every grid time of samples recorded at t_0,
+    t_1, ...: row m is ``weights.weights(m) @ samples[: m + 1]``."""
+    return np.array([weights.weights(m) @ samples[: m + 1] for m in range(len(samples))])
+
+
+def trace_dt(trace: FunctionalTrace) -> float:
+    """The time step between the first two recorded rows of a trace."""
+    if len(trace.rows) < 2:
+        raise InsufficientDataError("trace has fewer than two samples")
+    return trace.rows[1][0] - trace.rows[0][0]
+
+
+def discrete_energy(state: WaveState, config: SystemConfig) -> float:
+    """Time-staggered leapfrog energy of the u field (linear runs)."""
+    if state.prev is None:
+        raise DomainError("energy needs two time levels")
+    u_prev = state.prev[0]
+    dr, dt = config.dr, config.dt
+    ut = (state.u - u_prev) / dt
+    ur_now = np.gradient(state.u, dr)
+    ur_prev = np.gradient(u_prev, dr)
+    density = ut**2 + ur_now * ur_prev
+    return RadialGrid.of(config.params.n, state.r).integral(density)
+
+
+def support_violation(state: WaveState, config: SystemConfig) -> float:
+    """Largest wave-field magnitude outside the allowed light cone."""
+    c = _cone_cut(state.r, state.t, config)
+    if c == state.r.size:
+        return 0.0
+    return float(np.max(np.abs(state.fields[:, c:])))
 
 
 def _even(profile):
@@ -134,8 +170,8 @@ def picard_iterate(config: SystemConfig, T_small: float, iterations: int, dx: fl
     w2 = HistoryWeights(g2, dt)
 
     def apply_operator(u, v):
-        mem_u = w1.convolve(np.abs(v) ** p)
-        mem_v = w2.convolve(np.abs(u) ** q)
+        mem_u = convolve(w1, np.abs(v) ** p)
+        mem_v = convolve(w2, np.abs(u) ** q)
         nu = u_lin.copy()
         nv = v_lin.copy()
         for i in range(nt + 1):
@@ -166,7 +202,7 @@ def conv_derivative_identity(kernel: Exponential, samples, t_grid) -> float:
     if t_grid.size != samples.size or t_grid.size < 3:
         raise ValueError("need matching grids with at least three points")
     dt = t_grid[1] - t_grid[0]
-    F = HistoryWeights(kernel, dt).convolve(samples)
+    F = convolve(HistoryWeights(kernel, dt), samples)
     Fp = np.gradient(F, dt, edge_order=2)
     resid = Fp - samples + F / kernel.beta
     return float(np.max(np.abs(resid[1:-1])))
@@ -218,6 +254,30 @@ def initial_weighted_integrals(config) -> tuple[float, float]:
     return grid.integral(config.u0(r) * grid.phi), grid.integral(config.u1(r) * grid.phi)
 
 
+def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p: float) -> float:
+    """Residual of U'' = (g * spatial p-norm of v)(t), both sides discrete.
+
+    U'' by second central differences on the uniformly recorded trace, the
+    right side by product-integration convolution of the recorded Lp_v column.
+    Returns max |U'' - rhs| over the middle 80% of the window, normalized by
+    the max of |rhs| there.
+    """
+    if len(trace) < 16:
+        raise InsufficientDataError("need at least 16 recorded samples")
+    dt = trace_dt(trace)
+    U = trace.column("U")
+    lp = trace.column("Lp_v")
+    upp = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / dt**2
+    rhs = convolve(HistoryWeights(kernel, dt), lp[:-1])[1:]
+    k = len(upp)
+    lo, hi = int(0.1 * k), int(math.ceil(0.9 * k))
+    resid = np.abs(upp[lo:hi] - rhs[lo:hi])
+    scale = np.max(np.abs(rhs[lo:hi]))
+    if scale == 0.0:
+        return float(np.max(resid))
+    return float(np.max(resid) / scale)
+
+
 def check_u0_lower_bound(trace: FunctionalTrace, config) -> tuple[bool, float]:
     """Verify U0(t) >= (1+e^-2t)/2 * <u0,Phi> + (1-e^-2t)/2 * <u1,Phi>.
 
@@ -247,11 +307,11 @@ def check_iteration_frame(trace: FunctionalTrace, config) -> tuple[bool, float]:
     n, p = config.params.n, config.params.p
     R = config.R
     t = trace.column("t")
-    dt = trace.dt
+    dt = trace_dt(trace)
     V = np.maximum(trace.column("V"), 0.0)
     c0 = (sphere_area(n) / n) ** (-(p - 1.0))
     samples = (R + t) ** (-n * (p - 1.0)) * V**p
-    inner = HistoryWeights(config.kernels[0], dt).convolve(samples)
+    inner = convolve(HistoryWeights(config.kernels[0], dt), samples)
     once = _cumulative_trapezoid(inner, t)
     twice = _cumulative_trapezoid(once, t)
     rhs = c0 * twice

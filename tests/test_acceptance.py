@@ -207,7 +207,7 @@ def test_criterion_06_u_doubleprime_identity(identity_runs):
     ok = True
     for dr, bound in ((1.0 / 200.0, 0.05), (1.0 / 400.0, 0.025)):
         cfg, res = identity_runs[dr]
-        resid = observables.check_u_doubleprime_identity(
+        resid = oracles.check_u_doubleprime_identity(
             res.trace, cfg.kernels[0], cfg.params.p
         )
         ok &= resid < bound

@@ -1,6 +1,8 @@
 """Command-line front end: validation, artifacts, determinism, snapshots."""
 
+import ast
 import csv
+import graphlib
 import importlib
 import inspect
 import io
@@ -18,7 +20,7 @@ import pytest
 import yaml
 
 import memwave
-from memwave import exponents, kernels
+from memwave import exponents, kernels, solver
 from memwave.cli import _write_csv, main, read_snapshot, validate_config, write_snapshot
 from memwave.errors import ConfigError
 from memwave.exponents import ProblemParams, check_condition_slow, condition_curves
@@ -381,6 +383,33 @@ def test_package_exports_are_consistent():
         assert "scipy" not in path.read_text(), path.name
 
 
+def test_package_imports_form_no_cycle():
+    # every import between the package's modules, those inside functions too
+    package = Path(memwave.__file__).parent
+    names = {path.stem for path in package.glob("*.py")}
+
+    def module(dotted: str) -> str | None:
+        """The package module an import of ``dotted`` loads, if any."""
+        if dotted == "memwave":
+            return "__init__"
+        head, _, tail = dotted.partition(".")
+        return tail if head == "memwave" and tail in names else None
+
+    graph = {}
+    for path in package.glob("*.py"):
+        deps = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                deps.update(module(alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level <= 1:
+                base = ".".join(filter(None, ("memwave" if node.level else "", node.module)))
+                deps.update(module(f"{base}.{alias.name}") or module(base)
+                            for alias in node.names)
+        deps.discard(None)
+    assert graph["solver"] >= {"observables", "kernels"}
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError
+
+
 _EXPONENTIAL = {"family": "exponential", "beta": 1.0}
 
 
@@ -549,6 +578,27 @@ def test_truncated_snapshot_is_rejected_at_its_path(tmp_path):
     path.write_bytes(path.read_bytes()[:-24])
     with pytest.raises(ConfigError, match=f"{path}: truncated"):
         read_snapshot(path)
+    # cut inside the header, after the magic and two bytes of the version
+    path.write_bytes(b"MWSN\x01\x00")
+    with pytest.raises(ConfigError, match=f"{path}: truncated snapshot header"):
+        read_snapshot(path)
+
+
+def test_nonfinite_run_that_was_not_growing_exits_3(tmp_path, monkeypatch):
+    # MINIMAL's gaussian splits in two, so the peak falls; a NaN in the
+    # forcing of step 10 stops the run, which did not blow up but failed
+    update = solver._update_memory
+
+    def poisoned(state, config):
+        update(state, config)
+        if state.step == 10:
+            state.memory[0, 0] = np.nan
+
+    monkeypatch.setattr(solver, "_update_memory", poisoned)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(_write(tmp_path, MINIMAL)), "--out", str(out)]) == 3
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert (verdict["trigger"], verdict["blew_up"]) == ("nonfinite", False)
 
 
 def test_snapshot_written_by_simulate(tmp_path):

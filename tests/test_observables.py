@@ -14,7 +14,6 @@ from memwave.observables import (
     TRACE_COLUMNS,
     FunctionalTrace,
     RadialGrid,
-    check_u_doubleprime_identity,
     compute_functionals,
     detect_blowup,
     phi_eigenfunction,
@@ -22,7 +21,7 @@ from memwave.observables import (
 )
 from memwave.solver import Profile, SystemConfig, run_simulation
 from oracles import (_cumulative_trapezoid, check_iteration_frame, check_u0_lower_bound,
-                     initial_weighted_integrals)
+                     check_u_doubleprime_identity, initial_weighted_integrals, trace_dt)
 
 PARAMS = ProblemParams(1, 2.0, 2.0)
 
@@ -98,7 +97,7 @@ def test_compute_functionals_zero_state():
         v = np.zeros_like(r)
         t = 0.3
 
-    row = compute_functionals(S, cfg)
+    row = compute_functionals(S, cfg, RadialGrid.of(1, S.r))
     assert row == (0.3,) + (0.0,) * 8
 
 
@@ -111,7 +110,7 @@ def test_u0_at_time_zero_is_phi_weighted_data():
         v = cfg.v0(r)
         t = 0.0
 
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg)))
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, RadialGrid.of(1, S.r))))
     i0, _ = initial_weighted_integrals(cfg)
     assert row["U0"] == pytest.approx(i0, rel=1e-12)
 
@@ -126,7 +125,7 @@ def test_psi_factorization():
         v = cfg.v0(r)
         t = 0.8
 
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg)))
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, RadialGrid.of(1, S.r))))
     phi_weighted = RadialGrid.of(1, S.r).integral(S.u * phi_eigenfunction(1, S.r))
     assert row["U0"] == pytest.approx(math.exp(-0.8) * phi_weighted, rel=1e-12)
 
@@ -144,7 +143,7 @@ def test_functionals_bitwise_equal_numpy_trapezoid(n):
     integrands = {"U": state.u, "V": state.v, "U0": state.u * psi, "V0": state.v * psi,
                   "Lp_v": np.abs(state.v) ** p, "Lq_u": np.abs(state.u) ** q}
     config = SimpleNamespace(params=ProblemParams(n, p, q))
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config)))
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config, RadialGrid.of(n, r))))
     for name, f in integrands.items():
         want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
         assert row[name] == want, name
@@ -167,7 +166,7 @@ def test_trace_append_and_columns():
         trace.rows.append((t,) * len(TRACE_COLUMNS))
     assert len(trace) == 3
     assert trace.table().shape == (3, len(TRACE_COLUMNS))
-    assert trace.dt == pytest.approx(0.1)
+    assert trace_dt(trace) == pytest.approx(0.1)
     assert np.array_equal(trace.column("U"), [0.0, 0.1, 0.2])
 
 
@@ -257,6 +256,29 @@ def test_detect_blowup_fit_exits(maxnorm, decades, T_estimate, fit_r2):
     verdict = detect_blowup(trace, SimpleNamespace(params=PARAMS), growth_decades=decades)
     for got, want in ((verdict.T_estimate, T_estimate), (verdict.fit_r2, fit_r2)):
         assert got == (None if want is None else pytest.approx(want, rel=1e-12))
+
+
+_RISE = [1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+@pytest.mark.parametrize("U, maxnorm_u, maxnorm_v, blew_up", [
+    (_RISE, _RISE, [0.0] * 5, True),
+    (_RISE, _RISE[::-1], [0.0] * 5, False),
+    (_RISE[::-1], _RISE, [0.0] * 5, False),
+    # the peak is max(maxnorm_u, maxnorm_v): 5, 4, 4, 8, 16
+    (_RISE, [5.0, 4.0, 3.0, 2.0, 1.0], _RISE, True),
+    # rows with a non-finite U or peak are skipped, and four must be left
+    ([1.0, 2.0, 4.0, 8.0, math.inf], _RISE, [0.0] * 5, True),
+    ([1.0, 2.0, 4.0, math.nan, math.inf], _RISE, [0.0] * 5, False),
+], ids=["growing", "peak-falls", "U-falls", "v-holds-the-peak", "last-row-overflows",
+        "three-finite-rows"])
+def test_detect_blowup_nonfinite_stop(U, maxnorm_u, maxnorm_v, blew_up):
+    # a non-finite stop is blow-up only while U and the peak grow
+    rows = [(float(k), U[k], 0.0, 0.0, 0.0, 0.0, 0.0, maxnorm_u[k], maxnorm_v[k])
+            for k in range(5)]
+    trace = FunctionalTrace(rows, stop_trigger="nonfinite", t_stop=5.0)
+    verdict = detect_blowup(trace, SimpleNamespace(params=PARAMS))
+    assert (verdict.blew_up, verdict.trigger) == (blew_up, "nonfinite")
 
 
 def test_monotone_growth_after_minimum():

@@ -22,7 +22,6 @@ from memwave.solver import (
     HistoryWeights,
     Profile,
     SystemConfig,
-    discrete_energy,
     initial_state,
     run_simulation,
     step,
@@ -31,9 +30,11 @@ from oracles import (
     closed_form_antiderivative,
     conv_derivative_identity,
     dalembert_reference,
+    discrete_energy,
     mgt_reference,
     picard_iterate,
     step_weights_reference,
+    support_violation,
 )
 
 PARAMS = ProblemParams(1, 2.0, 2.0)
@@ -223,7 +224,7 @@ def test_support_invariant():
     n_steps = int(round(cfg.t_max / cfg.dt))
     for _ in range(n_steps):
         step(state, cfg)
-        assert state.support_violation(cfg) < 1e-12
+        assert support_violation(state, cfg) < 1e-12
 
 
 def test_linear_run_matches_dalembert():
@@ -527,6 +528,45 @@ def test_nonfinite_field_stops_the_run(monkeypatch):
     assert trace.stop_trigger == "nonfinite"
     assert trace.t_stop == pytest.approx(6 * cfg.dt, rel=1e-12)
     assert len(trace) == 6 and np.all(np.isfinite(trace.column("maxnorm_u")))
+
+
+# (a, b, t_max) of the runs the scaling test maps onto their images, by mode
+_SCALING = {"single": (2.5, 2.5, 4.0), "coupled": (1.7, 2.1, 3.0)}
+
+
+@pytest.mark.parametrize("mode", ["single", "coupled"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scaling_covariance(n, mode):
+    # if (u, v) solves the system, so does (l^a u(l t, l r), l^b v(l t, l r)):
+    # a power-law kernel stays, Exponential(beta) becomes Exponential(beta / l),
+    # and a + 2 = p b + gamma1 - 1, b + 2 = q a - 1 (g2 exponential), or
+    # a = (3 - gamma) / (p - 1) for the single equation.  At l = 2, dr, dt, r,
+    # t, R and the cone cut scale exactly in binary and the step count stays,
+    # so the scheme maps onto itself up to rounding: a metamorphic test (Chen
+    # et al., ACM Computing Surveys 51, 2018).  Every profile radius halves,
+    # since R is the largest of them.  The 166-250 steps run the mode tail.
+    lam = 2.0
+    a, b, t_max = _SCALING[mode]
+    params = ProblemParams(n, 2.0, 2.0 if mode == "single" else 3.0)
+
+    def run(s, beta):
+        R = 1.0 / s
+        cfg = SystemConfig(params, (RiemannLiouville(0.5), Exponential(beta)),
+                           u0=Profile("gaussian", s**a, R), u1=Profile("zero", 0.0, R),
+                           v0=Profile("gaussian", 0.5 * s**b, R), v1=Profile("zero", 0.0, R),
+                           t_max=t_max / s, dr=0.02 / s, mode=mode)
+        trace = run_simulation(cfg).trace
+        assert trace.stop_trigger == "reached_tmax"
+        return trace
+
+    base, image = run(1.0, 1.0), run(lam, 1.0 / lam)
+    assert len(image) == len(base) >= 166
+    # single mode records u in the v columns, and b = a there
+    powers = {"t": -1.0, "U": a - n, "V": b - n, "Lp_v": b * params.p - n,
+              "Lq_u": a * params.q - n, "maxnorm_u": a, "maxnorm_v": b}
+    for name, k in powers.items():
+        np.testing.assert_allclose(image.column(name), lam**k * base.column(name),
+                                   rtol=1e-12, atol=0.0, err_msg=name)
 
 
 def test_run_simulation_snapshot_capture():
