@@ -136,23 +136,13 @@ def _custom_kernel(base: Path, samples: str) -> Custom:
 
 
 _SEQUENCES = {
-    "case1": (
-        iteration.case1_recursion,
-        iteration.case1_closed_form,
-        iteration.Case1Terms,
-        ("logD", "logD_t"),
-    ),
-    "case2": (
-        iteration.case2_recursion,
-        iteration.case2_closed_form,
-        iteration.Case2Terms,
-        ("ell", "L", "logQ", "logQ_t"),
-    ),
+    "case1": (iteration.case1_recursion, iteration.case1_closed_form),
+    "case2": (iteration.case2_recursion, iteration.case2_closed_form),
 }
 
 
 def _sequences(case: str = "case1", j_max: int = 25):
-    """The (recursion, closed form, terms class, logs) of a sequence case, and j_max."""
+    """The (recursion, closed form) of a sequence case, and j_max."""
     if case not in _SEQUENCES:
         raise ConfigError(f"must be one of {sorted(_SEQUENCES)}, got {case!r}", param="case")
     if j_max < 1:
@@ -624,30 +614,24 @@ def cmd_sweep(args, resolved, outdir: OutputDir) -> int:
     return 0
 
 
-def _closed_form_agrees(closed_form, p, q, n: int, term) -> bool:
-    """Whether every sequence that the closed form states at index term.j
-    equals the recursion's term."""
-    cf = closed_form(p, q, n, term.j)
-    return all(getattr(cf, f) is None or getattr(cf, f) == getattr(term, f)
-               for f in iteration.term_fields(type(term)))
+def _closed_form_agrees(closed_form, p, q, n: int, seq, j: int) -> bool:
+    """Whether every sequence that the closed form states at index j equals
+    entry j of the recursion's list."""
+    return all(value == seq[name][j - 1] for name, value in closed_form(p, q, n, j).items())
 
 
 def cmd_sequences(args, resolved, outdir: OutputDir) -> int:
-    (recursion, closed_form, terms_class, logs), j_max = resolved["sequences"]
-    fields = iteration.term_fields(terms_class)
+    (recursion, closed_form), j_max = resolved["sequences"]
     params = resolved["params"]
     p, q, n = params.p, params.q, params.n
     seq = recursion(p, q, n, j_max)
-    js = list(range(1, j_max + 1))
-    terms = [seq.at(j) for j in js]
+    js = range(1, j_max + 1)
     columns = (
-        js,
-        *([float(getattr(term, f)) for term in terms] for f in fields),
-        *(getattr(seq, name)[:j_max] for name in logs),
-        [_closed_form_agrees(closed_form, p, q, n, term) for term in terms],
+        list(js),
+        *([float(x) for x in values] for values in seq.values()),
+        [_closed_form_agrees(closed_form, p, q, n, seq, j) for j in js],
     )
-    _write_csv(outdir.path("sequences.csv"), ("j", *fields, *logs, "closed_form_agrees"),
-               [columns])
+    _write_csv(outdir.path("sequences.csv"), ("j", *seq, "closed_form_agrees"), [columns])
     return 0
 
 
@@ -673,9 +657,9 @@ def _verify_checks():
         name = type(kernel).__name__.lower()
         yield f"quadrature_{name}", abs(got - want) < 1e-10, f"error {abs(got - want):.3e}"
     ok = True
-    for recursion, closed_form, _, _ in _SEQUENCES.values():
+    for recursion, closed_form in _SEQUENCES.values():
         seq = recursion(2, 3, 3, 16)
-        ok &= all(_closed_form_agrees(closed_form, 2, 3, 3, seq.at(j)) for j in range(1, 16))
+        ok &= all(_closed_form_agrees(closed_form, 2, 3, 3, seq, j) for j in range(1, 16))
     yield "iteration_closed_forms", ok, "exact rational agreement"
     r = np.linspace(0.1, 5.0, 400)
     for n in (1, 2, 3):

@@ -4,16 +4,17 @@ Two regimes share the same machinery: a direct iteration for slow-decay
 kernels (Case 1) and a sliced iteration for fast-decay kernels (Case 2).  All
 exponent sequences are carried as exact rationals so that the geometric growth
 (pq)^(j/2) never loses precision; only the logarithmic coefficient bounds use
-floats.  The ``sequences`` and ``verify`` commands check the closed forms
-against the recursions.  The index thresholds and divergence certificates
-built on these sequences, which no command runs, live with the test
-references in ``tests/oracles.py``.
+floats.  A recursion returns one mapping from sequence name to list, keyed
+by the columns of ``sequences.csv``; a closed form returns the mapping of the
+sequences it states at one index, and the ``sequences`` and ``verify``
+commands check it against the recursion.  The index thresholds and
+divergence certificates built on these sequences, which no command runs,
+live with the test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -21,15 +22,10 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 __all__ = [
-    "Case1Sequences",
-    "Case2Sequences",
-    "Case1Terms",
-    "Case2Terms",
     "case1_recursion",
     "case1_closed_form",
     "case2_recursion",
     "case2_closed_form",
-    "term_fields",
     "slicing_sequence",
 ]
 
@@ -37,98 +33,21 @@ __all__ = [
 _PRODUCT_TAIL = 1e-14
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+def case1_recursion(p, q, n: int, j_max: int) -> dict:
+    """The direct-iteration sequences for j = 1..j_max, filled from the seeds.
 
-
-@dataclass
-class Case1Sequences:
-    """Per-index quantities of the direct iteration, j = 1..j_max.
-
-    Lists are indexed so that entry 0 holds j = 1.  The log coefficients are
-    lower bounds on log D_j, with the seeds D_1, D~_1 and the non-constructive
-    constants C_0, C~_0 normalized to one (log 0).
-    """
-
-    p: Fraction
-    q: Fraction
-    n: int
-    a: list
-    a_t: list
-    alpha: list
-    alpha_t: list
-    b: list
-    b_t: list
-    beta: list
-    beta_t: list
-    logD: list
-    logD_t: list
-
-    def at(self, j: int) -> Case1Terms:
-        return _terms_at(self, Case1Terms, j)
-
-
-@dataclass
-class Case1Terms:
-    j: int
-    a: Fraction | None
-    a_t: Fraction | None
-    alpha: Fraction | None
-    alpha_t: Fraction | None
-    b: Fraction | None
-    b_t: Fraction | None
-    beta: Fraction
-    beta_t: Fraction
-
-
-@dataclass
-class Case2Sequences:
-    p: Fraction
-    q: Fraction
-    n: int
-    theta: list
-    theta_t: list
-    sigma: list
-    sigma_t: list
-    ell: list
-    L: list
-    L_limit: float
-    logQ: list
-    logQ_t: list
-
-    def at(self, j: int) -> Case2Terms:
-        return _terms_at(self, Case2Terms, j)
-
-
-@dataclass
-class Case2Terms:
-    j: int
-    theta: Fraction | None
-    theta_t: Fraction | None
-    sigma: Fraction
-    sigma_t: Fraction
-
-
-def term_fields(terms) -> tuple:
-    """The sequence names of Case1Terms or Case2Terms: every field but j."""
-    return tuple(f.name for f in fields(terms))[1:]
-
-
-def _terms_at(seq, terms, j: int):
-    return terms(j, *(getattr(seq, name)[j - 1] for name in term_fields(terms)))
-
-
-def case1_recursion(p, q, n: int, j_max: int) -> Case1Sequences:
-    """Fill the direct-iteration sequences from the j = 1 seeds.
+    Returns a mapping from each sequence name to its list, in the column
+    order of ``sequences.csv``: a, a_t, alpha, alpha_t, b, b_t, beta, beta_t
+    (exact rationals), then logD, logD_t (floats).  Entry 0 of each list holds
+    j = 1.
 
     Seeds: a=1, alpha=0, b=(n-1)p/2, beta=n+2 and the tilded mirror with q.
     Each induction step gains one kernel power, a factor p (or q) on the old
-    exponents, and three extra time integrations.  The log coefficients start
-    from D_1 = D~_1 = 1, with the constants C_0, C~_0 normalized to one.
+    exponents, and three extra time integrations.  logD and logD_t are lower
+    bounds on log D_j and log D~_j, with the seeds D_1, D~_1 and the
+    non-constructive constants C_0, C~_0 normalized to one (log 0).
     """
-    p, q = _rat(p), _rat(q)
+    p, q = Fraction(p), Fraction(q)
     if p <= 1 or q <= 1 or j_max < 1:
         raise ConfigError("need p, q > 1 and j_max >= 1")
     a = [Fraction(1)]
@@ -159,16 +78,19 @@ def case1_recursion(p, q, n: int, j_max: int) -> Case1Sequences:
         alpha_t.append(1 + alpha[-2] * q)
         b_t.append(n * (q - 1) + b[-2] * q)
         beta_t.append(3 + beta[-2] * q)
-    return Case1Sequences(p, q, n, a, a_t, alpha, alpha_t, b, b_t, beta, beta_t, logD, logD_t)
+    return dict(a=a, a_t=a_t, alpha=alpha, alpha_t=alpha_t, b=b, b_t=b_t,
+                beta=beta, beta_t=beta_t, logD=logD, logD_t=logD_t)
 
 
-def case1_closed_form(p, q, n: int, j: int) -> Case1Terms:
+def case1_closed_form(p, q, n: int, j: int) -> dict:
     """Closed forms of the direct-iteration sequences at index j.
 
-    Odd j yields every sequence; even j only the beta pair (the remaining
-    even-index closed forms are not stated and are left to the recursion).
+    Returns a mapping from sequence name to its exact value, holding only the
+    sequences stated at j: every exact sequence of ``case1_recursion`` at odd
+    j, only beta and beta_t at even j (the remaining even-index closed forms
+    are not stated and are left to the recursion).
     """
-    p, q = _rat(p), _rat(q)
+    p, q = Fraction(p), Fraction(q)
     pq = p * q
     if j < 1:
         raise DomainError("index must be >= 1")
@@ -182,23 +104,30 @@ def case1_closed_form(p, q, n: int, j: int) -> Case1Terms:
         b_t = Fraction((n - 1)) * q / 2 * w + n * (w - 1)
         beta = ((n + 2) * (pq - 1) + 3 * (p + 1)) / (pq - 1) * w - 3 * (p + 1) / (pq - 1)
         beta_t = ((n + 2) * (pq - 1) + 3 * (q + 1)) / (pq - 1) * w - 3 * (q + 1) / (pq - 1)
-        return Case1Terms(j, a, a_t, alpha, alpha_t, b, b_t, beta, beta_t)
+        return dict(a=a, a_t=a_t, alpha=alpha, alpha_t=alpha_t, b=b, b_t=b_t,
+                    beta=beta, beta_t=beta_t)
     w = pq ** (j // 2)
     beta = ((n + 2) * (pq - 1) + 3 * (q + 1)) / ((pq - 1) * q) * w - 3 * (p + 1) / (pq - 1)
     beta_t = ((n + 2) * (pq - 1) + 3 * (p + 1)) / ((pq - 1) * p) * w - 3 * (q + 1) / (pq - 1)
-    return Case1Terms(j, None, None, None, None, None, None, beta, beta_t)
+    return dict(beta=beta, beta_t=beta_t)
 
 
-def case2_recursion(p, q, n: int, j_max: int) -> Case2Sequences:
-    """Fill the sliced-iteration sequences from the j = 1 seeds.
+def case2_recursion(p, q, n: int, j_max: int) -> dict:
+    """The sliced-iteration sequences for j = 1..j_max, filled from the seeds.
+
+    Returns a mapping from each sequence name to its list, in the column
+    order of ``sequences.csv``: theta, theta_t, sigma, sigma_t (exact
+    rationals), then ell, L, logQ, logQ_t (floats).  Entry 0 of each list
+    holds j = 1.
 
     Seeds: theta=(n-1)p/2, sigma=n+1 and the tilded mirror.  The slicing
-    factors ell_k and partial products L_j are carried alongside; each step of
-    the log coefficient pays a (pq)^-j loss from the shrinking slices.  The
-    log coefficients start from Q_1 = Q~_1 = 1, with the constants C, C~
-    normalized to one.
+    factors ell_k and partial products L_j of ``slicing_sequence`` are carried
+    alongside; each step of the log coefficient pays a (pq)^-j loss from the
+    shrinking slices.  logQ and logQ_t are lower bounds on log Q_j and
+    log Q~_j, with the seeds Q_1, Q~_1 and the non-constructive constants
+    C, C~ normalized to one (log 0).
     """
-    p, q = _rat(p), _rat(q)
+    p, q = Fraction(p), Fraction(q)
     if p <= 1 or q <= 1 or j_max < 1:
         raise ConfigError("need p, q > 1 and j_max >= 1")
     pq = float(p * q)
@@ -224,16 +153,19 @@ def case2_recursion(p, q, n: int, j_max: int) -> Case2Sequences:
         sigma.append(sigma_t[-1] * p + 2)
         theta_t.append(n * (q - 1) + theta[-2] * q)
         sigma_t.append(sigma[-2] * q + 2)
-    ell, L, L_limit = slicing_sequence(pq, j_max)
-    return Case2Sequences(p, q, n, theta, theta_t, sigma, sigma_t, ell, L, L_limit, logQ, logQ_t)
+    ell, L, _ = slicing_sequence(pq, j_max)
+    return dict(theta=theta, theta_t=theta_t, sigma=sigma, sigma_t=sigma_t,
+                ell=ell, L=L, logQ=logQ, logQ_t=logQ_t)
 
 
-def case2_closed_form(p, q, n: int, j: int) -> Case2Terms:
+def case2_closed_form(p, q, n: int, j: int) -> dict:
     """Closed forms of the sliced-iteration sequences at index j.
 
-    Both parities are available for sigma; theta only at odd j.
+    Returns a mapping from sequence name to its exact value, holding only the
+    sequences stated at j: theta, theta_t, sigma and sigma_t at odd j, only
+    sigma and sigma_t at even j.
     """
-    p, q = _rat(p), _rat(q)
+    p, q = Fraction(p), Fraction(q)
     pq = p * q
     if j < 1:
         raise DomainError("index must be >= 1")
@@ -243,11 +175,11 @@ def case2_closed_form(p, q, n: int, j: int) -> Case2Terms:
         theta_t = (2 * n + (n - 1) * q) / Fraction(2) * w - n
         sigma = ((n + 1) * (pq - 1) + 2 * (p + 1)) / (pq - 1) * w - 2 * (p + 1) / (pq - 1)
         sigma_t = ((n + 1) * (pq - 1) + 2 * (q + 1)) / (pq - 1) * w - 2 * (q + 1) / (pq - 1)
-        return Case2Terms(j, theta, theta_t, sigma, sigma_t)
+        return dict(theta=theta, theta_t=theta_t, sigma=sigma, sigma_t=sigma_t)
     w = pq ** (j // 2)
     sigma = ((n + 1) * (pq - 1) + 2 * (q + 1)) / ((pq - 1) * q) * w - 2 * (p + 1) / (pq - 1)
     sigma_t = ((n + 1) * (pq - 1) + 2 * (p + 1)) / ((pq - 1) * p) * w - 2 * (q + 1) / (pq - 1)
-    return Case2Terms(j, None, None, sigma, sigma_t)
+    return dict(sigma=sigma, sigma_t=sigma_t)
 
 
 def slicing_sequence(pq: float, j_max: int):

@@ -5,9 +5,11 @@ second-order leapfrog scheme on a uniform radial grid; the memory term is a
 time convolution against the full nonlinearity history, discretized by product
 integration so that weakly singular kernels are integrated exactly against
 piecewise-linear histories.  The product-integration weights are Toeplitz in
-the lag and are built once per run.  Every product with stored history runs
-over the c(t) cells inside the light cone only, since the history is zero
-outside it.  Costs per step, for M + 1 cells:
+the lag and are built once per run.  The grid and the light cone start from
+R, the largest support radius of the nonzero initial profiles, so a zero
+profile widens neither.  Every product with stored history runs over the
+c(t) cells inside the light cone only, since the history is zero outside it.
+Costs per step, for M + 1 cells:
 
 - a kernel with a recursion factor (``MemoryKernel.recursion_factor``:
   exponential, constant or PolynomialShifted(0)) follows the exact one-term
@@ -105,10 +107,6 @@ class Profile:
         return self.amplitude * out
 
 
-def _zero_profile(radius=1.0):
-    return Profile("zero", 0.0, radius)
-
-
 @dataclass
 class SystemConfig:
     """Full description of one simulation run."""
@@ -117,8 +115,8 @@ class SystemConfig:
     kernels: tuple  # (g1, g2); single mode uses only g1
     u0: Profile
     u1: Profile
-    v0: Profile = None
-    v1: Profile = None
+    v0: Profile = Profile("zero")
+    v1: Profile = Profile("zero")
     t_max: float = 2.0
     dr: float = 0.01
     cfl: float | None = None  # None: DEFAULT_CFL for the dimension
@@ -154,16 +152,16 @@ class SystemConfig:
         if not all(self.dt / 2 < t <= self.t_max for t in self.snapshot_times):
             raise ConfigError(f"snapshot times must lie in (dt/2, t_max] = "
                               f"({self.dt / 2:g}, {self.t_max:g}]", param="snapshot_times")
-        if self.v0 is None:
-            self.v0 = _zero_profile(self.u0.radius)
-        if self.v1 is None:
-            self.v1 = _zero_profile(self.u0.radius)
         if self.mode == "mgt" and not isinstance(self.kernels[0], Exponential):
             raise ConfigError("mgt mode requires an Exponential kernel", param="mode")
 
     @property
     def R(self) -> float:
-        return max(p.radius for p in (self.u0, self.u1, self.v0, self.v1))
+        """The largest support radius of the nonzero initial profiles, 0 when
+        every profile is zero: a zero profile widens neither the grid nor the
+        light cone."""
+        return max((p.radius for p in (self.u0, self.u1, self.v0, self.v1)
+                    if p.kind != "zero" and p.amplitude != 0.0), default=0.0)
 
     @property
     def dt(self) -> float:
@@ -400,13 +398,13 @@ def step(state: WaveState, config: SystemConfig) -> WaveState:
     product-integration convolution of the nonlinearity history, brought up
     to this level first.  Fields outside the light cone (plus halo) are
     clamped to zero, which is consistent with finite propagation speed and
-    keeps the scheme second order.
+    keeps the scheme second order.  Overflow is left to the caller's
+    ``np.errstate``: ``run_simulation`` silences it for the whole run.
     """
     dt = config.dt
     f = 0.0
     if state.forcing:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _update_memory(state, config)
+        _update_memory(state, config)
         f = state.memory
     lap = _laplacian(state.fields, state.r, config.dr, config.params.n)
     if state.step == 0:
@@ -431,30 +429,37 @@ class SimulationResult:
 
 
 def run_simulation(config: SystemConfig) -> SimulationResult:
-    """Integrate to t_max or until the fields blow up; record the trace."""
+    """Integrate to t_max or until the fields blow up; record the trace.
+
+    A run that blows up may overflow to inf or NaN before its
+    ``maxnorm_threshold``, in the memory update, the stencil or a trace row;
+    that is the ``nonfinite`` stop, not a fault, so the whole run is under
+    one ``np.errstate`` that silences overflow and invalid operations.
+    """
     state = initial_state(config)
     trace = FunctionalTrace()
     grid = observables.RadialGrid.of(config.params.n, state.r)
-    trace.rows.append(observables.compute_functionals(state, config, grid))
     # the step nearest each requested time; one at t_max is the last step
     snapshot_steps = {
         min(round(ts / config.dt), config.n_steps): ts for ts in config.snapshot_times
     }
     snapshots = {}
-    for _ in range(config.n_steps):
-        step(state, config)
-        # one reduction serves both triggers: a NaN or inf propagates to the peak
-        peak = np.max(np.abs(state.fields))
-        if not np.isfinite(peak):
-            trace.stop_trigger = "nonfinite"
-            break
-        if state.step % config.record_every == 0:
-            trace.rows.append(observables.compute_functionals(state, config, grid))
-        if state.step in snapshot_steps:
-            snapshots[snapshot_steps[state.step]] = (state.t, state.fields.copy())
-        if peak > config.maxnorm_threshold:
-            trace.stop_trigger = "maxnorm"
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace.rows.append(observables.compute_functionals(state, config, grid))
+        for _ in range(config.n_steps):
+            step(state, config)
+            # one reduction serves both triggers: a NaN or inf propagates to the peak
+            peak = np.max(np.abs(state.fields))
+            if not np.isfinite(peak):
+                trace.stop_trigger = "nonfinite"
+                break
+            if state.step % config.record_every == 0:
+                trace.rows.append(observables.compute_functionals(state, config, grid))
+            if state.step in snapshot_steps:
+                snapshots[snapshot_steps[state.step]] = (state.t, state.fields.copy())
+            if peak > config.maxnorm_threshold:
+                trace.stop_trigger = "maxnorm"
+                break
     trace.t_stop = state.t
     return SimulationResult(trace, snapshots)
 

@@ -16,6 +16,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -23,7 +24,6 @@ from scipy.integrate import simpson
 
 from memwave.errors import ConfigError, DomainError, InsufficientDataError, UnsupportedError
 from memwave.exponents import default_condition_times
-from memwave.iteration import _rat
 from memwave.kernels import (Constant, Custom, DecayTag, Exponential, IteratedExponential,
                              MemoryKernel, OscillatingPolynomial, PolynomialShifted,
                              RiemannLiouville)
@@ -326,7 +326,7 @@ def sum_formula(j: int, pq):
     """Closed form of sum_{k=0}^{(j-3)/2} (j - 2k) (pq)^k for odd j >= 3."""
     if j % 2 == 0 or j < 3:
         raise DomainError("sum formula requires odd j >= 3")
-    pq = _rat(pq)
+    pq = Fraction(pq)
     if pq <= 1:
         raise DomainError("requires pq > 1")
     w = pq ** ((j - 1) // 2)

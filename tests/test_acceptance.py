@@ -70,7 +70,6 @@ def test_criterion_02_iteration_algebra():
     ok = True
     pairs = [(Fraction(2), Fraction(2)), (Fraction(2), Fraction(3)),
              (Fraction(3, 2), Fraction(4))]
-    fields1 = ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t")
     for p, q in pairs:
         for n in (1, 2, 3):
             seq1 = iteration.case1_recursion(p, q, n, 25)
@@ -78,16 +77,11 @@ def test_criterion_02_iteration_algebra():
             for j in range(1, 26):
                 cf1 = iteration.case1_closed_form(p, q, n, j)
                 cf2 = iteration.case2_closed_form(p, q, n, j)
-                r1, r2 = seq1.at(j), seq2.at(j)
-                for f in fields1:
-                    want = getattr(cf1, f)
-                    if want is not None:
-                        got = getattr(r1, f)
-                        ok &= want == got or abs(float(want - got)) <= 1e-10 * abs(float(want))
-                for f in ("theta", "theta_t", "sigma", "sigma_t"):
-                    want = getattr(cf2, f)
-                    if want is not None:
-                        ok &= want == getattr(r2, f)
+                for f, want in cf1.items():
+                    got = seq1[f][j - 1]
+                    ok &= want == got or abs(float(want - got)) <= 1e-10 * abs(float(want))
+                for f, want in cf2.items():
+                    ok &= want == seq2[f][j - 1]
     for pq in (2, 6, 10):
         for j in range(3, 22, 2):
             direct = sum(Fraction(j - 2 * k) * Fraction(pq) ** k

@@ -24,50 +24,49 @@ DIMS = [1, 2, 3]
 
 def test_case1_seeds():
     seq = case1_recursion(2, 3, 3, 1)
-    t = seq.at(1)
-    assert t.a == 1 and t.alpha == 0
-    assert t.b == Fraction(3 - 1) * 2 / 2  # (n-1)p/2 with n=3, p=2
-    assert t.beta == 5  # n + 2
-    assert t.a_t == 0 and t.alpha_t == 1
-    assert t.b_t == Fraction(3 - 1) * 3 / 2
-    assert t.beta_t == 5
+    assert seq["a"][0] == 1 and seq["alpha"][0] == 0
+    assert seq["b"][0] == Fraction(3 - 1) * 2 / 2  # (n-1)p/2 with n=3, p=2
+    assert seq["beta"][0] == 5  # n + 2
+    assert seq["a_t"][0] == 0 and seq["alpha_t"][0] == 1
+    assert seq["b_t"][0] == Fraction(3 - 1) * 3 / 2
+    assert seq["beta_t"][0] == 5
 
 
 def test_case1_hand_unrolled():
     # oracle: recursion unrolled by hand
     p, q, n = Fraction(2), Fraction(3), Fraction(2)
     seq = case1_recursion(p, q, int(n), 3)
-    assert seq.at(2).a == 1  # 1 + a~1 p with a~1 = 0
-    assert seq.at(3).a == 1 + p * q  # a~2 = a1 q = q
-    assert seq.at(3).beta == 3 + 3 * p + (n + 2) * p * q  # beta~2 = 3 + beta1 q
+    assert seq["a"][1] == 1  # 1 + a~1 p with a~1 = 0
+    assert seq["a"][2] == 1 + p * q  # a~2 = a1 q = q
+    assert seq["beta"][2] == 3 + 3 * p + (n + 2) * p * q  # beta~2 = 3 + beta1 q
 
 
 @pytest.mark.parametrize("p,q", PQ_PAIRS)
 @pytest.mark.parametrize("n", DIMS)
 def test_case1_closed_form_matches_recursion(p, q, n):
     seq = case1_recursion(p, q, n, 25)
+    exact = ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t")
+    assert tuple(seq) == (*exact, "logD", "logD_t")
     for j in range(1, 26):
         cf = case1_closed_form(p, q, n, j)
-        rec = seq.at(j)
-        if j % 2 == 1:
-            for name in ("a", "a_t", "alpha", "alpha_t", "b", "b_t", "beta", "beta_t"):
-                assert getattr(cf, name) == getattr(rec, name), (j, name)
-        else:
-            assert cf.beta == rec.beta and cf.beta_t == rec.beta_t, j
+        # odd j states every exact sequence, even j only the beta pair
+        assert tuple(cf) == (exact if j % 2 == 1 else ("beta", "beta_t")), j
+        for name in cf:
+            assert cf[name] == seq[name][j - 1], (j, name)
 
 
 @pytest.mark.parametrize("p,q", PQ_PAIRS)
 @pytest.mark.parametrize("n", DIMS)
 def test_case2_closed_form_matches_recursion(p, q, n):
     seq = case2_recursion(p, q, n, 25)
+    exact = ("theta", "theta_t", "sigma", "sigma_t")
+    assert tuple(seq) == (*exact, "ell", "L", "logQ", "logQ_t")
     for j in range(1, 26):
         cf = case2_closed_form(p, q, n, j)
-        rec = seq.at(j)
-        if j % 2 == 1:
-            for name in ("theta", "theta_t", "sigma", "sigma_t"):
-                assert getattr(cf, name) == getattr(rec, name), (j, name)
-        else:
-            assert cf.sigma == rec.sigma and cf.sigma_t == rec.sigma_t, j
+        # odd j states every exact sequence, even j only the sigma pair
+        assert tuple(cf) == (exact if j % 2 == 1 else ("sigma", "sigma_t")), j
+        for name in cf:
+            assert cf[name] == seq[name][j - 1], (j, name)
 
 
 @pytest.mark.parametrize("p,q", PQ_PAIRS)
@@ -77,25 +76,24 @@ def test_closed_forms_float_tolerance(p, q, n):
     seq = case1_recursion(p, q, n, 25)
     for j in range(1, 26, 2):
         cf = case1_closed_form(p, q, n, j)
-        assert float(cf.beta) == pytest.approx(float(seq.at(j).beta), rel=1e-10)
+        assert float(cf["beta"]) == pytest.approx(float(seq["beta"][j - 1]), rel=1e-10)
 
 
 def test_case2_seeds():
     seq = case2_recursion(2, 2, 3, 1)
-    t = seq.at(1)
-    assert t.theta == Fraction(2)  # (n-1)p/2
-    assert t.sigma == 4  # n + 1
-    assert seq.L[0] == pytest.approx(2.0)  # ell_1 = 2
+    assert seq["theta"][0] == Fraction(2)  # (n-1)p/2
+    assert seq["sigma"][0] == 4  # n + 1
+    assert seq["L"][0] == pytest.approx(2.0)  # ell_1 = 2
 
 
 def test_case2_hand_unrolled():
     p, q, n = Fraction(2), Fraction(3), Fraction(2)
     seq = case2_recursion(p, q, int(n), 3)
     # sigma_3 = sigma~2 p + 2 with sigma~2 = (n+1)q + 2
-    assert seq.at(3).sigma == ((n + 1) * q + 2) * p + 2
-    assert seq.at(3).sigma == (n + 1) * p * q + 2 * (p + 1)
+    assert seq["sigma"][2] == ((n + 1) * q + 2) * p + 2
+    assert seq["sigma"][2] == (n + 1) * p * q + 2 * (p + 1)
     # theta_3 = n(p-1) + theta~2 p, theta~2 = n(q-1) + theta1 q
-    assert seq.at(3).theta == ((n - 1) * p + 2 * n) / 2 * p * q - n
+    assert seq["theta"][2] == ((n - 1) * p + 2 * n) / 2 * p * q - n
 
 
 @pytest.mark.parametrize("pq", [2, 6, 10])
@@ -162,7 +160,7 @@ def test_beta_growth_envelope(p, q, n):
     b0 = float(((n + 2) * (pq - 1) + 3 * (q + 1)) / ((pq - 1) * q)) + 1.0
     seq = case1_recursion(p, q, n, 25)
     for j in range(1, 26):
-        assert float(seq.at(j).beta) <= b0 * float(pq) ** (j / 2.0)
+        assert float(seq["beta"][j - 1]) <= b0 * float(pq) ** (j / 2.0)
 
 
 def test_index_thresholds_defaults():
@@ -310,7 +308,7 @@ PINNED_LOGS = {
 def test_log_coefficients_pinned(pqn):
     seq1, seq2 = case1_recursion(*pqn, 25), case2_recursion(*pqn, 25)
     for name, want in PINNED_LOGS[pqn].items():
-        got = getattr(seq1 if name.startswith("logD") else seq2, name)
+        got = (seq1 if name.startswith("logD") else seq2)[name]
         assert tuple(got) == want, name
 
 

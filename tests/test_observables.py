@@ -243,6 +243,25 @@ def test_detect_blowup_single_constant_kernel():
     assert verdict.ci_low <= verdict.T_estimate <= verdict.ci_high
 
 
+def test_overflow_before_threshold_stops_without_warning():
+    # |v|^p overflows in the trace row before the peak passes a threshold this
+    # high; pytest turns the RuntimeWarning NumPy would print into an error
+    cfg = SystemConfig(
+        params=PARAMS,
+        kernels=(Constant(1.0), Constant(1.0)),
+        u0=Profile("cosine_bump", 10.0, 1.0),
+        u1=Profile("zero"),
+        t_max=6.0,
+        dr=0.02,
+        mode="single",
+        maxnorm_threshold=1e308,
+    )
+    res = run_simulation(cfg)
+    verdict = detect_blowup(res.trace, cfg)
+    assert (verdict.blew_up, verdict.trigger) == (True, "nonfinite")
+    assert verdict.t_stop == pytest.approx(3.006, abs=0.01)
+
+
 @pytest.mark.parametrize("maxnorm, decades, T_estimate, fit_r2", [
     ([1, 2, np.nan, np.inf, 0.0, 4, 8, 16, 32, 64], 1.0, None, None),
     ([1, 2, np.nan, np.inf, 3.0, 4, 8, 16, 32, 64], 1.0, None, 0.92),

@@ -827,3 +827,11 @@ def test_config_rejects_value_the_solver_cannot_run(kw, param):
 def test_config_grid_covers_light_cone():
     cfg = _config(t_max=2.0, dr=0.05)
     assert cfg.n_cells * cfg.dr >= cfg.R + cfg.t_max + 2 * cfg.dr
+
+
+def test_zero_profile_does_not_widen_grid():
+    # the grid spans the nonzero profiles only: the zero u1 (radius 1.0 by
+    # default) and the absent v0, v1 leave R at u0's 0.5
+    cfg = _config(u0=Profile("gaussian", 1.0, 0.5), u1=Profile("zero"), t_max=0.4, dr=0.02)
+    assert cfg.R == 0.5
+    assert cfg.n_cells == 48
