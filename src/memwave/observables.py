@@ -61,37 +61,26 @@ def phi_eigenfunction(n: int, r):
     return float(out) if out.ndim == 0 else out
 
 
-def _trapezoid_terms(y, d) -> np.ndarray:
-    """The panel areas ``d * (y[1:] + y[:-1]) / 2.0`` of the trapezoid rule on
-    spacings d.  This is the arithmetic of ``np.trapezoid`` (their sum) and of
-    SciPy's ``cumulative_trapezoid`` (their cumulative sum), so both results
-    are bitwise the same; the product and the halving act in place on the
-    one temporary."""
-    terms = y[1:] + y[:-1]
-    terms *= d
-    terms /= 2.0
-    return terms
-
-
 @dataclass(frozen=True)
 class RadialGrid:
-    """The factors every functional of a run shares, since neither n nor the
-    grid r changes: the sphere area, the spacings ``diff(r)``, the radial
-    weight ``r^(n-1)`` and the eigenfunction Phi."""
+    """The quadrature weights every trace row of a run shares, since neither
+    n nor the grid r changes.  With w the sphere area times r^(n-1) times the
+    trapezoid node weight (half the spacings on either side of a node), the
+    trapezoid integral over R^n of a radial profile f is the sum of f * w.
+    ``weights`` holds w, w * Phi and w again, one row for each pair of
+    integrands in a trace row."""
 
-    area: float
-    d: np.ndarray
-    w: np.ndarray
-    phi: np.ndarray
+    weights: np.ndarray  # (3, M + 1)
 
     @classmethod
     def of(cls, n: int, r) -> RadialGrid:
         r = np.asarray(r, dtype=float)
-        return cls(sphere_area(n), np.diff(r), r ** (n - 1), phi_eigenfunction(n, r))
-
-    def integral(self, f) -> float:
-        """Trapezoid integral over R^n of a radial profile f(r)."""
-        return self.area * float(_trapezoid_terms(f * self.w, self.d).sum())
+        half = np.diff(r) / 2.0
+        node = np.zeros_like(r)
+        node[:-1] += half
+        node[1:] += half
+        w = sphere_area(n) * r ** (n - 1) * node
+        return cls(np.stack((w, w * phi_eigenfunction(n, r), w)))
 
 
 @dataclass
@@ -116,27 +105,28 @@ class FunctionalTrace:
 
 def compute_functionals(state, config, grid: RadialGrid) -> tuple:
     """One trace row, in ``TRACE_COLUMNS`` order, from a solver state
-    (duck-typed: u, v, t).
+    (duck-typed: fields, t, cut).
 
     ``grid`` is ``RadialGrid.of(n, state.r)``; a run passes it once for all
-    its rows.
+    its rows.  The fields are zero from ``state.cut`` on, so the row reads
+    the first cut cells only.  Its six integrals are the pairs (u, v),
+    (u, v) and (|v|^p, |u|^q), times the grid's weights, each summed along
+    the cells by NumPy's pairwise sum; U0 and V0 are e^-t times the second
+    pair's sums.
     """
     p, q = config.params.p, config.params.q
-    u = state.u
-    v = state.v if state.v is not None else state.u
-    psi = math.exp(-state.t) * grid.phi
-    abs_u, abs_v = np.abs(u), np.abs(v)
-    return (
-        float(state.t),
-        grid.integral(u),
-        grid.integral(v),
-        grid.integral(u * psi),
-        grid.integral(v * psi),
-        grid.integral(abs_v ** p),
-        grid.integral(abs_u ** q),
-        float(abs_u.max()),
-        float(abs_v.max()),
-    )
+    c = state.cut
+    fields = state.fields[:, :c]  # (u, v), or (u,) where v is u
+    mag = np.abs(fields)
+    rows = np.empty((3, 2, c))
+    rows[:2] = fields
+    rows[2, 0] = mag[-1] ** p
+    rows[2, 1] = mag[0] ** q
+    rows *= grid.weights[:, None, :c]
+    (U, V), (U0, V0), (Lp_v, Lq_u) = rows.sum(axis=-1).tolist()
+    peak = mag.max(axis=-1).tolist()
+    psi = math.exp(-state.t)
+    return (float(state.t), U, V, psi * U0, psi * V0, Lp_v, Lq_u, peak[0], peak[-1])
 
 
 @dataclass

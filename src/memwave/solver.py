@@ -7,9 +7,10 @@ integration so that weakly singular kernels are integrated exactly against
 piecewise-linear histories.  The product-integration weights are Toeplitz in
 the lag and are built once per run.  The grid and the light cone start from
 R, the largest support radius of the nonzero initial profiles, so a zero
-profile widens neither.  Every product with stored history runs over the
-c(t) cells inside the light cone only, since the history is zero outside it.
-Costs per step, for M + 1 cells:
+profile widens neither.  The fields, the memory and the history are exactly
+zero outside the light cone, so every per-step pass (the nonlinearities, the
+memory update, the stencil, the leapfrog update and the peak check) runs over
+the c(t) cells inside it only.  Costs per step, for M + 1 cells:
 
 - a kernel with a recursion factor (``MemoryKernel.recursion_factor``:
   exponential, constant or PolynomialShifted(0)) follows the exact one-term
@@ -269,16 +270,17 @@ class HistoryWeights:
         return w
 
     def update(self, memory, history, modes, f, m: int, c: int) -> None:
-        """Record the samples f at t_m in a forced row's ``history`` (laid out
-        as in ``WaveState``) and bring its ``memory`` up to t_m, in place;
-        only the first c cells enter products with stored history.  Since
+        """Record the samples f at t_m on the first c cells in a forced row's
+        ``history`` (laid out as in ``WaveState``) and bring its ``memory`` up
+        to t_m, in place; the history, the memory and the modes are zero from
+        cell c on, so they are left as they are there.  Since
         g(t + dt) = decay * g(t), a recursion scales the previous convolution
         by decay and adds X(1) and Y(1) times the last interval's samples."""
         if self.decay is not None:
             if m > 0:
                 self._tabulate(1)
-                memory[:] = self.decay * memory + self._X[1] * history[0] + self._Y[1] * f
-            history[0] = f
+                memory[:c] = self.decay * memory[:c] + self._X[1] * history[0, :c] + self._Y[1] * f
+            history[0, :c] = f
             return
         d = m  # the exact product covers the levels m - d..m
         if modes is not None and m >= WINDOW:
@@ -286,8 +288,8 @@ class HistoryWeights:
             if d == WINDOW and m > WINDOW:  # the window moves up one block
                 modes[:, :c] *= self._damp[:, None]
                 modes[:, :c] += self._block @ history[: BLOCK + 1, :c]
-                history[:WINDOW] = history[BLOCK:]
-        history[d] = f
+                history[:WINDOW, :c] = history[BLOCK:, :c]
+        history[d, :c] = f
         memory[:c] = self.weights(d) @ history[: d + 1, :c]
         if d < m:  # the part over [0, t_j], from F(j)
             memory[:c] += self._lead[d - WINDOW] @ modes[:, :c]
@@ -298,12 +300,14 @@ class WaveState:
     """Stacked fields, their previous time level, and the memory forcing.
 
     The rows of ``fields`` are (u, v) in coupled mode and (u,) in single and
-    mgt mode, and ``velocity`` holds their initial velocities.  Entry i of
-    ``forcing`` is ``(src, power)``: row i is driven by ``memory[i]``, the
-    convolution of ``weights[i]`` with the profiles of ``|fields[src]|**power``,
-    brought up to the current level when a step starts from it.
-    ``history[i]`` holds those profiles, in one of three layouts chosen by
-    ``weights[i]``:
+    mgt mode, and ``velocity`` holds their initial velocities.  ``cut`` is the
+    number c of cells inside the light cone (plus halo) at t: from cell c on,
+    every field, memory term, history level and mode is exactly +0.0, so every
+    per-step pass runs over the first c cells only.  Entry i of ``forcing`` is
+    ``(src, power)``: row i is driven by ``memory[i]``, the convolution of
+    ``weights[i]`` with the profiles of ``|fields[src]|**power``, brought up
+    to the current level when a step starts from it.  ``history[i]`` holds
+    those profiles, in one of three layouts chosen by ``weights[i]``:
 
     - its recursion (a kernel with a recursion factor): only the latest one,
       shape (1, M + 1), and ``modes[i]`` is None;
@@ -313,7 +317,8 @@ class WaveState:
       ``modes[i]`` is None.
 
     The forcing, history and modes are empty and the memory None for linear
-    runs.
+    runs.  ``stencil`` is the Laplacian's buffer, made with the next level's
+    by the first step.
     """
 
     r: np.ndarray
@@ -322,27 +327,34 @@ class WaveState:
     velocity: np.ndarray
     t: float
     step: int
+    cut: int
     forcing: tuple
     weights: tuple
     history: tuple
     modes: tuple
     memory: np.ndarray | None  # (len(forcing), M + 1)
+    stencil: np.ndarray | None = None
 
     @property
     def u(self) -> np.ndarray:
         return self.fields[0]
 
-    @property
-    def v(self) -> np.ndarray | None:
-        return self.fields[1] if len(self.fields) == 2 else None
 
-
-def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, n: int) -> np.ndarray:
-    """Radial Laplacian along the last axis of one field or a stack of them."""
-    lap = np.zeros_like(u)
-    lap[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr**2
+def _laplacian(u: np.ndarray, r: np.ndarray, dr: float, n: int, out=None) -> np.ndarray:
+    """Radial Laplacian along the last axis of one field or a stack of them,
+    written into ``out`` (an array of u's shape) when one is given."""
+    lap = np.empty_like(u) if out is None else out
+    inner = lap[..., 1:-1]
+    # (u[2:] - 2 u[1:-1] + u[:-2]) / dr^2, in that order
+    np.multiply(u[..., 1:-1], -2.0, out=inner)
+    inner += u[..., 2:]
+    inner += u[..., :-2]
+    inner /= dr**2
     if n > 1:
-        lap[..., 1:-1] += (n - 1) / r[1:-1] * (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
+        drift = u[..., 2:] - u[..., :-2]
+        drift *= (n - 1) / r[1:-1]
+        drift /= 2.0 * dr
+        inner += drift
     # origin: symmetry gives u_r(0) = 0 and the limit n * u_rr
     lap[..., 0] = n * 2.0 * (u[..., 1] - u[..., 0]) / dr**2
     lap[..., -1] = 0.0  # homogeneous Dirichlet, never reached by the cone
@@ -355,15 +367,13 @@ def _cone_cut(r, t, config: SystemConfig) -> int:
     return int(np.searchsorted(r, config.R + t + SUPPORT_HALO * config.dr, side="right"))
 
 
-def _update_memory(state: WaveState, config: SystemConfig) -> None:
+def _update_memory(state: WaveState) -> None:
     """Record the nonlinearities at the current level and bring the memory
-    terms up to it.  A stored history is zero outside the light cone, so only
-    its first c columns enter the products; ``memory`` and the modes keep
-    zeros beyond them."""
-    c = _cone_cut(state.r, state.t, config)
+    terms up to it, over the first ``state.cut`` cells."""
+    c = state.cut
     for i, (src, power) in enumerate(state.forcing):
         state.weights[i].update(state.memory[i], state.history[i], state.modes[i],
-                                np.abs(state.fields[src]) ** power, state.step, c)
+                                np.abs(state.fields[src, :c]) ** power, state.step, c)
 
 
 def initial_state(config: SystemConfig) -> WaveState:
@@ -381,13 +391,17 @@ def initial_state(config: SystemConfig) -> WaveState:
         fields, velocity, forcing = config.u0(r)[None], config.u1(r)[None], ((0, p),)
     if config.linear:
         forcing = ()
+    # the profiles vanish beyond R; a negative amplitude makes that -0.0, and
+    # the buffer the second step writes into must hold +0.0 beyond its cut
+    cut = _cone_cut(r, 0.0, config)
+    fields[:, cut:] = 0.0
     weights = tuple(HistoryWeights(g, config.dt, config.n_steps)
                     for g in config.kernels[: len(forcing)])
     history = tuple(np.zeros((w.levels, r.size)) for w in weights)
     modes = tuple(None if w.rates is None else np.zeros((w.rates.size, r.size))
                   for w in weights)
     memory = np.zeros((len(forcing), r.size)) if forcing else None
-    return WaveState(r, fields, None, velocity, 0.0, 0, forcing, weights, history, modes,
+    return WaveState(r, fields, None, velocity, 0.0, 0, cut, forcing, weights, history, modes,
                      memory)
 
 
@@ -396,24 +410,36 @@ def step(state: WaveState, config: SystemConfig) -> WaveState:
 
     Leapfrog with a Taylor start; the forcing at the current level is the
     product-integration convolution of the nonlinearity history, brought up
-    to this level first.  Fields outside the light cone (plus halo) are
-    clamped to zero, which is consistent with finite propagation speed and
-    keeps the scheme second order.  Overflow is left to the caller's
-    ``np.errstate``: ``run_simulation`` silences it for the whole run.
+    to this level first.  Fields outside the light cone (plus halo) stay
+    zero, which is consistent with finite propagation speed and keeps the
+    scheme second order: the new level is made over the c cells inside the
+    cone at t + dt, from a stencil over c + 1 cells, in the buffer of the
+    previous level, which is zero from its own smaller cut on.  Overflow is
+    left to the caller's ``np.errstate``: ``run_simulation`` silences it for
+    the whole run.
     """
     dt = config.dt
-    f = 0.0
     if state.forcing:
-        _update_memory(state, config)
-        f = state.memory
-    lap = _laplacian(state.fields, state.r, config.dr, config.params.n)
-    if state.step == 0:
-        new = state.fields + dt * state.velocity + 0.5 * dt**2 * (lap + f)
-    else:
-        new = 2.0 * state.fields - state.prev + dt**2 * (lap + f)
+        _update_memory(state)
+    if state.prev is None:
+        state.prev, state.stencil = np.zeros_like(state.fields), np.empty_like(state.fields)
     state.t += dt
-    new[..., _cone_cut(state.r, state.t, config):] = 0.0
-    state.prev, state.fields = state.fields, new
+    c = state.cut = _cone_cut(state.r, state.t, config)
+    fields, new = state.fields[:, :c], state.prev[:, :c]
+    lap = _laplacian(state.fields[:, : c + 1], state.r[: c + 1], config.dr, config.params.n,
+                     state.stencil[:, : c + 1])[:, :c]
+    # the arithmetic of fields + dt u_t + dt^2 / 2 (lap + f) at the first
+    # step and of 2 fields - prev + dt^2 (lap + f) after it, in that order;
+    # a free wave's f = 0.0 still turns a -0.0 in lap into +0.0
+    lap += state.memory[:, :c] if state.forcing else 0.0
+    if state.step == 0:
+        lap *= 0.5 * dt**2
+        np.add(fields + dt * state.velocity[:, :c], lap, out=new)
+    else:
+        lap *= dt**2
+        np.subtract(2.0 * fields, new, out=new)
+        new += lap
+    state.prev, state.fields = state.fields, state.prev
     state.step += 1
     return state
 
@@ -439,24 +465,26 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     state = initial_state(config)
     trace = FunctionalTrace()
     grid = observables.RadialGrid.of(config.params.n, state.r)
-    # the step nearest each requested time; one at t_max is the last step
-    snapshot_steps = {
-        min(round(ts / config.dt), config.n_steps): ts for ts in config.snapshot_times
-    }
+    # the requested times by the step nearest each; one at t_max is the last
+    # step, and two times may share a step
+    snapshot_steps = {}
+    for ts in config.snapshot_times:
+        snapshot_steps.setdefault(min(round(ts / config.dt), config.n_steps), []).append(ts)
     snapshots = {}
     with np.errstate(over="ignore", invalid="ignore"):
         trace.rows.append(observables.compute_functionals(state, config, grid))
         for _ in range(config.n_steps):
             step(state, config)
             # one reduction serves both triggers: a NaN or inf propagates to the peak
-            peak = np.max(np.abs(state.fields))
+            peak = np.max(np.abs(state.fields[:, : state.cut]))
             if not np.isfinite(peak):
                 trace.stop_trigger = "nonfinite"
                 break
             if state.step % config.record_every == 0:
                 trace.rows.append(observables.compute_functionals(state, config, grid))
             if state.step in snapshot_steps:
-                snapshots[snapshot_steps[state.step]] = (state.t, state.fields.copy())
+                taken = (state.t, state.fields.copy())
+                snapshots.update(dict.fromkeys(snapshot_steps[state.step], taken))
             if peak > config.maxnorm_threshold:
                 trace.stop_trigger = "maxnorm"
                 break

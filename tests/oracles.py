@@ -2,13 +2,15 @@
 
 The exact 1-d d'Alembert propagator and the Picard iteration built on it
 (local existence by Banach's fixed point), RK4 on the third-order (MGT) form
-of the exponential-kernel equation, the leapfrog energy and the light-cone
-support of a solver state, the product-integration convolution of a whole
-sample series, the identities F' = w - F/beta and U'' = g * Lp_v, the lower
-bounds on U0 and U, the Case 1 sum, the iteration frame's index thresholds
-and divergence certificates, the non-increasing minorant of a Slow kernel,
-the closed-form G of the kernel families that have one, and 40-digit step
-weights of every kernel family.  pytest does not collect this.
+of the exponential-kernel equation, the solver's step with every pass over
+the whole grid, the trapezoid rule one integral at a time, the leapfrog
+energy and the light-cone support of a solver state, the product-integration
+convolution of a whole sample series, the identities F' = w - F/beta and
+U'' = g * Lp_v, the lower bounds on U0 and U, the Case 1 sum, the iteration
+frame's index thresholds and divergence certificates, the non-increasing
+minorant of a Slow kernel, the closed-form G of the kernel families that
+have one, and 40-digit step weights of every kernel family.  pytest does not
+collect this.
 """
 
 import bisect
@@ -27,8 +29,9 @@ from memwave.exponents import default_condition_times
 from memwave.kernels import (Constant, Custom, DecayTag, Exponential, IteratedExponential,
                              MemoryKernel, OscillatingPolynomial, PolynomialShifted,
                              RiemannLiouville)
-from memwave.observables import FunctionalTrace, RadialGrid, _trapezoid_terms, sphere_area
-from memwave.solver import HistoryWeights, SystemConfig, WaveState, _cone_cut, _laplacian
+from memwave.observables import FunctionalTrace, phi_eigenfunction, sphere_area
+from memwave.solver import (BLOCK, WINDOW, HistoryWeights, SystemConfig, WaveState, _cone_cut,
+                            _laplacian)
 
 
 def margin_plane(region) -> np.ndarray:
@@ -94,7 +97,86 @@ def discrete_energy(state: WaveState, config: SystemConfig) -> float:
     ur_now = np.gradient(state.u, dr)
     ur_prev = np.gradient(u_prev, dr)
     density = ut**2 + ur_now * ur_prev
-    return RadialGrid.of(config.params.n, state.r).integral(density)
+    return radial_integral(config.params.n, state.r, density)
+
+
+def _trapezoid_terms(y, d) -> np.ndarray:
+    """The panel areas ``d * (y[1:] + y[:-1]) / 2.0`` of the trapezoid rule on
+    spacings d.  This is the arithmetic of ``np.trapezoid`` (their sum) and of
+    SciPy's ``cumulative_trapezoid`` (their cumulative sum), so both results
+    are bitwise the same; the product and the halving act in place on the
+    one temporary."""
+    terms = y[1:] + y[:-1]
+    terms *= d
+    terms /= 2.0
+    return terms
+
+
+def radial_integral(n: int, r, f) -> float:
+    """Trapezoid integral over R^n of a radial profile f(r), one integral at
+    a time: the sphere area times ``np.trapezoid(f * r**(n - 1), r)``, bit
+    for bit."""
+    r = np.asarray(r, dtype=float)
+    return sphere_area(n) * float(_trapezoid_terms(f * r ** (n - 1), np.diff(r)).sum())
+
+
+def _full_grid_update(hw: HistoryWeights, memory, history, modes, f, m: int, c: int) -> None:
+    """``HistoryWeights.update`` writing the recursion and the history over
+    every cell; only the products with stored history are cut at c."""
+    if hw.decay is not None:
+        if m > 0:
+            hw._tabulate(1)
+            memory[:] = hw.decay * memory + hw._X[1] * history[0] + hw._Y[1] * f
+        history[0] = f
+        return
+    d = m
+    if modes is not None and m >= WINDOW:
+        d = WINDOW + (m - WINDOW) % BLOCK
+        if d == WINDOW and m > WINDOW:
+            modes[:, :c] *= hw._damp[:, None]
+            modes[:, :c] += hw._block @ history[: BLOCK + 1, :c]
+            history[:WINDOW] = history[BLOCK:]
+    history[d] = f
+    memory[:c] = hw.weights(d) @ history[: d + 1, :c]
+    if d < m:
+        memory[:c] += hw._lead[d - WINDOW] @ modes[:, :c]
+
+
+def _full_grid_laplacian(u, r, dr: float, n: int) -> np.ndarray:
+    """``solver._laplacian`` as one expression per term, on a new array."""
+    lap = np.zeros_like(u)
+    lap[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) / dr**2
+    if n > 1:
+        lap[..., 1:-1] += (n - 1) / r[1:-1] * (u[..., 2:] - u[..., :-2]) / (2.0 * dr)
+    lap[..., 0] = n * 2.0 * (u[..., 1] - u[..., 0]) / dr**2
+    lap[..., -1] = 0.0
+    return lap
+
+
+def full_grid_step(state: WaveState, config: SystemConfig) -> WaveState:
+    """``solver.step`` with every pass over all M + 1 cells: the
+    nonlinearities, the recursion, the history, the stencil and the leapfrog
+    update make whole rows in new arrays, and the new level is clamped to
+    zero outside the light cone afterwards."""
+    dt = config.dt
+    f = 0.0
+    if state.forcing:
+        c = _cone_cut(state.r, state.t, config)
+        for i, (src, power) in enumerate(state.forcing):
+            _full_grid_update(state.weights[i], state.memory[i], state.history[i],
+                              state.modes[i], np.abs(state.fields[src]) ** power, state.step, c)
+        f = state.memory
+    lap = _full_grid_laplacian(state.fields, state.r, config.dr, config.params.n)
+    if state.step == 0:
+        new = state.fields + dt * state.velocity + 0.5 * dt**2 * (lap + f)
+    else:
+        new = 2.0 * state.fields - state.prev + dt**2 * (lap + f)
+    state.t += dt
+    state.cut = _cone_cut(state.r, state.t, config)
+    new[..., state.cut:] = 0.0
+    state.prev, state.fields = state.fields, new
+    state.step += 1
+    return state
 
 
 def support_violation(state: WaveState, config: SystemConfig) -> float:
@@ -249,9 +331,9 @@ def _cumulative_trapezoid(y, x) -> np.ndarray:
 
 def initial_weighted_integrals(config) -> tuple[float, float]:
     """(integral of u0*Phi, integral of u1*Phi) from the configured data."""
-    r = config.radii()
-    grid = RadialGrid.of(config.params.n, r)
-    return grid.integral(config.u0(r) * grid.phi), grid.integral(config.u1(r) * grid.phi)
+    n, r = config.params.n, config.radii()
+    phi = phi_eigenfunction(n, r)
+    return radial_integral(n, r, config.u0(r) * phi), radial_integral(n, r, config.u1(r) * phi)
 
 
 def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p: float) -> float:

@@ -589,8 +589,8 @@ def test_nonfinite_run_that_was_not_growing_exits_3(tmp_path, monkeypatch):
     # forcing of step 10 stops the run, which did not blow up but failed
     update = solver._update_memory
 
-    def poisoned(state, config):
-        update(state, config)
+    def poisoned(state):
+        update(state)
         if state.step == 10:
             state.memory[0, 0] = np.nan
 
@@ -613,6 +613,20 @@ def test_snapshot_written_by_simulate(tmp_path):
     # the file is named for the requested time, the header holds the time
     # reached: step 11 of dt = 0.018
     assert n == 1 and t == pytest.approx(11 * 0.018, rel=1e-12) and len(fields) == 2
+
+
+def test_two_snapshot_times_on_one_step_write_two_files(tmp_path):
+    # 0.2 and 0.205 both round to step 11 of dt = 0.018; each requested time
+    # gets its own file, holding the fields of that step
+    cfg = yaml.safe_load(yaml.safe_dump(MINIMAL))
+    cfg["simulation"]["snapshot_times"] = [0.2, 0.205]
+    out = tmp_path / "snap"
+    assert main(["simulate", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+    snaps = sorted(out.glob("snapshot_*.bin"))
+    assert [p.name for p in snaps] == ["snapshot_0.20000000000000001.bin",
+                                       "snapshot_0.20499999999999999.bin"]
+    assert snaps[0].read_bytes() == snaps[1].read_bytes()
+    assert read_snapshot(snaps[0])[2] == pytest.approx(11 * 0.018, rel=1e-12)
 
 
 def test_snapshot_at_t_max_written_by_simulate(tmp_path):

@@ -21,7 +21,8 @@ from memwave.observables import (
 )
 from memwave.solver import Profile, SystemConfig, run_simulation
 from oracles import (_cumulative_trapezoid, check_iteration_frame, check_u0_lower_bound,
-                     check_u_doubleprime_identity, initial_weighted_integrals, trace_dt)
+                     check_u_doubleprime_identity, initial_weighted_integrals, radial_integral,
+                     trace_dt)
 
 PARAMS = ProblemParams(1, 2.0, 2.0)
 
@@ -83,33 +84,29 @@ def test_phi_rejects_unsupported_dimension():
 
 def test_radial_integral_ball_volume():
     r = np.linspace(0.0, 1.0, 4001)
-    vol = RadialGrid.of(3, r).integral(np.ones_like(r))
+    vol = RadialGrid.of(3, r).weights[0].sum()
     assert vol == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
+    assert radial_integral(3, r, np.ones_like(r)) == pytest.approx(vol, rel=1e-14)
+
+
+def _state(r, u, v, t):
+    """A solver state's duck type, with the whole grid inside the cone."""
+    return SimpleNamespace(r=r, fields=np.stack((u, v)), t=t, cut=r.size)
 
 
 def test_compute_functionals_zero_state():
     cfg = _coupled_config(u0=Profile("zero"), u1=Profile("zero"),
                           v0=Profile("zero"), v1=Profile("zero"))
-
-    class S:
-        r = cfg.radii()
-        u = np.zeros_like(r)
-        v = np.zeros_like(r)
-        t = 0.3
-
+    r = cfg.radii()
+    S = _state(r, np.zeros_like(r), np.zeros_like(r), 0.3)
     row = compute_functionals(S, cfg, RadialGrid.of(1, S.r))
     assert row == (0.3,) + (0.0,) * 8
 
 
 def test_u0_at_time_zero_is_phi_weighted_data():
     cfg = _coupled_config()
-
-    class S:
-        r = cfg.radii()
-        u = cfg.u0(r)
-        v = cfg.v0(r)
-        t = 0.0
-
+    r = cfg.radii()
+    S = _state(r, cfg.u0(r), cfg.v0(r), 0.0)
     row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, RadialGrid.of(1, S.r))))
     i0, _ = initial_weighted_integrals(cfg)
     assert row["U0"] == pytest.approx(i0, rel=1e-12)
@@ -118,36 +115,36 @@ def test_u0_at_time_zero_is_phi_weighted_data():
 def test_psi_factorization():
     # U0 must equal e^{-t} times the Phi-weighted integral, by definition
     cfg = _coupled_config()
-
-    class S:
-        r = cfg.radii()
-        u = cfg.u0(r)
-        v = cfg.v0(r)
-        t = 0.8
-
+    r = cfg.radii()
+    S = _state(r, cfg.u0(r), cfg.v0(r), 0.8)
+    u = S.fields[0]
     row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, RadialGrid.of(1, S.r))))
-    phi_weighted = RadialGrid.of(1, S.r).integral(S.u * phi_eigenfunction(1, S.r))
+    phi_weighted = radial_integral(1, S.r, u * phi_eigenfunction(1, S.r))
     assert row["U0"] == pytest.approx(math.exp(-0.8) * phi_weighted, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_functionals_bitwise_equal_numpy_trapezoid(n):
-    # the hoisted grid factors and in-place panel sums must reproduce the
-    # np.trapezoid values exactly, or every recorded trace would drift
+    # the one-integral reference must reproduce np.trapezoid exactly; a trace
+    # row sums each integrand against the grid's weights in one pass, which
+    # adds the same terms in another order, so it may differ from the
+    # reference by rounding only, on the whole grid and on a cone inside it
     rng = np.random.default_rng(n)
     r = np.linspace(0.0, 3.0, 301)
     p, q = 2.5, 1.7
-    state = SimpleNamespace(r=r, u=rng.standard_normal(r.size), v=rng.standard_normal(r.size),
-                            t=0.37)
-    psi = math.exp(-state.t) * phi_eigenfunction(n, r)
-    integrands = {"U": state.u, "V": state.v, "U0": state.u * psi, "V0": state.v * psi,
-                  "Lp_v": np.abs(state.v) ** p, "Lq_u": np.abs(state.u) ** q}
     config = SimpleNamespace(params=ProblemParams(n, p, q))
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config, RadialGrid.of(n, r))))
-    for name, f in integrands.items():
-        want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
-        assert row[name] == want, name
-        assert RadialGrid.of(n, r).integral(f) == want, name
+    for cut in (r.size, 200):
+        u, v = rng.standard_normal((2, r.size))
+        u[cut:] = v[cut:] = 0.0
+        state = SimpleNamespace(fields=np.stack((u, v)), t=0.37, cut=cut)
+        psi = math.exp(-state.t) * phi_eigenfunction(n, r)
+        integrands = {"U": u, "V": v, "U0": u * psi, "V0": v * psi,
+                      "Lp_v": np.abs(v) ** p, "Lq_u": np.abs(u) ** q}
+        row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config, RadialGrid.of(n, r))))
+        for name, f in integrands.items():
+            want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
+            assert radial_integral(n, r, f) == want, name
+            assert abs(row[name] - want) <= 1e-14 * radial_integral(n, r, np.abs(f)), name
 
 
 def test_cumulative_trapezoid_bitwise_equals_scipy():

@@ -1,5 +1,8 @@
 """Solver: quadrature weights, stepping, oracles, MGT, fixed-point iteration."""
 
+import copy
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -31,6 +34,7 @@ from oracles import (
     conv_derivative_identity,
     dalembert_reference,
     discrete_energy,
+    full_grid_step,
     mgt_reference,
     picard_iterate,
     step_weights_reference,
@@ -361,6 +365,81 @@ def test_memory_run_keeps_light_cone_exact():
     assert np.max(np.abs(state.memory)) > 0.0
 
 
+# (mode, overrides) of the runs the cone step is checked against the full grid
+# on: a full history, a mode tail and a recursion, the mgt layout and a free
+# wave; the negative amplitudes put -0.0 outside their profiles' support
+LOCKSTEP_RUNS = {
+    "single": dict(kernels=(OscillatingPolynomial(0.3), Constant(1.0)),
+                   u0=Profile("gaussian", -1.5, 1.0), u1=Profile("cosine_bump", 0.5, 0.6)),
+    "coupled": dict(kernels=(RiemannLiouville(0.5), Exponential(1.0)),
+                    v0=Profile("smoothed_indicator", -0.8, 0.8)),
+    "mgt": dict(kernels=(Exponential(0.5), Constant(1.0))),
+    "linear": dict(mode="coupled", linear=True, v0=Profile("gaussian", -0.5, 1.0)),
+}
+
+
+def _state_arrays(state):
+    yield state.fields
+    if state.memory is not None:
+        yield state.memory
+    yield from state.history
+    yield from (f for f in state.modes if f is not None)
+
+
+@pytest.mark.parametrize("run", sorted(LOCKSTEP_RUNS))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cone_step_bitwise_equals_full_grid_step(n, run):
+    # step runs each pass over the cells inside the light cone; the reference
+    # makes whole rows and clamps them afterwards, from the profiles as they
+    # come, so the fields, memory, history and modes must match byte for
+    # byte, the sign of every zero included, past the first block of the tail
+    cfg = _config(**{"mode": run, **LOCKSTEP_RUNS[run]}, params=ProblemParams(n, 2.0, 3.0),
+                  t_max=3.6, dr=0.04)
+    assert cfg.n_steps > solver.WINDOW + 2 * solver.BLOCK
+    state = initial_state(cfg)
+    ref = copy.deepcopy(state)
+    ref.fields = np.stack((cfg.u0(state.r), cfg.v0(state.r))[: len(state.fields)])
+    layouts = {h.shape[0] for h in state.history}
+    assert layouts == {"single": {cfg.n_steps}, "coupled": {solver.WINDOW + solver.BLOCK, 1},
+                       "mgt": {1}, "linear": set()}[run]
+    for _ in range(cfg.n_steps):
+        step(state, cfg)
+        full_grid_step(ref, cfg)
+        assert state.cut == ref.cut < state.r.size
+        for got, want in zip(_state_arrays(state), _state_arrays(ref), strict=True):
+            assert got.tobytes() == want.tobytes(), state.step
+    assert np.all(np.isfinite(state.fields)) and np.max(np.abs(state.fields)) > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cone_cut_never_reaches_the_dirichlet_cell(n):
+    # the stencil reads cell c, and the last cell M holds the boundary value,
+    # so c <= M at every step, on grids whose cone edge R + t_max falls on,
+    # below or above a grid point
+    for dr, t_max, radius in itertools.product((0.02, 0.025, 0.03, 1 / 30), (0.4, 0.45, 1.0),
+                                               (0.5, 0.7, 1.0)):
+        cfg = _config(params=ProblemParams(n, 2.0, 2.0), dr=dr, t_max=t_max, linear=True,
+                      u0=Profile("gaussian", 1.0, radius))
+        state = initial_state(cfg)
+        M = state.r.size - 1
+        assert state.cut <= M
+        for _ in range(cfg.n_steps):
+            step(state, cfg)
+            assert state.cut <= M
+        assert state.fields[0, M] == 0.0
+
+
+def test_trace_rows_do_not_depend_on_earlier_rows():
+    # a trace row reads its own step's state only: the rows of a run that
+    # records every third step are rows 0, 3, 6, ... of one that records
+    # every step, byte for byte
+    cfg = _config(**MEMORY_RUN)
+    every = run_simulation(cfg).trace.table()
+    third = run_simulation(dataclasses.replace(cfg, record_every=3)).trace.table()
+    assert len(third) == len(every[::3]) > 10
+    assert third.tobytes() == every[::3].tobytes()
+
+
 def _direct_update(cfg):
     """Oracle for the solver's memory update: every forced row stores its full
     history and convolves all of it over all cells with weights(m), as the
@@ -368,7 +447,7 @@ def _direct_update(cfg):
     weights = [HistoryWeights(g, cfg.dt) for g in cfg.kernels]
     history = np.zeros((2, cfg.n_steps, cfg.radii().size))
 
-    def update(state, config):
+    def update(state):
         m = state.step
         for i, (src, power) in enumerate(state.forcing):
             history[i, m] = np.abs(state.fields[src]) ** power
@@ -385,10 +464,10 @@ def _run_against_direct(monkeypatch, cfg):
     update, direct = solver._update_memory, _direct_update(cfg)
     got, want = [], []
 
-    def record(state, config):
-        update(state, config)
+    def record(state):
+        update(state)
         got.append(state.memory.copy())
-        direct(state, config)
+        direct(state)
         want.append(state.memory.copy())
         state.memory[...] = got[-1]
 
@@ -500,8 +579,8 @@ def test_memory_run_matches_direct_convolution(monkeypatch):
     for update in (solver._update_memory, _direct_update(cfg)):
         memory = []
 
-        def record(state, config, update=update, memory=memory):
-            update(state, config)
+        def record(state, update=update, memory=memory):
+            update(state)
             memory.append(state.memory.copy())
 
         monkeypatch.setattr(solver, "_update_memory", record)
@@ -517,8 +596,8 @@ def test_nonfinite_field_stops_the_run(monkeypatch):
     # run stops there, before it records them
     update = solver._update_memory
 
-    def poisoned(state, config):
-        update(state, config)
+    def poisoned(state):
+        update(state)
         if state.step == 5:
             state.memory[0, 0] = np.nan
 
