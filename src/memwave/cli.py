@@ -279,7 +279,12 @@ def validate_config(raw: dict, base: Path) -> tuple[dict, ValidationReport]:
         )
     # a SystemConfig reads every other section, so it is built only when they were
     if "simulation" in values and not report.errors:
-        system = partial(SystemConfig, params, resolved.get("kernels", ()), **profiles)
+        for name, present in (("kernels", "kernels" in resolved),
+                              ("initial.u0", "u0" in profiles), ("initial.u1", "u1" in profiles)):
+            if not present:
+                report.error(name, "missing, and simulation requires it")
+    if "simulation" in values and not report.errors:
+        system = partial(SystemConfig, params, resolved["kernels"], **profiles)
         resolved["system"] = _construct(system, values["simulation"], _SCHEMA["simulation"],
                                          "simulation", report)
     return resolved, report
@@ -624,7 +629,11 @@ def cmd_sequences(args, resolved, outdir: OutputDir) -> int:
     (recursion, closed_form), j_max = resolved["sequences"]
     params = resolved["params"]
     p, q, n = params.p, params.q, params.n
-    seq = recursion(p, q, n, j_max)
+    try:
+        seq = recursion(p, q, n, j_max)
+    except OverflowError as exc:  # the argument of a log coefficient left the float range
+        raise ConfigError(f"sequences.j_max: {j_max} takes the sequences past the float "
+                          f"range ({exc})") from exc
     js = range(1, j_max + 1)
     columns = (
         list(js),

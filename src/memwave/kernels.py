@@ -13,12 +13,12 @@ also states a sum-of-exponentials fit away from t = 0, built with NumPy
 only, for the power laws (RiemannLiouville, PolynomialShifted), which the
 solver uses for the old part of a long memory convolution; the factor of a
 one-term recursion of the convolution (Exponential, Constant,
-PolynomialShifted(0)); and its ``decay_class``, the large-time behaviour of
-g against the reference rate 1/t: kernels bounded below by c/t are Slow,
-kernels bounded above by c/t are Fast.  A tabulated kernel is classified
-once, from a log-log slope fit over its last decade of samples.  The
-non-increasing minorant of a Slow kernel, which no command runs, lives with
-the test references in ``tests/oracles.py``.
+PolynomialShifted(0), IteratedExponential(1, c)); and its ``decay_class``,
+the large-time behaviour of g against the reference rate 1/t: kernels
+bounded below by c/t are Slow, kernels bounded above by c/t are Fast.  A
+tabulated kernel is classified once, from a log-log slope fit over its last
+decade of samples.  The non-increasing minorant of a Slow kernel, which no
+command runs, lives with the test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -348,9 +348,10 @@ class Exponential(MemoryKernel):
 class IteratedExponential(MemoryKernel):
     """Very fast decay: log g(t) = -exp^(depth-1)(c t), depth in 1..4.
 
-    depth = 1 reduces to exp(-c t); each extra level composes another
-    exponential inside, so the decay is super-exponential.  Evaluation happens
-    in log-space and underflows to a positive floor instead of to zero.
+    depth = 1 reduces to exp(-c t), and takes its recursion; each extra level
+    composes another exponential inside, so the decay is super-exponential.
+    Evaluation happens in log-space and underflows to a positive floor
+    instead of to zero.
     """
 
     MAX_DEPTH = 4
@@ -379,6 +380,10 @@ class IteratedExponential(MemoryKernel):
 
     def _eval(self, t):
         return np.maximum(np.exp(np.maximum(self._log_g(t), -700.0)), _TINY)
+
+    def recursion_factor(self, dt):
+        # depth 1 is exp(-c t)
+        return math.exp(-self.c * dt) if self.depth == 1 else None
 
 
 class OscillatingPolynomial(MemoryKernel):

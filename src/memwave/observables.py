@@ -23,7 +23,7 @@ __all__ = [
     "BlowupVerdict",
     "phi_eigenfunction",
     "sphere_area",
-    "RadialGrid",
+    "trace_weights",
     "compute_functionals",
     "detect_blowup",
 ]
@@ -61,26 +61,20 @@ def phi_eigenfunction(n: int, r):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class RadialGrid:
-    """The quadrature weights every trace row of a run shares, since neither
-    n nor the grid r changes.  With w the sphere area times r^(n-1) times the
-    trapezoid node weight (half the spacings on either side of a node), the
-    trapezoid integral over R^n of a radial profile f is the sum of f * w.
-    ``weights`` holds w, w * Phi and w again, one row for each pair of
+def trace_weights(n: int, r) -> np.ndarray:
+    """The (3, M + 1) quadrature weights every trace row of a run shares,
+    since neither n nor the grid r changes.  With w the sphere area times
+    r^(n-1) times the trapezoid node weight (half the spacings on either side
+    of a node), the trapezoid integral over R^n of a radial profile f is the
+    sum of f * w.  The rows are w, w * Phi and w again, one for each pair of
     integrands in a trace row."""
-
-    weights: np.ndarray  # (3, M + 1)
-
-    @classmethod
-    def of(cls, n: int, r) -> RadialGrid:
-        r = np.asarray(r, dtype=float)
-        half = np.diff(r) / 2.0
-        node = np.zeros_like(r)
-        node[:-1] += half
-        node[1:] += half
-        w = sphere_area(n) * r ** (n - 1) * node
-        return cls(np.stack((w, w * phi_eigenfunction(n, r), w)))
+    r = np.asarray(r, dtype=float)
+    half = np.diff(r) / 2.0
+    node = np.zeros_like(r)
+    node[:-1] += half
+    node[1:] += half
+    w = sphere_area(n) * r ** (n - 1) * node
+    return np.stack((w, w * phi_eigenfunction(n, r), w))
 
 
 @dataclass
@@ -103,16 +97,16 @@ class FunctionalTrace:
         return self.table()[:, TRACE_COLUMNS.index(name)]
 
 
-def compute_functionals(state, config, grid: RadialGrid) -> tuple:
+def compute_functionals(state, config, weights: np.ndarray) -> tuple:
     """One trace row, in ``TRACE_COLUMNS`` order, from a solver state
     (duck-typed: fields, t, cut).
 
-    ``grid`` is ``RadialGrid.of(n, state.r)``; a run passes it once for all
-    its rows.  The fields are zero from ``state.cut`` on, so the row reads
-    the first cut cells only.  Its six integrals are the pairs (u, v),
-    (u, v) and (|v|^p, |u|^q), times the grid's weights, each summed along
-    the cells by NumPy's pairwise sum; U0 and V0 are e^-t times the second
-    pair's sums.
+    ``weights`` is ``trace_weights(n, state.r)``; a run builds it once for
+    all its rows.  The fields are zero from ``state.cut`` on, so the row
+    reads the first cut cells only.  Its six integrals are the pairs (u, v),
+    (u, v) and (|v|^p, |u|^q), times the rows of ``weights``, each summed
+    along the cells by NumPy's pairwise sum; U0 and V0 are e^-t times the
+    second pair's sums.
     """
     p, q = config.params.p, config.params.q
     c = state.cut
@@ -122,7 +116,7 @@ def compute_functionals(state, config, grid: RadialGrid) -> tuple:
     rows[:2] = fields
     rows[2, 0] = mag[-1] ** p
     rows[2, 1] = mag[0] ** q
-    rows *= grid.weights[:, None, :c]
+    rows *= weights[:, None, :c]
     (U, V), (U0, V0), (Lp_v, Lq_u) = rows.sum(axis=-1).tolist()
     peak = mag.max(axis=-1).tolist()
     psi = math.exp(-state.t)

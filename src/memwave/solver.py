@@ -13,9 +13,9 @@ memory update, the stencil, the leapfrog update and the peak check) runs over
 the c(t) cells inside it only.  Costs per step, for M + 1 cells:
 
 - a kernel with a recursion factor (``MemoryKernel.recursion_factor``:
-  exponential, constant or PolynomialShifted(0)) follows the exact one-term
-  recursion of its convolution, O(M) per step, and keeps one level of
-  history;
+  exponential, constant, PolynomialShifted(0) or IteratedExponential(1, c))
+  follows the exact one-term recursion of its convolution, O(M) per step,
+  and keeps one level of history;
 - a RiemannLiouville or PolynomialShifted kernel keeps its latest
   ``WINDOW`` to ``WINDOW + BLOCK - 1`` lags exact, over a window of
   WINDOW + BLOCK history levels, and folds everything older into K modes of
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -155,12 +156,19 @@ class SystemConfig:
                               f"({self.dt / 2:g}, {self.t_max:g}]", param="snapshot_times")
         if self.mode == "mgt" and not isinstance(self.kernels[0], Exponential):
             raise ConfigError("mgt mode requires an Exponential kernel", param="mode")
+        # every profile kind peaks at r = 0, so data at or above the threshold
+        # would stop the first step as a false blow-up
+        data = (self.u0, self.v0) if self.mode == "coupled" else (self.u0,)
+        start = max(abs(float(f(0.0))) for f in data)
+        if not self.maxnorm_threshold > start:
+            raise ConfigError(f"maxnorm_threshold must exceed the initial peak {start}",
+                              param="maxnorm_threshold")
 
-    @property
+    @cached_property
     def R(self) -> float:
         """The largest support radius of the nonzero initial profiles, 0 when
         every profile is zero: a zero profile widens neither the grid nor the
-        light cone."""
+        light cone.  Scanned once per config."""
         return max((p.radius for p in (self.u0, self.u1, self.v0, self.v1)
                     if p.kind != "zero" and p.amplitude != 0.0), default=0.0)
 
@@ -195,12 +203,13 @@ class HistoryWeights:
     are (l - 1) dt and l dt contributes X(l) to its left node and Y(l) to its
     right node, so with the lag weights L[0] = Y(1), L[l] = X(l) + Y(l + 1),
     ``weights(m)`` is [X(m), L[m - 1], ..., L[0]].  X and Y come from one
-    ``MemoryKernel.step_moments`` call over the step grid, for the row's
-    ``levels`` lags at first and for twice as many each time a call asks for
-    more, so a run of N steps builds its weights in O(N) and each call copies
-    m + 1 values.  A kernel with a recursion factor needs only X(1) and Y(1):
-    its convolution follows the exact one-term recursion in ``update``, O(M)
-    per step for M cells, with no stored history.
+    ``MemoryKernel.step_moments`` call over the step grid, made by the
+    constructor for the ``levels`` lags the row's layout uses, so a run of N
+    steps builds its weights in O(N) and each call copies m + 1 values; a
+    call beyond them (a test's, or ``verify``'s) tabulates twice as many.  A
+    kernel with a recursion factor needs only X(1) and Y(1): its convolution
+    follows the exact one-term recursion in ``update``, O(M) per step for M
+    cells, with no stored history.
 
     Given the run's ``n_steps``, a kernel with a sum-of-exponentials fit
     g(t) ≈ Σ_k w_k exp(-s_k (t - WINDOW dt)) on [WINDOW dt, n_steps dt]
@@ -230,6 +239,7 @@ class HistoryWeights:
             fit = kernel.exponential_sum(WINDOW * dt, n_steps * dt)
             if fit is not None:
                 self._tabulate_tail(*fit)
+        self._tabulate(self.levels)
 
     def _tabulate_tail(self, rates, weights) -> None:
         dt = self.dt
@@ -278,7 +288,6 @@ class HistoryWeights:
         by decay and adds X(1) and Y(1) times the last interval's samples."""
         if self.decay is not None:
             if m > 0:
-                self._tabulate(1)
                 memory[:c] = self.decay * memory[:c] + self._X[1] * history[0, :c] + self._Y[1] * f
             history[0, :c] = f
             return
@@ -317,13 +326,13 @@ class WaveState:
       ``modes[i]`` is None.
 
     The forcing, history and modes are empty and the memory None for linear
-    runs.  ``stencil`` is the Laplacian's buffer, made with the next level's
-    by the first step.
+    runs.
     """
 
     r: np.ndarray
     fields: np.ndarray
-    prev: np.ndarray | None  # the previous time level; None before the first step
+    prev: np.ndarray  # the previous level, zero at t = 0; a step writes the next one into it
+    stencil: np.ndarray  # the Laplacian's buffer
     velocity: np.ndarray
     t: float
     step: int
@@ -333,7 +342,6 @@ class WaveState:
     history: tuple
     modes: tuple
     memory: np.ndarray | None  # (len(forcing), M + 1)
-    stencil: np.ndarray | None = None
 
     @property
     def u(self) -> np.ndarray:
@@ -377,10 +385,10 @@ def _update_memory(state: WaveState) -> None:
 
 
 def initial_state(config: SystemConfig) -> WaveState:
-    """Initial fields, the forced rows' weights, each with its
-    sum-of-exponentials tail if it has one, and an empty forcing history at
-    t = 0, for any mode.  The one place that reads the mode: mgt runs the
-    single-mode layout."""
+    """Initial fields, the buffers of the next level and the stencil, the
+    forced rows' weights, each with its sum-of-exponentials tail if it has
+    one, and an empty forcing history at t = 0, for any mode.  The one place
+    that reads the mode: mgt runs the single-mode layout."""
     r = config.radii()
     p, q = config.params.p, config.params.q
     if config.mode == "coupled":
@@ -401,8 +409,8 @@ def initial_state(config: SystemConfig) -> WaveState:
     modes = tuple(None if w.rates is None else np.zeros((w.rates.size, r.size))
                   for w in weights)
     memory = np.zeros((len(forcing), r.size)) if forcing else None
-    return WaveState(r, fields, None, velocity, 0.0, 0, cut, forcing, weights, history, modes,
-                     memory)
+    return WaveState(r, fields, np.zeros_like(fields), np.empty_like(fields), velocity, 0.0, 0,
+                     cut, forcing, weights, history, modes, memory)
 
 
 def step(state: WaveState, config: SystemConfig) -> WaveState:
@@ -421,8 +429,6 @@ def step(state: WaveState, config: SystemConfig) -> WaveState:
     dt = config.dt
     if state.forcing:
         _update_memory(state)
-    if state.prev is None:
-        state.prev, state.stencil = np.zeros_like(state.fields), np.empty_like(state.fields)
     state.t += dt
     c = state.cut = _cone_cut(state.r, state.t, config)
     fields, new = state.fields[:, :c], state.prev[:, :c]
@@ -464,7 +470,7 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     """
     state = initial_state(config)
     trace = FunctionalTrace()
-    grid = observables.RadialGrid.of(config.params.n, state.r)
+    weights = observables.trace_weights(config.params.n, state.r)
     # the requested times by the step nearest each; one at t_max is the last
     # step, and two times may share a step
     snapshot_steps = {}
@@ -472,7 +478,7 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
         snapshot_steps.setdefault(min(round(ts / config.dt), config.n_steps), []).append(ts)
     snapshots = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        trace.rows.append(observables.compute_functionals(state, config, grid))
+        trace.rows.append(observables.compute_functionals(state, config, weights))
         for _ in range(config.n_steps):
             step(state, config)
             # one reduction serves both triggers: a NaN or inf propagates to the peak
@@ -481,7 +487,7 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
                 trace.stop_trigger = "nonfinite"
                 break
             if state.step % config.record_every == 0:
-                trace.rows.append(observables.compute_functionals(state, config, grid))
+                trace.rows.append(observables.compute_functionals(state, config, weights))
             if state.step in snapshot_steps:
                 taken = (state.t, state.fields.copy())
                 snapshots.update(dict.fromkeys(snapshot_steps[state.step], taken))

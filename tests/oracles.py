@@ -89,7 +89,7 @@ def trace_dt(trace: FunctionalTrace) -> float:
 
 def discrete_energy(state: WaveState, config: SystemConfig) -> float:
     """Time-staggered leapfrog energy of the u field (linear runs)."""
-    if state.prev is None:
+    if state.step == 0:
         raise DomainError("energy needs two time levels")
     u_prev = state.prev[0]
     dr, dt = config.dr, config.dt
@@ -125,7 +125,6 @@ def _full_grid_update(hw: HistoryWeights, memory, history, modes, f, m: int, c: 
     every cell; only the products with stored history are cut at c."""
     if hw.decay is not None:
         if m > 0:
-            hw._tabulate(1)
             memory[:] = hw.decay * memory + hw._X[1] * history[0] + hw._Y[1] * f
         history[0] = f
         return

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import functools
 import graphlib
 import importlib
 import inspect
@@ -529,6 +530,24 @@ def test_sequences_case2(tmp_path):
     assert header.startswith("j,theta")
 
 
+@pytest.mark.parametrize("case, p, q, j_max", [
+    ("case1", 2.0, 3.0, 263), ("case1", 2.0, 2.0, 340), ("case2", 2.0, 3.0, 396),
+    ("case2", 2.0, 2.0, 511),
+])
+def test_sequences_past_float_range_exits_2_before_output(tmp_path, capsys, case, p, q, j_max):
+    # the first j_max whose log coefficient takes the log of a product past
+    # the float range, for each case and (p, q) in n = 3
+    cfg = {"problem": {"n": 3, "p": p, "q": q}, "sequences": {"case": case, "j_max": j_max}}
+    out = tmp_path / "seq"
+    assert main(["sequences", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sequences.j_max: "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+    cfg["sequences"]["j_max"] = j_max - 1
+    assert main(["sequences", "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 0
+
+
 def test_verify_quadrature_rows_cover_every_family(tmp_path):
     out = tmp_path / "ver"
     assert main(["verify", "--out", str(out)]) == 0
@@ -816,6 +835,7 @@ MALFORMED = [
     ("simulate", {"simulation.linear": "no"}, "simulation.linear"),
     ("simulate", {"simulation.record_every": 0}, "simulation.record_every"),
     ("simulate", {"simulation.t_max": 0.015}, "simulation.t_max"),  # below dt = 0.018
+    ("simulate", {"simulation.maxnorm_threshold": 0.0}, "simulation.maxnorm_threshold"),
     ("simulate", {"problem.n": "abc"}, "problem.n"),
     ("simulate", {"problem.n": 4}, "simulation"),
     ("simulate", {"initial.u0.amplitude": "abc"}, "initial.u0.amplitude"),
@@ -890,6 +910,21 @@ def test_missing_section_exits_2_at_its_path(tmp_path, capsys, command, section)
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {section}: missing, and {command} requires it\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("section", ["kernels", "initial.u0", "initial.u1"])
+def test_simulation_without_its_inputs_exits_2_at_the_missing_path(tmp_path, capsys, command,
+                                                                    section):
+    # a simulation section needs the kernels and both u profiles, and every
+    # command resolves it; the fault is the missing input's, not the section's
+    cfg = _with(_RUNNABLE, {})
+    *parents, key = section.split(".")
+    del functools.reduce(dict.__getitem__, parents, cfg)[key]
+    out = tmp_path / "out"
+    assert main([command, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {section}: missing, and simulation requires it\n"
     assert not out.exists()
 
 

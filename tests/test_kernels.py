@@ -212,11 +212,13 @@ def test_custom_too_few_samples():
     (RiemannLiouville(0.5), None),
     (PolynomialShifted(1.5), None),
     (PolynomialShifted(0.0), 1.0),
-    (IteratedExponential(1, 0.5), None),
+    (IteratedExponential(1, 0.5), math.exp(-0.01 * 0.5)),
+    (IteratedExponential(2, 0.5), None),
     (OscillatingPolynomial(0.3), None),
     (Custom(*_power_law_samples(-0.5)), None),
 ], ids=["Exponential", "Constant", "RiemannLiouville", "PolynomialShifted",
-        "PolynomialShifted-gamma0", "IteratedExponential", "OscillatingPolynomial", "Custom"])
+        "PolynomialShifted-gamma0", "IteratedExponential", "IteratedExponential-depth2",
+        "OscillatingPolynomial", "Custom"])
 def test_recursion_factor(kernel, factor):
     assert kernel.recursion_factor(0.01) == factor
     if factor is not None:  # g(t + dt) = factor * g(t)

@@ -13,11 +13,11 @@ from memwave.kernels import Constant, Exponential, RiemannLiouville
 from memwave.observables import (
     TRACE_COLUMNS,
     FunctionalTrace,
-    RadialGrid,
     compute_functionals,
     detect_blowup,
     phi_eigenfunction,
     sphere_area,
+    trace_weights,
 )
 from memwave.solver import Profile, SystemConfig, run_simulation
 from oracles import (_cumulative_trapezoid, check_iteration_frame, check_u0_lower_bound,
@@ -84,7 +84,7 @@ def test_phi_rejects_unsupported_dimension():
 
 def test_radial_integral_ball_volume():
     r = np.linspace(0.0, 1.0, 4001)
-    vol = RadialGrid.of(3, r).weights[0].sum()
+    vol = trace_weights(3, r)[0].sum()
     assert vol == pytest.approx(4.0 * math.pi / 3.0, rel=1e-6)
     assert radial_integral(3, r, np.ones_like(r)) == pytest.approx(vol, rel=1e-14)
 
@@ -99,7 +99,7 @@ def test_compute_functionals_zero_state():
                           v0=Profile("zero"), v1=Profile("zero"))
     r = cfg.radii()
     S = _state(r, np.zeros_like(r), np.zeros_like(r), 0.3)
-    row = compute_functionals(S, cfg, RadialGrid.of(1, S.r))
+    row = compute_functionals(S, cfg, trace_weights(1, S.r))
     assert row == (0.3,) + (0.0,) * 8
 
 
@@ -107,7 +107,7 @@ def test_u0_at_time_zero_is_phi_weighted_data():
     cfg = _coupled_config()
     r = cfg.radii()
     S = _state(r, cfg.u0(r), cfg.v0(r), 0.0)
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, RadialGrid.of(1, S.r))))
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, trace_weights(1, S.r))))
     i0, _ = initial_weighted_integrals(cfg)
     assert row["U0"] == pytest.approx(i0, rel=1e-12)
 
@@ -118,7 +118,7 @@ def test_psi_factorization():
     r = cfg.radii()
     S = _state(r, cfg.u0(r), cfg.v0(r), 0.8)
     u = S.fields[0]
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, RadialGrid.of(1, S.r))))
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, trace_weights(1, S.r))))
     phi_weighted = radial_integral(1, S.r, u * phi_eigenfunction(1, S.r))
     assert row["U0"] == pytest.approx(math.exp(-0.8) * phi_weighted, rel=1e-12)
 
@@ -140,7 +140,7 @@ def test_functionals_bitwise_equal_numpy_trapezoid(n):
         psi = math.exp(-state.t) * phi_eigenfunction(n, r)
         integrands = {"U": u, "V": v, "U0": u * psi, "V0": v * psi,
                       "Lp_v": np.abs(v) ** p, "Lq_u": np.abs(u) ** q}
-        row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config, RadialGrid.of(n, r))))
+        row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config, trace_weights(n, r))))
         for name, f in integrands.items():
             want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
             assert radial_integral(n, r, f) == want, name

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -206,6 +207,24 @@ def test_exponential_recursion_matches_weights(kernel):
     for m in range(samples.size):
         hw.update(memory, history, None, samples[m : m + 1], m, 1)
         assert memory[0] == pytest.approx(hw.weights(m) @ samples[: m + 1], rel=1e-10)
+
+
+@pytest.mark.parametrize("c", [2.0, 0.3])
+def test_iterated_exponential_depth_one_takes_the_exponential_recursion(c):
+    # IteratedExponential(1, c) is exp(-c t): past the mode tail's WINDOW +
+    # BLOCK steps its row still keeps one level, and its memory follows an
+    # Exponential(1 / c) row's
+    dt, n_steps, cells = 0.01, 200, 5
+    assert n_steps > solver.WINDOW + solver.BLOCK
+    rows = [HistoryWeights(g, dt, n_steps) for g in (IteratedExponential(1, c), Exponential(1 / c))]
+    assert [hw.levels for hw in rows] == [1, 1]
+    samples = 1.0 + np.outer(np.sin(3.0 * dt * np.arange(n_steps)), np.linspace(0.0, 1.0, cells))
+    memory, history = np.zeros((2, cells)), np.zeros((2, 1, cells))
+    for m in range(n_steps):
+        for hw, mem, hist in zip(rows, memory, history):
+            hw.update(mem, hist, None, samples[m], m, cells)
+        np.testing.assert_allclose(memory[0], memory[1], rtol=1e-13, atol=0.0)
+    assert np.min(memory) > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +522,39 @@ def test_initial_state_history_layouts():
     short = _config(**MEMORY_RUN)
     state = initial_state(short)
     assert state.modes == (None, None) and state.history[0].shape[0] == short.n_steps
+
+
+def test_initial_state_makes_the_buffers_a_run_alternates():
+    # the next level is written into the previous level's buffer, so the two
+    # arrays initial_state makes trade places at every step, and the stencil
+    # keeps its own
+    cfg = _config(**MEMORY_RUN)
+    state = initial_state(cfg)
+    first, second, stencil = state.fields, state.prev, state.stencil
+    assert first.shape == second.shape == stencil.shape
+    assert second.tobytes() == np.zeros_like(first).tobytes()
+    for k in range(1, cfg.n_steps + 1):
+        step(state, cfg)
+        now, before = (second, first) if k % 2 else (first, second)
+        assert state.fields is now and state.prev is before and state.stencil is stencil
+
+
+def test_rows_tabulate_their_lags_at_construction(monkeypatch):
+    # each row's table covers the lags its layout uses once it is built, so
+    # the steps of a run integrate no kernel moments
+    long_run = {**MEMORY_RUN, "t_max": 2.0, "mode": "single"}
+    for kernel in (Constant(0.7), Exponential(1.0), IteratedExponential(1, 2.0),
+                   RiemannLiouville(0.5), OscillatingPolynomial(0.3)):
+        cfg = _config(**{**long_run, "kernels": (kernel, kernel)})
+        state = initial_state(cfg)
+        (hw,) = state.weights
+        assert hw._X.size - 1 >= hw.levels == state.history[0].shape[0], kernel
+        calls = []
+        moments = kernel.step_moments
+        monkeypatch.setattr(kernel, "step_moments", lambda *a: calls.append(a) or moments(*a))
+        for _ in range(cfg.n_steps):
+            step(state, cfg)
+        assert calls == [], kernel
 
 
 @pytest.mark.parametrize("kernel", [RiemannLiouville(0.5), RiemannLiouville(0.05),
@@ -896,11 +948,35 @@ def test_config_rejects_bad_mode():
     (dict(t_max=0.5, snapshot_times=(0.9,)), "snapshot_times"),
     (dict(snapshot_times=(0.0,)), "snapshot_times"),
     (dict(params=ProblemParams(2, 2.0, 2.0), cfl=0.91), "cfl"),
-], ids=["record_every_0", "n_4", "snapshot_after_t_max", "snapshot_at_0", "cfl_above_n2_bound"])
+    # data already at the threshold would stop the first step as a blow-up
+    (dict(maxnorm_threshold=0.0), "maxnorm_threshold"),
+    (dict(maxnorm_threshold=float(Profile("gaussian", 1.0, 1.0)(0.0))), "maxnorm_threshold"),
+    (dict(mode="coupled", v0=Profile("cosine_bump", -3.0, 1.0), maxnorm_threshold=2.0),
+     "maxnorm_threshold"),
+], ids=["record_every_0", "n_4", "snapshot_after_t_max", "snapshot_at_0", "cfl_above_n2_bound",
+        "threshold_0", "threshold_at_u0_peak", "threshold_below_v0_peak"])
 def test_config_rejects_value_the_solver_cannot_run(kw, param):
     with pytest.raises(ConfigError) as exc:
         _config(**kw)
     assert exc.value.param == param
+
+
+def test_cone_radius_is_scanned_once_per_run(monkeypatch):
+    # the light cone reads R at every step; the scan of the profiles behind
+    # it runs once per config, however many steps the run takes
+    scan, scans = SystemConfig.R.func, []
+
+    def counted(config):
+        scans.append(config.t_max)
+        return scan(config)
+
+    radius = functools.cached_property(counted)
+    radius.__set_name__(SystemConfig, "R")
+    monkeypatch.setattr(SystemConfig, "R", radius)
+    for t_max in (0.4, 1.6):
+        cfg = _config(**{**MEMORY_RUN, "t_max": t_max})
+        assert len(run_simulation(cfg).trace) == cfg.n_steps + 1
+    assert scans == [0.4, 1.6]
 
 
 def test_config_grid_covers_light_cone():
