@@ -2,11 +2,11 @@
 
 Everything here is pure post-processing over recorded traces or states: the
 space averages U, V, their test-function-weighted variants U0, V0, the
-spatial norms of the nonlinearities, and the blow-up verdict with a
-heuristic blow-up-time extrapolation.  The checks that no command runs (the
-U'' identity that ties U'' to the memory convolution of the spatial p-norm,
-and the lower bounds on U0 and U) live with the test references in
-``tests/oracles.py``.
+spatial norms of the nonlinearities, and the blow-up verdict with a blow-up
+time fitted at the rate the equation's scaling exponents fix.  The checks
+that no command runs (the U'' identity that ties U'' to the memory
+convolution of the spatial p-norm, and the lower bounds on U0 and U) live
+with the test references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -150,20 +150,27 @@ def _growing(trace: FunctionalTrace) -> bool:
     return last.shape[1] == 4 and bool(np.all(np.diff(last) >= 0.0))
 
 
-def detect_blowup(
-    trace: FunctionalTrace,
-    config,
-    rate_exponent: float | None = None,
-    growth_decades: float = 1.0,
-) -> BlowupVerdict:
-    """Blow-up verdict plus a heuristic blow-up-time extrapolation.
+def _blowup_rate(config) -> float:
+    """The a in maxnorm_u ~ (T - t)^-a near the blow-up time T.  There only
+    short lags matter, where each kernel g_i acts as s^-σi (σi its
+    singularity order); balancing u'' with g1 ∗ |v|^p and v'' with g2 ∗ |u|^q
+    for v ~ (T - t)^-b gives a + 3 - σ1 = p b and b + 3 - σ2 = q a.  In single
+    and mgt mode v is u."""
+    p, q = config.params.p, config.params.q
+    s1, s2 = (g.singularity_order for g in config.kernels)
+    if config.mode == "coupled":
+        return (p * (3.0 - s2) + 3.0 - s1) / (p * q - 1.0)
+    return (3.0 - s1) / (p - 1.0)
 
-    The estimate fits maxnorm^-rate_exponent against t over the last decades
-    of growth and extrapolates to zero; it is reported only when the fit is
-    clean (R^2 > 0.99) and labeled heuristic.  The default exponent p-1 is
-    the first-order power-ODE heuristic; memory forcing steepens the rate
-    (for g constant the matching exponent is (p-1)/3), so the exponent is a
-    parameter rather than a constant.
+
+def detect_blowup(trace: FunctionalTrace, config) -> BlowupVerdict:
+    """Blow-up verdict plus a blow-up-time extrapolation.
+
+    With a = ``_blowup_rate(config)``, maxnorm_u^(-1/a) falls linearly to 0
+    at T.  The estimate fits that line against t over the last decade of
+    growth (the last four rows if fewer lie in it) and extrapolates it to 0;
+    it is reported only when the fit is clean (R^2 > 0.99), so a run that
+    does not resolve its growth reports none.
 
     A ``nonfinite`` stop is blow-up only if the run was growing when its
     fields overflowed (``_growing``); otherwise the run failed.
@@ -173,20 +180,14 @@ def detect_blowup(
     verdict = BlowupVerdict(blew_up, trace.t_stop, trace.stop_trigger)
     if not blew_up:
         return verdict
-    if rate_exponent is None:
-        rate_exponent = config.params.p - 1.0
-    t = trace.column("t")
-    m = trace.column("maxnorm_u")
+    t, m = trace.column("t"), trace.column("maxnorm_u")
     finite = np.isfinite(m) & (m > 0.0)
     t, m = t[finite], m[finite]
     if len(t) < 8:
         return verdict
-    window = m >= np.max(m) / 10.0**growth_decades
-    if window.sum() < 4:
-        window = np.zeros_like(window)
-        window[-4:] = True
-    tw, mw = t[window], m[window]
-    y = mw ** (-rate_exponent)
+    window = m >= np.max(m) / 10.0
+    tw, mw = (t[window], m[window]) if window.sum() >= 4 else (t[-4:], m[-4:])
+    y = mw ** (-1.0 / _blowup_rate(config))
     A = np.vstack([tw, np.ones_like(tw)]).T
     coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
     slope, intercept = coef
@@ -201,9 +202,7 @@ def detect_blowup(
         return verdict
     T = -intercept / slope
     # delta-method CI from the regression covariance
-    dof = max(len(tw) - 2, 1)
-    sigma2 = ss_res / dof
-    cov = sigma2 * np.linalg.inv(A.T @ A)
+    cov = ss_res / max(len(tw) - 2, 1) * np.linalg.inv(A.T @ A)
     grad = np.array([intercept / slope**2, -1.0 / slope])
     sT = math.sqrt(max(float(grad @ cov @ grad), 0.0))
     verdict.T_estimate = float(T)

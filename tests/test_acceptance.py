@@ -311,9 +311,7 @@ def test_criterion_11_blowup_demonstration():
                            u0=Profile("cosine_bump", 10.0, 1.0), u1=Profile("zero"),
                            t_max=20.0, dr=dr, mode="single")
         res = run_simulation(cfg)
-        verdict = observables.detect_blowup(
-            res.trace, cfg, rate_exponent=(params.p - 1.0) / 3.0, growth_decades=2.0
-        )
+        verdict = observables.detect_blowup(res.trace, cfg)
         ok &= verdict.blew_up and verdict.t_stop < 20.0
         ok &= verdict.T_estimate is not None
         estimates.append(verdict.T_estimate)

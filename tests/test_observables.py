@@ -1,5 +1,6 @@
 """Functionals, identity checks, lower bounds, and blow-up detection."""
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -9,10 +10,11 @@ from scipy import integrate
 
 from memwave.errors import InsufficientDataError, UnsupportedError
 from memwave.exponents import ProblemParams
-from memwave.kernels import Constant, Exponential, RiemannLiouville
+from memwave.kernels import Constant, Exponential, PolynomialShifted, RiemannLiouville
 from memwave.observables import (
     TRACE_COLUMNS,
     FunctionalTrace,
+    _blowup_rate,
     compute_functionals,
     detect_blowup,
     phi_eigenfunction,
@@ -231,8 +233,7 @@ def test_detect_blowup_single_constant_kernel():
         mode="single",
     )
     res = run_simulation(cfg)
-    verdict = detect_blowup(res.trace, cfg, rate_exponent=(PARAMS.p - 1.0) / 3.0,
-                            growth_decades=2.0)
+    verdict = detect_blowup(res.trace, cfg)
     assert verdict.blew_up
     assert verdict.trigger == "maxnorm"
     assert verdict.t_stop < 20.0
@@ -259,19 +260,99 @@ def test_overflow_before_threshold_stops_without_warning():
     assert verdict.t_stop == pytest.approx(3.006, abs=0.01)
 
 
-@pytest.mark.parametrize("maxnorm, decades, T_estimate, fit_r2", [
-    ([1, 2, np.nan, np.inf, 0.0, 4, 8, 16, 32, 64], 1.0, None, None),
-    ([1, 2, np.nan, np.inf, 3.0, 4, 8, 16, 32, 64], 1.0, None, 0.92),
-    # only the peak is within 0.1 decades of it: fit the last four, 1/maxnorm = 9.5 - t
-    ([0.1] * 6 + [1 / 3.5, 1 / 2.5, 1 / 1.5, 2.0], 0.1, 9.5, 1.0),
-    (list(range(10, 0, -1)), 1.0, None, None),
+# single mode with p = 4 and a bounded kernel: maxnorm^(-1/a) is 1/maxnorm
+_RATE_ONE = SimpleNamespace(params=ProblemParams(1, 4.0, 2.0),
+                            kernels=(Constant(1.0), Constant(1.0)), mode="single")
+
+
+@pytest.mark.parametrize("maxnorm, T_estimate, fit_r2", [
+    ([1, 2, np.nan, np.inf, 0.0, 4, 8, 16, 32, 64], None, None),
+    ([1, 2, np.nan, np.inf, 3.0, 4, 8, 16, 32, 64], None, 0.92),
+    # only the peak is within a decade of it: fit the last four, 1/maxnorm = 9.05 - t
+    ([0.1] * 6 + [1 / 3.05, 1 / 2.05, 1 / 1.05, 20.0], 9.05, 1.0),
+    (list(range(10, 0, -1)), None, None),
 ], ids=["seven-finite-samples", "eight-samples-poor-fit", "last-four-window", "falling-maxnorm"])
-def test_detect_blowup_fit_exits(maxnorm, decades, T_estimate, fit_r2):
+def test_detect_blowup_fit_exits(maxnorm, T_estimate, fit_r2):
     rows = [(float(k), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(m), 0.0) for k, m in enumerate(maxnorm)]
     trace = FunctionalTrace(rows, stop_trigger="maxnorm", t_stop=9.0)
-    verdict = detect_blowup(trace, SimpleNamespace(params=PARAMS), growth_decades=decades)
+    verdict = detect_blowup(trace, _RATE_ONE)
     for got, want in ((verdict.T_estimate, T_estimate), (verdict.fit_r2, fit_r2)):
         assert got == (None if want is None else pytest.approx(want, rel=1e-12))
+
+
+# a is the rate u ~ (T - t)^-a that the scaling exponents of the kernels'
+# singularity orders fix
+@pytest.mark.parametrize("p, q, kernels, mode, a", [
+    (2.0, 2.0, (Constant(1.0), Constant(1.0)), "single", 3.0),
+    (2.0, 2.0, (RiemannLiouville(0.5), Exponential(1.0)), "coupled", 17.0 / 6.0),
+    (3.0, 2.0, (Exponential(1.0), Exponential(1.0)), "single", 1.5),
+    (2.0, 3.0, (RiemannLiouville(0.5), Exponential(1.0)), "coupled", 1.7),
+    (2.0, 2.0, (PolynomialShifted(0.7), RiemannLiouville(0.3)), "coupled", 2.8),
+    (2.0, 2.0, (RiemannLiouville(0.5), Exponential(1.0)), "single", 2.5),
+    (2.0, 2.0, (Exponential(1.0), Exponential(1.0)), "mgt", 3.0),
+], ids=["single-constant", "coupled-rl-exp", "single-exp-p3", "coupled-rl-exp-q3",
+        "coupled-shifted-rl", "single-rl", "mgt"])
+def test_detect_blowup_recovers_closed_form_time(p, q, kernels, mode, a):
+    config = SimpleNamespace(params=ProblemParams(1, p, q), kernels=kernels, mode=mode)
+    assert _blowup_rate(config) == pytest.approx(a, rel=1e-14)
+    # maxnorm_u = (5 - t)^-a: maxnorm_u^(-1/a) is linear in t and vanishes at 5
+    rows = [(t, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, (5.0 - t) ** -a, 0.0)
+            for t in np.linspace(0.0, 4.9, 200).tolist()]
+    verdict = detect_blowup(FunctionalTrace(rows, stop_trigger="maxnorm", t_stop=4.9), config)
+    assert verdict.T_estimate == pytest.approx(5.0, abs=1e-12)
+    assert verdict.ci_low <= verdict.T_estimate <= verdict.ci_high
+
+
+@functools.cache
+def _blowup_workload(record_every):
+    """The coupled blow-up run of the benchmark's simulate-blowup workload,
+    with snapshots as it steepens; snapshots leave the trace as it is."""
+    cfg = _coupled_config(u0=Profile("gaussian", 10.0, 1.0), v0=Profile("zero"), t_max=6.0,
+                          dr=0.0025, record_every=record_every,
+                          snapshot_times=(3.0, 4.0, 4.18))
+    return cfg, run_simulation(cfg)
+
+
+def test_blowup_peaks_sit_at_the_origin():
+    # the rate model's premise: once the run steepens, |u| and |v| peak at r = 0
+    _, res = _blowup_workload(1)
+    assert sorted(res.snapshots) == [3.0, 4.0, 4.18]
+    for _, fields in res.snapshots.values():
+        assert np.argmax(np.abs(fields), axis=1).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+def test_blowup_time_of_the_coupled_run(record_every):
+    cfg, res = _blowup_workload(record_every)
+    verdict = detect_blowup(res.trace, cfg)
+    assert (verdict.blew_up, verdict.trigger) == (True, "maxnorm")
+    assert verdict.T_estimate == pytest.approx(4.21393, abs=1e-4)
+    assert verdict.ci_low <= verdict.T_estimate <= verdict.ci_high
+
+
+@pytest.mark.parametrize("n, p, q, kernels, mode, amplitude, dr, t_max, T", [
+    (1, 2.0, 2.0, (RiemannLiouville(0.5), Exponential(1.0)), "single", 10.0, 0.005, 10.0,
+     2.702201),
+    (1, 2.0, 2.0, (Exponential(1.0), Exponential(1.0)), "mgt", 10.0, 0.005, 10.0, 4.254556),
+    (1, 2.0, 2.0, (PolynomialShifted(0.7), RiemannLiouville(0.3)), "coupled", 10.0, 0.005, 10.0,
+     3.910727),
+    (1, 2.0, 3.0, (RiemannLiouville(0.5), Exponential(1.0)), "coupled", 10.0, 0.005, 10.0,
+     1.973970),
+    (3, 2.0, 2.0, (Exponential(1.0), Exponential(1.0)), "coupled", 8.0, 0.05, 150.0, 110.0977),
+    # p = 3 steepens faster than the run resolves: the fit misses the R^2 gate
+    (1, 3.0, 2.0, (Exponential(1.0), Exponential(1.0)), "single", 10.0, 0.005, 10.0, None),
+], ids=["single-rl", "mgt", "coupled-shifted-rl", "coupled-rl-exp-q3", "n3-exp", "single-exp-p3"])
+def test_blowup_time_of_gaussian_runs(n, p, q, kernels, mode, amplitude, dr, t_max, T):
+    cfg = SystemConfig(params=ProblemParams(n, p, q), kernels=kernels,
+                       u0=Profile("gaussian", amplitude, 1.0), u1=Profile("zero"),
+                       t_max=t_max, dr=dr, mode=mode)
+    verdict = detect_blowup(run_simulation(cfg).trace, cfg)
+    assert (verdict.blew_up, verdict.trigger) == (True, "maxnorm")
+    if T is None:
+        assert verdict.T_estimate is None and verdict.fit_r2 < 0.99
+    else:
+        assert verdict.T_estimate == pytest.approx(T, rel=1e-6)
+        assert verdict.ci_low <= verdict.T_estimate <= verdict.ci_high
 
 
 _RISE = [1.0, 2.0, 4.0, 8.0, 16.0]
