@@ -663,7 +663,7 @@ def _verify_checks():
                          (OscillatingPolynomial(0.0), 3.0 + 2.0 * (1.0 - math.cos(1.0))),
                          (IteratedExponential(1, 1.0), -math.expm1(-1.0)),
                          (Custom(root, root**-0.5), 2.0)):
-        got = float(HistoryWeights(kernel, 0.01).weights(100).sum())
+        got = float(HistoryWeights(kernel, 0.01, 100).weights(100).sum())
         name = type(kernel).__name__.lower()
         yield f"quadrature_{name}", abs(got - want) < 1e-10, f"error {abs(got - want):.3e}"
     ok = True

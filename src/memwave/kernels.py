@@ -155,20 +155,20 @@ class MemoryKernel:
         m0, m1 = _piece_moments(self._eval, cuts, self.leading_power)
         return math.fsum(m0), math.fsum(m1 + cuts[:-1] * m0)
 
-    def step_moments(self, dt: float, first: int, last: int):
+    def step_moments(self, dt: float, steps: int):
         """∫ g(s) ds / dt and ∫ (s - lo) g(s) ds / dt^2 over each step
-        [lo, hi] = [(l - 1) dt, l dt], l = first..last, cut off at
+        [lo, hi] = [(l - 1) dt, l dt], l = 1..steps, cut off at
         ``support_end``, past which both are zero.  The steps are
         integrated in units of dt, so that each is exactly one unit wide, by
         ``_piece_moments`` on the pieces that the breakpoints and the
         multiples of ``panel_width`` cut them into.  A step's moments do not
         depend on the other steps."""
-        grid = np.arange(first - 1, last + 1, dtype=float)
-        end = min(last, self.support_end / dt)
+        grid = np.arange(steps + 1, dtype=float)
+        end = min(steps, self.support_end / dt)
         ratio = self.panel_width / dt
         inner = np.concatenate((ratio * np.arange(1, math.ceil(end / ratio)),
                                 np.divide(self.breakpoints, dt)))
-        cuts = np.union1d(np.minimum(grid, end), inner[(inner > grid[0]) & (inner < end)])
+        cuts = np.union1d(np.minimum(grid, end), inner[(inner > 0.0) & (inner < end)])
         m0, m1 = _piece_moments(lambda u: self._eval(dt * u), cuts, self.leading_power)
         owner = np.searchsorted(grid, cuts[:-1], side="right") - 1
         return (np.bincount(owner, weights=m0, minlength=grid.size - 1),
@@ -424,10 +424,10 @@ class Constant(MemoryKernel):
 class Custom(MemoryKernel):
     """Tabulated kernel with log-linear (power-law) interpolation.
 
-    Samples must have strictly increasing positive times and positive values.
-    Outside the tabulated range the first/last segment's power law is
-    extended.  The interpolant is v_i (s / t_i)^a_i on each segment; the
-    sample times are breakpoints of the rule.
+    Samples must be finite, with strictly increasing positive times and
+    positive values.  Outside the tabulated range the first/last segment's
+    power law is extended.  The interpolant is v_i (s / t_i)^a_i on each
+    segment; the sample times are breakpoints of the rule.
     """
 
     def __init__(self, times, values):
@@ -437,6 +437,9 @@ class Custom(MemoryKernel):
             raise ConfigError("times and values must be 1-d arrays of equal length")
         if len(times) < 2:
             raise ConfigError("need at least two samples")
+        # a NaN passes every comparison below; an inf leaves no finite segment
+        if not (np.all(np.isfinite(times)) and np.all(np.isfinite(values))):
+            raise ConfigError("sample times and values must be finite")
         if np.any(times <= 0.0) or np.any(np.diff(times) <= 0.0):
             raise ConfigError("sample times must be positive and strictly increasing")
         if np.any(values <= 0.0):

@@ -247,8 +247,8 @@ def picard_iterate(config: SystemConfig, T_small: float, iterations: int, dx: fl
         [[dalembert_reference(v0, v1, None, t, x, resolution=dx) for x in xs] for t in ts]
     )
 
-    w1 = HistoryWeights(g1, dt)
-    w2 = HistoryWeights(g2, dt)
+    w1 = HistoryWeights(g1, dt, nt)
+    w2 = HistoryWeights(g2, dt, nt)
 
     def apply_operator(u, v):
         mem_u = convolve(w1, np.abs(v) ** p)
@@ -283,7 +283,7 @@ def conv_derivative_identity(kernel: Exponential, samples, t_grid) -> float:
     if t_grid.size != samples.size or t_grid.size < 3:
         raise ValueError("need matching grids with at least three points")
     dt = t_grid[1] - t_grid[0]
-    F = convolve(HistoryWeights(kernel, dt), samples)
+    F = convolve(HistoryWeights(kernel, dt, samples.size - 1), samples)
     Fp = np.gradient(F, dt, edge_order=2)
     resid = Fp - samples + F / kernel.beta
     return float(np.max(np.abs(resid[1:-1])))
@@ -349,7 +349,7 @@ def check_u_doubleprime_identity(trace: FunctionalTrace, kernel: MemoryKernel, p
     U = trace.column("U")
     lp = trace.column("Lp_v")
     upp = (U[2:] - 2.0 * U[1:-1] + U[:-2]) / dt**2
-    rhs = convolve(HistoryWeights(kernel, dt), lp[:-1])[1:]
+    rhs = convolve(HistoryWeights(kernel, dt, lp.size - 2), lp[:-1])[1:]
     k = len(upp)
     lo, hi = int(0.1 * k), int(math.ceil(0.9 * k))
     resid = np.abs(upp[lo:hi] - rhs[lo:hi])
@@ -392,7 +392,7 @@ def check_iteration_frame(trace: FunctionalTrace, config) -> tuple[bool, float]:
     V = np.maximum(trace.column("V"), 0.0)
     c0 = (sphere_area(n) / n) ** (-(p - 1.0))
     samples = (R + t) ** (-n * (p - 1.0)) * V**p
-    inner = convolve(HistoryWeights(config.kernels[0], dt), samples)
+    inner = convolve(HistoryWeights(config.kernels[0], dt, samples.size - 1), samples)
     once = _cumulative_trapezoid(inner, t)
     twice = _cumulative_trapezoid(once, t)
     rhs = c0 * twice

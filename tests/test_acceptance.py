@@ -131,15 +131,15 @@ def test_criterion_04_quadrature_oracles():
         mw.IteratedExponential(1, 1.0), mw.OscillatingPolynomial(0.5),
     ]
     for kernel in families:
-        hw = HistoryWeights(kernel, 0.01)
+        hw = HistoryWeights(kernel, 0.01, 100)
         for m in (10, 100):
             got = hw.weights(m) @ np.ones(m + 1)
             want = oracles.closed_form_antiderivative(kernel, m * 0.01)
             ok &= abs(got - want) <= 1e-10 * max(1.0, abs(want))
-    hw = HistoryWeights(mw.RiemannLiouville(0.5), 1.0 / 256.0)
+    hw = HistoryWeights(mw.RiemannLiouville(0.5), 1.0 / 256.0, 256)
     got = hw.weights(256) @ np.ones(257)
     ok &= abs(got - 1.0 / (0.5 * math.gamma(0.5))) < 1e-8
-    hw = HistoryWeights(mw.Exponential(2.0), 1.0 / 256.0)
+    hw = HistoryWeights(mw.Exponential(2.0), 1.0 / 256.0, 256)
     got = hw.weights(256) @ np.ones(257)
     ok &= abs(got - 2.0 * (1.0 - math.exp(-0.5))) < 1e-8
     _report(4, "quadrature oracles", ok)

@@ -793,6 +793,25 @@ def test_classify_short_custom_table_exits_2_before_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "classify"])
+@pytest.mark.parametrize("row, column, text", [(2, 1, "nan"), (-1, 0, "inf")],
+                         ids=["nan-value", "inf-time"])
+def test_non_finite_custom_sample_exits_2_at_its_path(tmp_path, capsys, command, row, column,
+                                                      text):
+    # a NaN value ran to a numerical failure (exit 3) and classified as a
+    # decay class; an inf time stopped classify with an SVD error
+    rows = [row.split(",") for row in _power_law_table(100.0, 40).splitlines()]
+    rows[row][column] = text
+    cfg = _custom_table_config(tmp_path, "".join(",".join(row) + "\n" for row in rows),
+                               {"family": "exponential", "beta": 1.0})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(_write(tmp_path, cfg)), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: kernels.g1.samples: "), err
+    assert "finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("g2", [{"family": "riemann_liouville", "gamma": 0.5},
                                 {"family": "exponential", "beta": 1.0}],
                          ids=["slow-slow", "slow-fast"])
@@ -836,6 +855,13 @@ MALFORMED = [
     ("simulate", {"simulation.record_every": 0}, "simulation.record_every"),
     ("simulate", {"simulation.t_max": 0.015}, "simulation.t_max"),  # below dt = 0.018
     ("simulate", {"simulation.maxnorm_threshold": 0.0}, "simulation.maxnorm_threshold"),
+    # a whole history, n_steps by n_cells + 1 doubles, that NumPy cannot
+    # index; each run stopped with a traceback, "Maximum allowed size
+    # exceeded" from radii() or, the last, an OverflowError counting its steps
+    ("simulate", {"initial.u0.radius": 1e300}, "simulation"),
+    ("simulate", {"simulation.t_max": 1e300}, "simulation"),
+    ("simulate", {"simulation.dr": 1e-300}, "simulation"),
+    ("simulate", {"simulation.t_max": 1e300, "simulation.dr": 1e-300}, "simulation"),
     ("simulate", {"problem.n": "abc"}, "problem.n"),
     ("simulate", {"problem.n": 4}, "simulation"),
     ("simulate", {"initial.u0.amplitude": "abc"}, "initial.u0.amplitude"),

@@ -80,7 +80,12 @@ def test_negative_argument_rejected():
 @pytest.mark.parametrize(
     "bad", [lambda: RiemannLiouville(0.0), lambda: RiemannLiouville(1.0),
             lambda: Exponential(0.0), lambda: Constant(-1.0),
-            lambda: PolynomialShifted(-0.5), lambda: IteratedExponential(5, 1.0)]
+            lambda: PolynomialShifted(-0.5), lambda: IteratedExponential(5, 1.0),
+            # non-finite samples, which every <= 0 check let through
+            lambda: Custom([0.5, 1.0, 2.0], [1.5, math.nan, 0.5]),
+            lambda: Custom([0.5, 1.0, 2.0], [1.5, 1.0, math.inf]),
+            lambda: Custom([0.5, 1.0, math.inf], [1.5, 1.0, 0.5]),
+            lambda: Custom([math.nan, 1.0, 2.0], [1.5, 1.0, 0.5])]
 )
 def test_bad_parameters_rejected(bad):
     with pytest.raises(ConfigError):
@@ -474,7 +479,7 @@ def test_depth4_iterated_exponential_keeps_its_mass(c, t):
 
 def test_depth4_history_weights_keep_mass_and_sign():
     m0, _ = _depth4_moments(3.0)
-    w = HistoryWeights(IteratedExponential(4, 3.0), 0.05).weights(1200)
+    w = HistoryWeights(IteratedExponential(4, 3.0), 0.05, 1200).weights(1200)
     assert w.sum() == pytest.approx(float(m0), rel=1e-10, abs=0.0)
     # past the floor, rounding may leave a weight a hair below zero
     assert w.min() >= -1e-12 * w.sum()
@@ -523,7 +528,7 @@ def test_custom_exact_slopes_minus_one_and_minus_two():
     # a + 1 = 0 and a + 2 = 0 on these segments: the closed forms' log limits
     kernel = Custom(SLOPE_T, SLOPE_G)
     assert kernel._slopes.tolist() == [-0.5, -1.0, -2.0, -2.0]
-    w = HistoryWeights(kernel, 0.05).weights(400)  # t = 20, past the last sample
+    w = HistoryWeights(kernel, 0.05, 400).weights(400)  # t = 20, past the last sample
     assert w.min() > 0.0
     assert w.sum() == pytest.approx(_power_law_antiderivatives(SLOPE_T, SLOPE_G, 20.0)[0],
                                     rel=1e-13)
@@ -534,7 +539,7 @@ def test_custom_weights_build_fast_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         start = time.perf_counter()
-        w = HistoryWeights(kernel, 0.009).weights(222)
+        w = HistoryWeights(kernel, 0.009, 222).weights(222)
         elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     assert w.min() > 0.0
@@ -553,8 +558,7 @@ def test_step_weights_match_mpmath(kernel):
     # points lost about l^2 ulps at lag l (3.3e-7 relative for the depth-2
     # tower at lag 1000)
     dt = 0.00225
-    hw = HistoryWeights(kernel, dt)
-    hw.weights(1000)
+    hw = HistoryWeights(kernel, dt, 1000)
     for lag in (1, 2, 10, 100, 1000):
         X, Y = step_weights_reference(kernel, dt, lag)
         assert hw._X[lag] == pytest.approx(X, rel=1e-13, abs=0.0), lag
@@ -589,5 +593,5 @@ def test_gauss_tables_built_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: builds.append(a.shape) or eigh(a))
     for kernel in (OscillatingPolynomial(0.3), IteratedExponential(2, 1.0),
                    OscillatingPolynomial(0.3)):
-        HistoryWeights(kernel, 0.009).weights(222)
+        HistoryWeights(kernel, 0.009, 222).weights(222)
     assert builds == [(24, 24), (24, 24)]

@@ -108,7 +108,7 @@ def test_weights_row_sum_telescopes(kernel):
     # in closed form: the kernel's own G comes from the rule that built them
     slow = isinstance(kernel, (OscillatingPolynomial, IteratedExponential))
     steps = 100 if slow else 1000
-    hw = HistoryWeights(kernel, 0.01)
+    hw = HistoryWeights(kernel, 0.01, steps)
     for m in (1, 7, steps // 2, steps):
         w = hw.weights(m)
         want = closed_form_antiderivative(kernel, m * 0.01)
@@ -117,13 +117,13 @@ def test_weights_row_sum_telescopes(kernel):
 
 def test_convolution_examples():
     # g = 1, f = 1, t = 2 -> 2
-    hw = HistoryWeights(Constant(1.0), 0.01)
+    hw = HistoryWeights(Constant(1.0), 0.01, 200)
     assert hw.weights(200) @ np.ones(201) == pytest.approx(2.0, rel=1e-12)
     # fractional integral of 1 at t = 1: t^0.5 / Gamma(1.5)
-    hw = HistoryWeights(RiemannLiouville(0.5), 0.01)
+    hw = HistoryWeights(RiemannLiouville(0.5), 0.01, 100)
     assert hw.weights(100) @ np.ones(101) == pytest.approx(1.1283791671, abs=1e-8)
     # exponential convolution of 1: 1 - e^-t
-    hw = HistoryWeights(Exponential(1.0), 0.01)
+    hw = HistoryWeights(Exponential(1.0), 0.01, 100)
     assert hw.weights(100) @ np.ones(101) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-8)
 
 
@@ -136,7 +136,7 @@ def test_weights_exact_for_linear_samples():
     for kernel in (Exponential(1.5), Constant(0.7), PolynomialShifted(0.5)):
         want, _ = integrate.quad(lambda s: kernel(t_m - s) * (2.0 + 3.0 * s), 0.0, t_m,
                                  epsrel=1e-12, limit=200)
-        got = HistoryWeights(kernel, dt).weights(m) @ samples
+        got = HistoryWeights(kernel, dt, m).weights(m) @ samples
         assert got == pytest.approx(want, rel=1e-10)
 
 
@@ -153,12 +153,12 @@ def test_weights_exact_for_singular_kernel_linear_samples():
         weight="alg", wvar=(0.0, -0.5), epsrel=1e-12, limit=200,
     )
     want = want / math.gamma(0.5)
-    got = HistoryWeights(kernel, dt).weights(m) @ samples
+    got = HistoryWeights(kernel, dt, m).weights(m) @ samples
     assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_convolve_history_length_mismatch():
-    hw = HistoryWeights(Constant(1.0), 0.1)
+    hw = HistoryWeights(Constant(1.0), 0.1, 5)
     with pytest.raises(ValueError):
         hw.weights(5) @ np.ones(4)
 
@@ -176,10 +176,11 @@ def test_convolve_history_length_mismatch():
 @pytest.mark.parametrize("order", [(0, 1, 2, 3, 17, 500), (500, 3, 17, 0, 2, 1)],
                          ids=["sequential", "shuffled"])
 def test_weights_match_vectorised_formula(kernel, order):
-    # however the lag table grows, weights(m) is [X(m), L[m - 1], ..., L[0]]
-    # with L[0] = Y(1), L[l] = X(l) + Y(l + 1), from the exact step integrals
+    # in whatever order they are asked for, weights(m) is [X(m), L[m - 1],
+    # ..., L[0]] with L[0] = Y(1), L[l] = X(l) + Y(l + 1), from the exact
+    # step integrals
     dt = 0.01
-    hw = HistoryWeights(kernel, dt)
+    hw = HistoryWeights(kernel, dt, max(order))
     for m in order:
         w = hw.weights(m)
         assert w.size == m + 1
@@ -200,8 +201,8 @@ def test_weights_match_vectorised_formula(kernel, order):
 def test_exponential_recursion_matches_weights(kernel):
     # a constant kernel is the one-term exponential sum with rate 0
     dt = 0.01
-    hw = HistoryWeights(kernel, dt)
     samples = 1.0 + np.sin(3.0 * dt * np.arange(2001)) ** 2
+    hw = HistoryWeights(kernel, dt, samples.size - 1)
     memory, history = np.zeros(1), np.zeros((hw.levels, 1))
     assert history.shape == (1, 1)
     for m in range(samples.size):
@@ -266,8 +267,8 @@ def test_constant_forcing_grows_like_t():
     # frozen v = 1 history with g = 1: forcing = t on the support interior
     cfg = _config(mode="single", t_max=0.3)
     state = initial_state(cfg)
-    hw = HistoryWeights(Constant(1.0), cfg.dt)
     m = 10
+    hw = HistoryWeights(Constant(1.0), cfg.dt, m)
     forcing = hw.weights(m) @ np.ones(m + 1)
     assert forcing == pytest.approx(m * cfg.dt, rel=1e-12)
 
@@ -463,7 +464,7 @@ def _direct_update(cfg):
     """Oracle for the solver's memory update: every forced row stores its full
     history and convolves all of it over all cells with weights(m), as the
     solver did before the exponential recursion and the light-cone clip."""
-    weights = [HistoryWeights(g, cfg.dt) for g in cfg.kernels]
+    weights = [HistoryWeights(g, cfg.dt, cfg.n_steps) for g in cfg.kernels]
     history = np.zeros((2, cfg.n_steps, cfg.radii().size))
 
     def update(state):
@@ -555,6 +556,32 @@ def test_rows_tabulate_their_lags_at_construction(monkeypatch):
         for _ in range(cfg.n_steps):
             step(state, cfg)
         assert calls == [], kernel
+
+
+@pytest.mark.parametrize("run", [{}, {"mode": "single",
+                                      "kernels": (OscillatingPolynomial(0.3),) * 2}],
+                         ids=["tail-and-recursion", "whole-history"])
+def test_built_row_never_changes(monkeypatch, run):
+    # a row tabulates every lag of its run when it is built: weights(m) for
+    # any m <= n_steps, in any order, reads the tables and never replaces them
+    cfg = _config(**{**MEMORY_RUN, "t_max": 2.0, **run})
+    state = initial_state(cfg)
+    assert cfg.n_steps >= solver.WINDOW + solver.BLOCK
+    calls = []
+    for kernel in set(cfg.kernels):
+        moments = kernel.step_moments
+        monkeypatch.setattr(kernel, "step_moments",
+                            lambda *a, moments=moments: calls.append(a) or moments(*a))
+    tables = [(hw._X, hw._Y, hw._lag) for hw in state.weights]
+    before = [[t.tobytes() for t in row] for row in tables]
+    order = np.random.default_rng(0).permutation(cfg.n_steps + 1)
+    for hw in state.weights:
+        for m in order:
+            assert hw.weights(int(m)).size == m + 1
+    assert calls == []
+    for hw, row, data in zip(state.weights, tables, before):
+        assert all(a is b for a, b in zip((hw._X, hw._Y, hw._lag), row))
+        assert [t.tobytes() for t in row] == data
 
 
 @pytest.mark.parametrize("kernel", [RiemannLiouville(0.5), RiemannLiouville(0.05),
