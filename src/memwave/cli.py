@@ -8,12 +8,18 @@ reported at its config path before any command runs.  Every run writes
 a manifest (resolved config, no timestamp), a timestamp file (the only
 timestamped artifact), the data files, and an index listing all outputs.
 Every CSV goes through one block writer, ``_write_csv``: a table is a header
-plus blocks of columns, each block formatted by one ``%`` template and written
-in one call (``sweep`` streams one block per p value, and formats one range
-of p values per usable CPU, each in its own process).  A table is written
-under a hidden name and renamed onto its own once whole.  Floats carry 17
-significant digits (``%.17g``), rows end in ``\r\n`` and str cells are
-quoted as ``csv.writer`` quotes them, so repeated runs are byte-identical.
+plus blocks of columns, and each block is rendered BLOCK_ROWS rows at a time
+as one NumPy byte matrix, its cells in fixed columns padded with NUL bytes,
+then written with the NULs dropped (``csvformat``).  Floats carry 17
+significant digits (``%.17g``): those of 1e-4 <= |v| < 1e15 are laid out by
+exact integer arithmetic, and every other float (zero, subnormals, inf, nan,
+the exponent form) is formatted by ``%.17g`` itself.  ``sweep`` renders its
+p and q grids once and streams blocks of BLOCK_ROWS (p, q) cells, several
+whole p rows each; it splits the p rows into one contiguous range per usable
+CPU, each written by its own process.  A table is written under a hidden name and
+renamed onto its own once whole.  Rows end in ``\r\n`` and str cells are
+quoted as ``csv.writer`` quotes them, so the bytes are those of
+``csv.writer`` and repeated runs, on any CPU count, are byte-identical.
 
 Exit codes: 0 success, 2 configuration/validation error, 3 numerical failure
 (non-finite values outside a blow-up trigger, or failed verification).
@@ -36,6 +42,7 @@ import numpy as np
 import yaml
 
 from . import __version__, iteration, observables
+from .csvformat import BLOCK_ROWS, FLOAT_FMT, write_blocks
 from .errors import ConfigError, InsufficientDataError
 from .exponents import (
     ProblemParams,
@@ -58,8 +65,6 @@ from .kernels import (
 )
 from .observables import TRACE_COLUMNS, detect_blowup
 from .solver import HistoryWeights, Profile, SystemConfig, run_simulation
-
-FLOAT_FMT = "%.17g"
 
 SNAPSHOT_MAGIC = b"MWSN"
 SNAPSHOT_VERSION = 1
@@ -295,52 +300,6 @@ def validate_config(raw: dict, base: Path) -> tuple[dict, ValidationReport]:
 # ---------------------------------------------------------------------------
 
 
-_BOOL_TEXT = ("false", "true")
-_QUOTE_CHARS = ',"\r\n'
-
-
-def _needs_quote(text: str) -> bool:
-    return any(c in text for c in _QUOTE_CHARS)
-
-
-def _quote(cell: str) -> str:
-    """csv.writer's QUOTE_MINIMAL: quote a cell holding a comma, a quote or a
-    line break, doubling its quotes."""
-    return '"' + cell.replace('"', '""') + '"' if _needs_quote(cell) else cell
-
-
-def _column(col):
-    """One block column as (``%`` conversion, cell values), or as (literal
-    text, None) for a scalar that repeats over the block."""
-    if not isinstance(col, (list, tuple, np.ndarray)):
-        conversion, cells = _column([col])
-        return (conversion % tuple(cells)).replace("%", "%%"), None
-    cells = col.tolist() if isinstance(col, np.ndarray) else list(col)
-    first = cells[0] if cells else 0.0
-    if isinstance(first, bool):
-        return "%s", list(map(_BOOL_TEXT.__getitem__, cells))
-    if isinstance(first, float):
-        return FLOAT_FMT, cells
-    if not isinstance(first, str):
-        cells = list(map(str, cells))
-    if _needs_quote("".join(cells)):
-        cells = list(map(_quote, cells))
-    return "%s", cells
-
-
-def _write_blocks(fh, blocks) -> None:
-    """Write each block of a table, formatted by one ``%`` template."""
-    for block in blocks:
-        parts, columns = zip(*map(_column, block))
-        varying = [c for c in columns if c is not None]
-        rows = len(varying[0]) if varying else 1
-        # row-major cell values: column k fills every len(varying)-th slot
-        cells = [None] * (rows * len(varying))
-        for k, column in enumerate(varying):
-            cells[k :: len(varying)] = column
-        fh.write(((",".join(parts) + "\r\n") * rows) % tuple(cells))
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or 1 where ``_write_csv`` cannot
     fork writers and splice their parts."""
@@ -371,8 +330,8 @@ def _fork_writer(part: Path, blocks) -> int:
         return pid
     status = 1
     try:
-        with open(part, "w", newline="") as fh:
-            _write_blocks(fh, blocks)
+        with open(part, "wb") as fh:
+            write_blocks(fh, blocks)
         status = 0
     except Exception:
         import traceback
@@ -386,12 +345,17 @@ def _fork_writer(part: Path, blocks) -> int:
 def _write_csv(path: Path, header, blocks, forked=()) -> None:
     """Write a CSV table given as blocks of equal-length columns.
 
-    A column is a sequence of floats (written with ``FLOAT_FMT``), of bools
-    (``true``/``false``) or of anything else (``str``), its kind read from its
-    first cell, or one scalar repeated over the block.  Each block becomes one
-    ``%`` template with the scalars baked in, so its rows are formatted and
-    written in one call; the bytes are those of ``csv.writer`` over
-    ``FLOAT_FMT``-formatted cells.
+    A column is a sequence of floats (written as ``FLOAT_FMT`` writes them),
+    of bools (``true``/``false``), of pre-rendered cells (a NumPy ``S``
+    array, written as they are) or of anything else (``str``, quoted as
+    ``csv.writer`` quotes it; a NUL in it raises ValueError), its kind read
+    from its first cell, or one scalar repeated over the block.  Each block
+    is rendered BLOCK_ROWS rows at a time into one uint8 matrix, each cell
+    in fixed columns padded with NUL bytes, and written with the NULs
+    dropped (``csvformat.write_blocks``); the bytes are those of
+    ``csv.writer`` over ``FLOAT_FMT``-formatted cells.  Floats of
+    1e-4 <= |v| < 1e15 take an exact integer path to their 17 digits, and
+    every other float is formatted by ``FLOAT_FMT`` itself.
 
     The table is written into the hidden part file ``.<name>.part0`` beside
     ``path`` and moved onto ``path`` (``os.replace``) once it is whole, so
@@ -410,8 +374,8 @@ def _write_csv(path: Path, header, blocks, forked=()) -> None:
     try:
         for part, part_blocks in zip(parts[1:], forked):
             children[_fork_writer(part, part_blocks)] = part
-        with open(parts[0], "w", newline="") as fh:
-            _write_blocks(fh, chain([header], blocks))
+        with open(parts[0], "wb") as fh:
+            write_blocks(fh, chain([header], blocks))
             # the parts go in at the descriptor's offset, the end of what is
             # flushed (an O_APPEND descriptor makes copy_file_range fail)
             fh.flush()
@@ -601,19 +565,26 @@ def cmd_sweep(args, resolved, outdir: OutputDir) -> int:
     params = resolved["params"]
     ps, qs = resolved["sweep"]
     region = region_from_grids(params.n, params.gamma1, params.gamma2, ps, qs)
-    # one block per p value, evaluated as it is written; the q cells are
-    # formatted once for the whole run.  The p rows are cut into one
-    # contiguous range per usable CPU, each formatted by its own process
-    # (``_write_csv``), so %.17g runs on every CPU and each process holds one
-    # block at a time; the bytes are the same for any count.
-    q_text = [FLOAT_FMT % q for q in qs.tolist()]
+    # the p and q cells are rendered once; a block is a run of whole p rows,
+    # BLOCK_ROWS cells or one p row, its p and q columns repeated from them
+    # and its margins evaluated as it is written.  The p rows are cut into one
+    # contiguous range per usable CPU, each written by its own process
+    # (``_write_csv``); the bytes are the same for any count.
+    p_cells, q_cells = (np.array([(FLOAT_FMT % v).encode() for v in grid.tolist()], "S")
+                        for grid in (ps, qs))
     branch = region.branch.value
+    per_block = max(1, BLOCK_ROWS // qs.size)
 
-    def blocks(p_values):
-        part = dataclasses.replace(region, p_values=p_values)
-        return ((p, q_text, branch, margin > 0.0, margin) for p, margin in part.margin_rows())
+    def blocks(p_rows: slice):
+        for start in range(p_rows.start, p_rows.stop, per_block):
+            part = slice(start, min(start + per_block, p_rows.stop))
+            margin = np.concatenate(
+                [m for _, m in dataclasses.replace(region, p_values=ps[part]).margin_rows()])
+            yield (np.repeat(p_cells[part], qs.size), np.tile(q_cells, part.stop - start),
+                   branch, margin > 0.0, margin)
 
-    ranges = [blocks(p_values) for p_values in np.array_split(ps, min(ps.size, _usable_cpus()))]
+    splits = np.array_split(np.arange(ps.size), min(ps.size, _usable_cpus()))
+    ranges = [blocks(slice(rows[0], rows[-1] + 1)) for rows in splits]
     _write_csv(outdir.path("region.csv"), ["p", "q", "branch", "satisfied", "margin"],
                ranges[0], ranges[1:])
     return 0

@@ -144,6 +144,9 @@ class SystemConfig:
                               param="cfl")
         if self.dr <= 0.0:
             raise ConfigError("dr must be positive", param="dr")
+        if self.dt <= 0.0:  # cfl * dr underflows
+            raise ConfigError(f"cfl * dr = {self.cfl:g} * {self.dr:g} underflows to a zero "
+                              "time step", param="cfl")
         # the largest array a run may make, the whole history of n_steps by
         # n_cells + 1 doubles, counted in floats: NumPy cannot index past this
         steps, cells = self.t_max / self.dt, (self.R + self.t_max) / self.dr + SUPPORT_HALO + 2

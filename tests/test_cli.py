@@ -251,8 +251,10 @@ def test_sweep_grid(tmp_path):
 
 
 def test_sweep_streams_rows(tmp_path):
-    # one p row of the region at a time: at resolution 400 the peak of traced
-    # allocations stays below the 1.28 MB of a single (400, 400) float plane
+    # the region is rendered and written one block at a time, whole p rows of
+    # at most BLOCK_ROWS cells in all (ten rows of 400 here): the peak of
+    # traced allocations stays below the 1.28 MB of a single (400, 400) float
+    # plane
     cfg = {"problem": {"n": 3, "p": 2.0, "q": 2.0, "gamma1": 0.5, "gamma2": 0.7},
            "sweep": {"p_range": [1.1, 4.0], "q_range": [1.1, 4.0], "resolution": 400}}
     path = _write(tmp_path, cfg)
@@ -862,6 +864,8 @@ MALFORMED = [
     ("simulate", {"simulation.t_max": 1e300}, "simulation"),
     ("simulate", {"simulation.dr": 1e-300}, "simulation"),
     ("simulate", {"simulation.t_max": 1e300, "simulation.dr": 1e-300}, "simulation"),
+    # a cfl * dr that underflows to dt = 0 stopped with a ZeroDivisionError
+    ("simulate", {"simulation.cfl": 1.0e-320, "simulation.dr": 1.0e-5}, "simulation.cfl"),
     ("simulate", {"problem.n": "abc"}, "problem.n"),
     ("simulate", {"problem.n": 4}, "simulation"),
     ("simulate", {"initial.u0.amplitude": "abc"}, "initial.u0.amplitude"),
