@@ -67,6 +67,8 @@ _LEGENDRE_NODES = 24
 _SOE_CUTOFF = 40.0
 #: nodes of the Gauss rule behind the history weights, G and ∫G, per piece
 _KERNEL_NODES = 24
+#: steps whose moments ``step_moments`` integrates at once: about 6 MB
+MOMENT_CHUNK = 4096
 
 
 class DecayTag(enum.Enum):
@@ -162,18 +164,22 @@ class MemoryKernel:
         integrated in units of dt, so that each is exactly one unit wide, by
         ``_piece_moments`` on the pieces that the breakpoints and the
         multiples of ``panel_width`` cut them into.  A step's moments do not
-        depend on the other steps."""
-        grid = np.arange(steps + 1, dtype=float)
+        depend on the other steps, so they are integrated ``MOMENT_CHUNK``
+        steps at a time, which bounds the temporaries whatever ``steps``."""
         end = min(steps, self.support_end / dt)
         ratio = self.panel_width / dt
         inner = np.concatenate((ratio * np.arange(1, math.ceil(end / ratio)),
                                 np.divide(self.breakpoints, dt)))
-        cuts = np.union1d(np.minimum(grid, end), inner[(inner > 0.0) & (inner < end)])
-        m0, m1 = _piece_moments(lambda u: self._eval(dt * u), cuts, self.leading_power)
-        owner = np.searchsorted(grid, cuts[:-1], side="right") - 1
-        return (np.bincount(owner, weights=m0, minlength=grid.size - 1),
-                np.bincount(owner, weights=m1 + (cuts[:-1] - grid[owner]) * m0,
-                            minlength=grid.size - 1))
+        out = np.zeros((2, steps))
+        for a in range(0, math.ceil(end), MOMENT_CHUNK):
+            grid = np.arange(a, min(a + MOMENT_CHUNK, steps) + 1, dtype=float)
+            top = min(grid[-1], end)
+            cuts = np.union1d(np.minimum(grid, end), inner[(inner > a) & (inner < top)])
+            m0, m1 = _piece_moments(lambda u: self._eval(dt * u), cuts, self.leading_power)
+            owner = np.searchsorted(grid, cuts[:-1], side="right") - 1
+            for row, w in zip(out[:, a:], (m0, m1 + (cuts[:-1] - grid[owner]) * m0)):
+                row[: grid.size - 1] = np.bincount(owner, weights=w, minlength=grid.size - 1)
+        return out[0], out[1]
 
     def recursion_factor(self, dt: float) -> float | None:
         """The factor r with g(t + dt) = r g(t) for every t >= 0, which makes

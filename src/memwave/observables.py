@@ -97,29 +97,24 @@ class FunctionalTrace:
         return self.table()[:, TRACE_COLUMNS.index(name)]
 
 
-def compute_functionals(state, config, weights: np.ndarray) -> tuple:
+def compute_functionals(state, weights: np.ndarray) -> tuple:
     """One trace row, in ``TRACE_COLUMNS`` order, from a solver state
-    (duck-typed: fields, t, cut).
+    (duck-typed: fields, t, cut, and the level's read: peak, nonlinearity).
 
     ``weights`` is ``trace_weights(n, state.r)``; a run builds it once for
     all its rows.  The fields are zero from ``state.cut`` on, so the row
     reads the first cut cells only.  Its six integrals are the pairs (u, v),
-    (u, v) and (|v|^p, |u|^q), times the rows of ``weights``, each summed
-    along the cells by NumPy's pairwise sum; U0 and V0 are e^-t times the
-    second pair's sums.
+    (u, v) and the state's (|v|^p, |u|^q), the samples that drive the memory
+    rows, times the rows of ``weights``, each summed along the cells by
+    NumPy's pairwise sum; U0 and V0 are e^-t times the second pair's sums.
     """
-    p, q = config.params.p, config.params.q
     c = state.cut
-    fields = state.fields[:, :c]  # (u, v), or (u,) where v is u
-    mag = np.abs(fields)
     rows = np.empty((3, 2, c))
-    rows[:2] = fields
-    rows[2, 0] = mag[-1] ** p
-    rows[2, 1] = mag[0] ** q
+    rows[:2] = state.fields[:, :c]  # (u, v), or (u,) where v is u
+    rows[2, 0], rows[2, 1] = state.nonlinearity
     rows *= weights[:, None, :c]
     (U, V), (U0, V0), (Lp_v, Lq_u) = rows.sum(axis=-1).tolist()
-    peak = mag.max(axis=-1).tolist()
-    psi = math.exp(-state.t)
+    peak, psi = state.peak.tolist(), math.exp(-state.t)
     return (float(state.t), U, V, psi * U0, psi * V0, Lp_v, Lq_u, peak[0], peak[-1])
 
 

@@ -8,9 +8,11 @@ piecewise-linear histories.  The product-integration weights are Toeplitz in
 the lag and are built once per run.  The grid and the light cone start from
 R, the largest support radius of the nonzero initial profiles, so a zero
 profile widens neither.  The fields, the memory and the history are exactly
-zero outside the light cone, so every per-step pass (the nonlinearities, the
-memory update, the stencil, the leapfrog update and the peak check) runs over
-the c(t) cells inside it only.  Costs per step, for M + 1 cells:
+zero outside the light cone, so every per-step pass (the memory update, the
+stencil, the leapfrog update and the read of the new level's peaks and
+nonlinearities) runs over the c(t) cells inside it only.  Every step is one
+leapfrog update, from a level before t = 0 set by Taylor.  Costs per step,
+for M + 1 cells:
 
 - a kernel with a recursion factor (``MemoryKernel.recursion_factor``:
   exponential, constant, PolynomialShifted(0) or IteratedExponential(1, c))
@@ -308,14 +310,15 @@ class WaveState:
     """Stacked fields, their previous time level, and the memory forcing.
 
     The rows of ``fields`` are (u, v) in coupled mode and (u,) in single and
-    mgt mode, and ``velocity`` holds their initial velocities.  ``cut`` is the
-    number c of cells inside the light cone (plus halo) at t: from cell c on,
-    every field, memory term, history level and mode is exactly +0.0, so every
-    per-step pass runs over the first c cells only.  Entry i of ``forcing`` is
-    ``(src, power)``: row i is driven by ``memory[i]``, the convolution of
-    ``weights[i]`` with the profiles of ``|fields[src]|**power``, brought up
-    to the current level when a step starts from it.  ``history[i]`` holds
-    those profiles, in one of three layouts chosen by ``weights[i]``:
+    mgt mode.  ``cut`` is the number c of cells inside the light cone (plus
+    halo) at t: from cell c on, every field, memory term, history level and
+    mode is exactly +0.0, so every per-step pass runs over the first c cells
+    only.  ``peak`` and ``nonlinearity``, each field's peak and the profiles
+    N = (|v|^p, |u|^q) on the first c cells (v is u in single and mgt mode),
+    are read once per level.  Row i is driven by ``memory[i]``, the
+    convolution of ``weights[i]`` with the profiles N[i], brought up to the
+    current level when a step starts from it.  ``history[i]`` holds those
+    profiles, in one of three layouts chosen by ``weights[i]``:
 
     - its recursion (a kernel with a recursion factor): only the latest one,
       shape (1, M + 1), and ``modes[i]`` is None;
@@ -324,23 +327,22 @@ class WaveState:
     - otherwise: every level a step started from, shape (n_steps, M + 1), and
       ``modes[i]`` is None.
 
-    The forcing, history and modes are empty and the memory None for linear
-    runs.
+    A linear run has no weight rows, so no history or modes, and no memory.
     """
 
     r: np.ndarray
     fields: np.ndarray
-    prev: np.ndarray  # the previous level, zero at t = 0; a step writes the next one into it
+    prev: np.ndarray  # the previous level; a step writes the next one into it
     stencil: np.ndarray  # the Laplacian's buffer
-    velocity: np.ndarray
     t: float
     step: int
     cut: int
-    forcing: tuple
     weights: tuple
     history: tuple
     modes: tuple
-    memory: np.ndarray | None  # (len(forcing), M + 1)
+    memory: np.ndarray | None  # (len(weights), M + 1)
+    peak: np.ndarray = field(init=False)
+    nonlinearity: tuple = field(init=False)
 
     @property
     def u(self) -> np.ndarray:
@@ -374,78 +376,77 @@ def _cone_cut(r, t, config: SystemConfig) -> int:
     return int(np.searchsorted(r, config.R + t + SUPPORT_HALO * config.dr, side="right"))
 
 
+def _read_level(state: WaveState, config: SystemConfig) -> None:
+    """Read the current level once, for the memory, the trace and the stop."""
+    mag = np.abs(state.fields[:, : state.cut])
+    state.peak = mag.max(axis=-1)
+    state.nonlinearity = (mag[-1] ** config.params.p, mag[0] ** config.params.q)
+
+
 def _update_memory(state: WaveState) -> None:
-    """Record the nonlinearities at the current level and bring the memory
-    terms up to it, over the first ``state.cut`` cells."""
-    c = state.cut
-    for i, (src, power) in enumerate(state.forcing):
-        state.weights[i].update(state.memory[i], state.history[i], state.modes[i],
-                                np.abs(state.fields[src, :c]) ** power, state.step, c)
+    """Record N at the current level and bring the memory terms up to it."""
+    for i, hw in enumerate(state.weights):
+        hw.update(state.memory[i], state.history[i], state.modes[i], state.nonlinearity[i],
+                  state.step, state.cut)
 
 
 def initial_state(config: SystemConfig) -> WaveState:
-    """Initial fields, the buffers of the next level and the stencil, the
+    """Initial fields and the level before them, the stencil's buffer, the
     forced rows' weights, each with its sum-of-exponentials tail if it has
     one, and an empty forcing history at t = 0, for any mode.  The one place
     that reads the mode: mgt runs the single-mode layout."""
-    r = config.radii()
-    p, q = config.params.p, config.params.q
-    if config.mode == "coupled":
-        fields = np.stack((config.u0(r), config.v0(r)))
-        velocity = np.stack((config.u1(r), config.v1(r)))
-        forcing = ((1, p), (0, q))
-    else:
-        fields, velocity, forcing = config.u0(r)[None], config.u1(r)[None], ((0, p),)
-    if config.linear:
-        forcing = ()
+    r, dt = config.radii(), config.dt
+    rows = 2 if config.mode == "coupled" else 1
+    fields, velocity = (np.stack([f(r) for f in data[:rows]])
+                        for data in ((config.u0, config.v0), (config.u1, config.v1)))
     # the profiles vanish beyond R; a negative amplitude makes that -0.0, and
-    # the buffer the second step writes into must hold +0.0 beyond its cut
+    # each buffer a step writes into must hold +0.0 beyond its cut
     cut = _cone_cut(r, 0.0, config)
     fields[:, cut:] = 0.0
-    weights = tuple(HistoryWeights(g, config.dt, config.n_steps)
-                    for g in config.kernels[: len(forcing)])
+    # u0 - dt u1 + dt^2 / 2 lap u0, in that order: the memory is 0 at t = 0,
+    # so the first leapfrog step makes u0 + dt u1 + dt^2 / 2 lap u0
+    stencil, prev = np.empty_like(fields), np.zeros_like(fields)
+    lap = _laplacian(fields[:, : cut + 1], r[: cut + 1], config.dr, config.params.n,
+                     stencil[:, : cut + 1])[:, :cut]
+    prev[:, :cut] = fields[:, :cut] - dt * velocity[:, :cut] + 0.5 * dt**2 * lap
+    weights = tuple(HistoryWeights(g, dt, config.n_steps)
+                    for g in config.kernels[: 0 if config.linear else rows])
     history = tuple(np.zeros((w.levels, r.size)) for w in weights)
     modes = tuple(None if w.rates is None else np.zeros((w.rates.size, r.size))
                   for w in weights)
-    memory = np.zeros((len(forcing), r.size)) if forcing else None
-    return WaveState(r, fields, np.zeros_like(fields), np.empty_like(fields), velocity, 0.0, 0,
-                     cut, forcing, weights, history, modes, memory)
+    memory = np.zeros((len(weights), r.size)) if weights else None
+    state = WaveState(r, fields, prev, stencil, 0.0, 0, cut, weights, history, modes, memory)
+    _read_level(state, config)
+    return state
 
 
 def step(state: WaveState, config: SystemConfig) -> WaveState:
     """Advance one time level, in place, in any mode.
 
-    Leapfrog with a Taylor start; the forcing at the current level is the
-    product-integration convolution of the nonlinearity history, brought up
-    to this level first.  Fields outside the light cone (plus halo) stay
-    zero, which is consistent with finite propagation speed and keeps the
-    scheme second order: the new level is made over the c cells inside the
-    cone at t + dt, from a stencil over c + 1 cells, in the buffer of the
-    previous level, which is zero from its own smaller cut on.  Overflow is
-    left to the caller's ``np.errstate``: ``run_simulation`` silences it for
-    the whole run.
+    Leapfrog; the forcing at the current level is the product-integration
+    convolution of the nonlinearity history, brought up to this level first.
+    Fields outside the light cone (plus halo) stay zero, which is consistent
+    with finite propagation speed and keeps the scheme second order: the new
+    level is made over the c cells inside the cone at t + dt, from a stencil
+    over c + 1 cells, in the buffer of the previous level, which is zero from
+    its own smaller cut on, and then read once.  Overflow is left to the
+    caller's ``np.errstate``, which ``run_simulation`` sets for the run.
     """
-    dt = config.dt
-    if state.forcing:
-        _update_memory(state)
-    state.t += dt
+    _update_memory(state)
+    state.t += config.dt
     c = state.cut = _cone_cut(state.r, state.t, config)
     fields, new = state.fields[:, :c], state.prev[:, :c]
     lap = _laplacian(state.fields[:, : c + 1], state.r[: c + 1], config.dr, config.params.n,
                      state.stencil[:, : c + 1])[:, :c]
-    # the arithmetic of fields + dt u_t + dt^2 / 2 (lap + f) at the first
-    # step and of 2 fields - prev + dt^2 (lap + f) after it, in that order;
-    # a free wave's f = 0.0 still turns a -0.0 in lap into +0.0
-    lap += state.memory[:, :c] if state.forcing else 0.0
-    if state.step == 0:
-        lap *= 0.5 * dt**2
-        np.add(fields + dt * state.velocity[:, :c], lap, out=new)
-    else:
-        lap *= dt**2
-        np.subtract(2.0 * fields, new, out=new)
-        new += lap
+    # the arithmetic of 2 fields - prev + dt^2 (lap + f), in that order; a
+    # free wave's f = 0.0 still turns a -0.0 in lap into +0.0
+    lap += 0.0 if state.memory is None else state.memory[:, :c]
+    lap *= config.dt**2
+    np.subtract(2.0 * fields, new, out=new)
+    new += lap
     state.prev, state.fields = state.fields, state.prev
     state.step += 1
+    _read_level(state, config)
     return state
 
 
@@ -467,26 +468,23 @@ def run_simulation(config: SystemConfig) -> SimulationResult:
     that is the ``nonfinite`` stop, not a fault, so the whole run is under
     one ``np.errstate`` that silences overflow and invalid operations.
     """
-    state = initial_state(config)
-    trace = FunctionalTrace()
-    weights = observables.trace_weights(config.params.n, state.r)
+    trace, snapshots, snapshot_steps = FunctionalTrace(), {}, {}
     # the requested times by the step nearest each; one at t_max is the last
     # step, and two times may share a step
-    snapshot_steps = {}
     for ts in config.snapshot_times:
         snapshot_steps.setdefault(min(round(ts / config.dt), config.n_steps), []).append(ts)
-    snapshots = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        trace.rows.append(observables.compute_functionals(state, config, weights))
+        state = initial_state(config)
+        weights = observables.trace_weights(config.params.n, state.r)
+        trace.rows.append(observables.compute_functionals(state, weights))
         for _ in range(config.n_steps):
             step(state, config)
-            # one reduction serves both triggers: a NaN or inf propagates to the peak
-            peak = np.max(np.abs(state.fields[:, : state.cut]))
+            peak = state.peak.max()  # a NaN or inf propagates to the peak
             if not np.isfinite(peak):
                 trace.stop_trigger = "nonfinite"
                 break
             if state.step % config.record_every == 0:
-                trace.rows.append(observables.compute_functionals(state, config, weights))
+                trace.rows.append(observables.compute_functionals(state, weights))
             if state.step in snapshot_steps:
                 taken = (state.t, state.fields.copy())
                 snapshots.update(dict.fromkeys(snapshot_steps[state.step], taken))

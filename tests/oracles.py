@@ -2,15 +2,15 @@
 
 The exact 1-d d'Alembert propagator and the Picard iteration built on it
 (local existence by Banach's fixed point), RK4 on the third-order (MGT) form
-of the exponential-kernel equation, the solver's step with every pass over
-the whole grid, the trapezoid rule one integral at a time, the leapfrog
-energy and the light-cone support of a solver state, the product-integration
-convolution of a whole sample series, the identities F' = w - F/beta and
-U'' = g * Lp_v, the lower bounds on U0 and U, the Case 1 sum, the iteration
-frame's index thresholds and divergence certificates, the non-increasing
-minorant of a Slow kernel, the closed-form G of the kernel families that
-have one, and 40-digit step weights of every kernel family.  pytest does not
-collect this.
+of the exponential-kernel equation, the solver's start and step with every
+pass over the whole grid and each mode's forcing map, the trapezoid rule one
+integral at a time, the leapfrog energy and the light-cone support of a
+solver state, the product-integration convolution of a whole sample series,
+the identities F' = w - F/beta and U'' = g * Lp_v, the lower bounds on U0
+and U, the Case 1 sum, the iteration frame's index thresholds and divergence
+certificates, the non-increasing minorant of a Slow kernel, the closed-form G
+of the kernel families that have one, and 40-digit step weights of every
+kernel family.  pytest does not collect this.
 """
 
 import bisect
@@ -31,7 +31,7 @@ from memwave.kernels import (Constant, Custom, DecayTag, Exponential, IteratedEx
                              RiemannLiouville)
 from memwave.observables import FunctionalTrace, phi_eigenfunction, sphere_area
 from memwave.solver import (BLOCK, WINDOW, HistoryWeights, SystemConfig, WaveState, _cone_cut,
-                            _laplacian)
+                            _laplacian, initial_state)
 
 
 def margin_plane(region) -> np.ndarray:
@@ -152,29 +152,60 @@ def _full_grid_laplacian(u, r, dr: float, n: int) -> np.ndarray:
     return lap
 
 
+def forcing_map(config: SystemConfig) -> tuple:
+    """The (field, power) pair whose samples |fields[field]|**power drive
+    each memory row: |v|^p and |u|^q in coupled mode, |u|^p in single and mgt
+    mode, and no row in a linear run."""
+    p, q = config.params.p, config.params.q
+    if config.linear:
+        return ()
+    return ((1, p), (0, q)) if config.mode == "coupled" else ((0, p),)
+
+
+def _full_grid_read(state: WaveState, config: SystemConfig) -> None:
+    """``solver._read_level`` over whole rows."""
+    mag = np.abs(state.fields)
+    state.peak = mag.max(axis=-1)
+    state.nonlinearity = (mag[-1] ** config.params.p, mag[0] ** config.params.q)
+
+
+def full_grid_state(config: SystemConfig) -> WaveState:
+    """``solver.initial_state`` with the levels made over whole rows: the
+    profiles as they come, and the level before t = 0 by Taylor,
+    u0 - dt u1 + dt^2 / 2 lap u0, clamped to zero outside the light cone
+    afterwards."""
+    state = initial_state(config)
+    data = ((config.u0, config.v0), (config.u1, config.v1))
+    fields, velocity = (np.stack([f(state.r) for f in row[: len(state.fields)]]) for row in data)
+    lap = _full_grid_laplacian(fields, state.r, config.dr, config.params.n)
+    state.prev = fields - config.dt * velocity + 0.5 * config.dt**2 * lap
+    state.prev[..., state.cut:] = 0.0
+    state.fields = fields
+    _full_grid_read(state, config)
+    return state
+
+
 def full_grid_step(state: WaveState, config: SystemConfig) -> WaveState:
     """``solver.step`` with every pass over all M + 1 cells: the
-    nonlinearities, the recursion, the history, the stencil and the leapfrog
-    update make whole rows in new arrays, and the new level is clamped to
-    zero outside the light cone afterwards."""
+    nonlinearities, the recursion, the history, the stencil, the leapfrog
+    update and the level read make whole rows in new arrays, and the new
+    level is clamped to zero outside the light cone afterwards."""
     dt = config.dt
     f = 0.0
-    if state.forcing:
+    if state.memory is not None:
         c = _cone_cut(state.r, state.t, config)
-        for i, (src, power) in enumerate(state.forcing):
+        for i, (src, power) in enumerate(forcing_map(config)):
             _full_grid_update(state.weights[i], state.memory[i], state.history[i],
                               state.modes[i], np.abs(state.fields[src]) ** power, state.step, c)
         f = state.memory
     lap = _full_grid_laplacian(state.fields, state.r, config.dr, config.params.n)
-    if state.step == 0:
-        new = state.fields + dt * state.velocity + 0.5 * dt**2 * (lap + f)
-    else:
-        new = 2.0 * state.fields - state.prev + dt**2 * (lap + f)
+    new = 2.0 * state.fields - state.prev + dt**2 * (lap + f)
     state.t += dt
     state.cut = _cone_cut(state.r, state.t, config)
     new[..., state.cut:] = 0.0
     state.prev, state.fields = state.fields, new
     state.step += 1
+    _full_grid_read(state, config)
     return state
 
 

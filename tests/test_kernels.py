@@ -4,6 +4,7 @@ import bisect
 import functools
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from memwave.errors import (
     UnsupportedError,
 )
 from memwave.kernels import (
+    MOMENT_CHUNK,
     Constant,
     Custom,
     DecayTag,
@@ -563,6 +565,36 @@ def test_step_weights_match_mpmath(kernel):
         X, Y = step_weights_reference(kernel, dt, lag)
         assert hw._X[lag] == pytest.approx(X, rel=1e-13, abs=0.0), lag
         assert hw._Y[lag] == pytest.approx(Y, rel=1e-13, abs=0.0), lag
+
+
+@pytest.mark.parametrize("kernel", [RiemannLiouville(0.5), Exponential(1.0),
+                                    OscillatingPolynomial(0.3)], ids=lambda k: type(k).__name__)
+def test_step_moments_temporaries_are_bounded(kernel):
+    # the steps are integrated MOMENT_CHUNK at a time: in one call, 20,000
+    # steps at simulate-blowup's time step made 26 to 30 MB of temporaries
+    tracemalloc.start()
+    try:
+        kernel.step_moments(0.00225, 20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [RiemannLiouville(0.5), PolynomialShifted(0.5), Exponential(1.0), Constant(1.0),
+     OscillatingPolynomial(0.3), IteratedExponential(2, 1.0), Custom(TABLE_T, TABLE_G)],
+    ids=lambda k: type(k).__name__,
+)
+def test_step_moments_of_fewer_steps_are_a_prefix(kernel):
+    # a step's moments do not depend on the other steps or on the chunk
+    # that integrates them, byte for byte
+    dt, chunk = 0.00225, MOMENT_CHUNK
+    whole = kernel.step_moments(dt, 2 * chunk + 100)
+    for k in (1, 7, chunk - 1, chunk, chunk + 1, 2 * chunk - 1):
+        for got, want in zip(kernel.step_moments(dt, k), whole, strict=True):
+            assert got.tobytes() == want[:k].tobytes(), k
 
 
 def test_gauss_legendre_table_matches_mpmath():

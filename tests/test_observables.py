@@ -21,7 +21,7 @@ from memwave.observables import (
     sphere_area,
     trace_weights,
 )
-from memwave.solver import Profile, SystemConfig, run_simulation
+from memwave.solver import Profile, SystemConfig, _read_level, run_simulation
 from oracles import (_cumulative_trapezoid, check_iteration_frame, check_u0_lower_bound,
                      check_u_doubleprime_identity, initial_weighted_integrals, radial_integral,
                      trace_dt)
@@ -91,25 +91,28 @@ def test_radial_integral_ball_volume():
     assert radial_integral(3, r, np.ones_like(r)) == pytest.approx(vol, rel=1e-14)
 
 
-def _state(r, u, v, t):
-    """A solver state's duck type, with the whole grid inside the cone."""
-    return SimpleNamespace(r=r, fields=np.stack((u, v)), t=t, cut=r.size)
+def _state(r, u, v, t, config, cut=None):
+    """A solver state's duck type, inside the cone of ``cut`` cells (the whole
+    grid by default), with its level read."""
+    state = SimpleNamespace(r=r, fields=np.stack((u, v)), t=t, cut=r.size if cut is None else cut)
+    _read_level(state, config)
+    return state
 
 
 def test_compute_functionals_zero_state():
     cfg = _coupled_config(u0=Profile("zero"), u1=Profile("zero"),
                           v0=Profile("zero"), v1=Profile("zero"))
     r = cfg.radii()
-    S = _state(r, np.zeros_like(r), np.zeros_like(r), 0.3)
-    row = compute_functionals(S, cfg, trace_weights(1, S.r))
+    S = _state(r, np.zeros_like(r), np.zeros_like(r), 0.3, cfg)
+    row = compute_functionals(S, trace_weights(1, S.r))
     assert row == (0.3,) + (0.0,) * 8
 
 
 def test_u0_at_time_zero_is_phi_weighted_data():
     cfg = _coupled_config()
     r = cfg.radii()
-    S = _state(r, cfg.u0(r), cfg.v0(r), 0.0)
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, trace_weights(1, S.r))))
+    S = _state(r, cfg.u0(r), cfg.v0(r), 0.0, cfg)
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, trace_weights(1, S.r))))
     i0, _ = initial_weighted_integrals(cfg)
     assert row["U0"] == pytest.approx(i0, rel=1e-12)
 
@@ -118,9 +121,9 @@ def test_psi_factorization():
     # U0 must equal e^{-t} times the Phi-weighted integral, by definition
     cfg = _coupled_config()
     r = cfg.radii()
-    S = _state(r, cfg.u0(r), cfg.v0(r), 0.8)
+    S = _state(r, cfg.u0(r), cfg.v0(r), 0.8, cfg)
     u = S.fields[0]
-    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, cfg, trace_weights(1, S.r))))
+    row = dict(zip(TRACE_COLUMNS, compute_functionals(S, trace_weights(1, S.r))))
     phi_weighted = radial_integral(1, S.r, u * phi_eigenfunction(1, S.r))
     assert row["U0"] == pytest.approx(math.exp(-0.8) * phi_weighted, rel=1e-12)
 
@@ -138,11 +141,11 @@ def test_functionals_bitwise_equal_numpy_trapezoid(n):
     for cut in (r.size, 200):
         u, v = rng.standard_normal((2, r.size))
         u[cut:] = v[cut:] = 0.0
-        state = SimpleNamespace(fields=np.stack((u, v)), t=0.37, cut=cut)
+        state = _state(r, u, v, 0.37, config, cut)
         psi = math.exp(-state.t) * phi_eigenfunction(n, r)
         integrands = {"U": u, "V": v, "U0": u * psi, "V0": v * psi,
                       "Lp_v": np.abs(v) ** p, "Lq_u": np.abs(u) ** q}
-        row = dict(zip(TRACE_COLUMNS, compute_functionals(state, config, trace_weights(n, r))))
+        row = dict(zip(TRACE_COLUMNS, compute_functionals(state, trace_weights(n, r))))
         for name, f in integrands.items():
             want = sphere_area(n) * float(np.trapezoid(f * r ** (n - 1), r))
             assert radial_integral(n, r, f) == want, name

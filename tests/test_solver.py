@@ -1,6 +1,5 @@
 """Solver: quadrature weights, stepping, oracles, MGT, fixed-point iteration."""
 
-import copy
 import dataclasses
 import functools
 import itertools
@@ -22,6 +21,7 @@ from memwave.kernels import (
     PolynomialShifted,
     RiemannLiouville,
 )
+from memwave.observables import TRACE_COLUMNS, compute_functionals, trace_weights
 from memwave.solver import (
     HistoryWeights,
     Profile,
@@ -35,6 +35,8 @@ from oracles import (
     conv_derivative_identity,
     dalembert_reference,
     discrete_energy,
+    forcing_map,
+    full_grid_state,
     full_grid_step,
     mgt_reference,
     picard_iterate,
@@ -400,6 +402,8 @@ LOCKSTEP_RUNS = {
 
 def _state_arrays(state):
     yield state.fields
+    yield state.peak
+    yield from (n[: state.cut] for n in state.nonlinearity)
     if state.memory is not None:
         yield state.memory
     yield from state.history
@@ -409,16 +413,16 @@ def _state_arrays(state):
 @pytest.mark.parametrize("run", sorted(LOCKSTEP_RUNS))
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cone_step_bitwise_equals_full_grid_step(n, run):
-    # step runs each pass over the cells inside the light cone; the reference
-    # makes whole rows and clamps them afterwards, from the profiles as they
-    # come, so the fields, memory, history and modes must match byte for
-    # byte, the sign of every zero included, past the first block of the tail
+    # initial_state and step run each pass over the cells inside the light
+    # cone; the reference makes whole rows and clamps them afterwards, from the
+    # profiles as they come, so the levels, the peaks, the nonlinearities
+    # inside the cone, the memory, history and modes must match byte for byte,
+    # the sign of every zero included, past the first block of the tail
     cfg = _config(**{"mode": run, **LOCKSTEP_RUNS[run]}, params=ProblemParams(n, 2.0, 3.0),
                   t_max=3.6, dr=0.04)
     assert cfg.n_steps > solver.WINDOW + 2 * solver.BLOCK
-    state = initial_state(cfg)
-    ref = copy.deepcopy(state)
-    ref.fields = np.stack((cfg.u0(state.r), cfg.v0(state.r))[: len(state.fields)])
+    state, ref = initial_state(cfg), full_grid_state(cfg)
+    assert state.prev.tobytes() == ref.prev.tobytes()
     layouts = {h.shape[0] for h in state.history}
     assert layouts == {"single": {cfg.n_steps}, "coupled": {solver.WINDOW + solver.BLOCK, 1},
                        "mgt": {1}, "linear": set()}[run]
@@ -460,6 +464,40 @@ def test_trace_rows_do_not_depend_on_earlier_rows():
     assert third.tobytes() == every[::3].tobytes()
 
 
+def _recorded(hw, history, m):
+    """The samples a memory row recorded at level m, read once the step from
+    m is made: the one level of a recursion, row m of a whole history, and
+    the row of the moving window that holds level m in a mode tail."""
+    if hw.decay is not None:
+        return history[0]
+    if hw.rates is None or m < solver.WINDOW:
+        return history[m]
+    return history[solver.WINDOW + (m - solver.WINDOW) % solver.BLOCK]
+
+
+@pytest.mark.parametrize("run", [
+    {**MEMORY_RUN, "t_max": 2.0},
+    {**MEMORY_RUN, "mode": "single", "kernels": (OscillatingPolynomial(0.3),) * 2},
+    {**MEMORY_RUN, "mode": "mgt", "kernels": (Exponential(0.5),) * 2},
+], ids=["coupled-tail-and-recursion", "single-whole-history", "mgt-recursion"])
+def test_trace_integrals_sum_the_samples_that_drive_the_memory(run):
+    # the trace and the memory read one nonlinearity: each recorded row's
+    # Lp_v (and Lq_u in coupled mode) is the weighted sum of exactly the
+    # samples the memory row of its column records for that level
+    cfg = _config(**run)
+    state = initial_state(cfg)
+    weights = trace_weights(cfg.params.n, state.r)
+    layouts = {(hw.decay is not None, hw.rates is not None) for hw in state.weights}
+    assert len(layouts) == len(state.weights)
+    for m in range(cfg.n_steps):
+        row = dict(zip(TRACE_COLUMNS, compute_functionals(state, weights)))
+        c = state.cut
+        step(state, cfg)
+        for i, name in enumerate(("Lp_v", "Lq_u")[: len(state.weights)]):
+            samples = _recorded(state.weights[i], state.history[i], m)[:c]
+            assert row[name] == (samples * weights[2, :c]).sum() > 0.0, (m, name)
+
+
 def _direct_update(cfg):
     """Oracle for the solver's memory update: every forced row stores its full
     history and convolves all of it over all cells with weights(m), as the
@@ -469,7 +507,7 @@ def _direct_update(cfg):
 
     def update(state):
         m = state.step
-        for i, (src, power) in enumerate(state.forcing):
+        for i, (src, power) in enumerate(forcing_map(cfg)):
             history[i, m] = np.abs(state.fields[src]) ** power
             state.memory[i] = weights[i].weights(m) @ history[i, : m + 1]
 
@@ -528,12 +566,14 @@ def test_initial_state_history_layouts():
 def test_initial_state_makes_the_buffers_a_run_alternates():
     # the next level is written into the previous level's buffer, so the two
     # arrays initial_state makes trade places at every step, and the stencil
-    # keeps its own
+    # keeps its own; the level before t = 0 is +0.0 from the cut on, as the
+    # fields are, and nonzero inside it
     cfg = _config(**MEMORY_RUN)
     state = initial_state(cfg)
     first, second, stencil = state.fields, state.prev, state.stencil
     assert first.shape == second.shape == stencil.shape
-    assert second.tobytes() == np.zeros_like(first).tobytes()
+    assert second[:, state.cut:].tobytes() == np.zeros_like(first[:, state.cut:]).tobytes()
+    assert np.all(np.any(second[:, : state.cut] != 0.0, axis=-1))
     for k in range(1, cfg.n_steps + 1):
         step(state, cfg)
         now, before = (second, first) if k % 2 else (first, second)
